@@ -22,12 +22,10 @@ from fractions import Fraction
 from .family import Family, build_family
 from .graph import Graph, induced_subgraph, mask_from, neighborhood_mask
 from .mwis import WeightedGraph, solve_mwis
-from .pattern import Instance, Solution, exists_list_hom, verify_solution
+from .pattern import ZERO, Instance, Solution, exists_list_hom, verify_solution
 from .connected import SolveResult
 
 __all__ = ["BlobGraph", "build_blob_graph", "solve_full", "touches"]
-
-ZERO = Fraction(0)
 
 
 def touches(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:

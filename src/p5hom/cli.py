@@ -3,15 +3,12 @@
 Commands: solve, verify, family, blob, gen, difftest, check-p5free.
 Exit codes: 0 success, 1 mismatch or failed verification, 2 bad flags or
 unparsable input, 3 input not P5-free (the witness path is printed).
-The guess budget can come from --budget or the P5HOM_BUDGET environment
-variable (the flag wins).
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -75,21 +72,8 @@ def _read_instance(path: str) -> Instance:
     return parse_instance(Path(path).read_text(encoding="utf-8"))
 
 
-def _budget(args) -> int | None:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("P5HOM_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParseError(0, f"P5HOM_BUDGET must be an integer, got {env!r}") from None
-    return None
-
-
 def _cmd_solve(args) -> int:
     inst = _read_instance(args.file)
-    budget = _budget(args)
     start = time.perf_counter()
     if args.algorithm == "oracle":
         if args.force_connected:
@@ -99,11 +83,11 @@ def _cmd_solve(args) -> int:
         exhaustive = True
         name = "oracle"
     elif args.force_connected:
-        res = solve_connected_case(inst, budget=budget)
+        res = solve_connected_case(inst, budget=args.budget)
         sol, exhaustive = res.solution, res.exhaustive
         name = "paper-connected"
     else:
-        res = solve_full(inst, budget=budget, jobs=args.parallel)
+        res = solve_full(inst, budget=args.budget, jobs=args.parallel)
         sol, exhaustive = res.solution, res.exhaustive
         name = "paper"
     elapsed = time.perf_counter() - start
@@ -132,7 +116,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_family(args) -> int:
     inst = _read_instance(args.file)
-    fam = build_family(inst, budget=_budget(args), jobs=args.parallel)
+    fam = build_family(inst, budget=args.budget, jobs=args.parallel)
     for member in fam.members:
         print(" ".join(str(v) for v in sorted(member)))
     return 0
@@ -140,7 +124,7 @@ def _cmd_family(args) -> int:
 
 def _cmd_blob(args) -> int:
     inst = _read_instance(args.file)
-    fam = build_family(inst, budget=_budget(args), jobs=args.parallel)
+    fam = build_family(inst, budget=args.budget, jobs=args.parallel)
     blob = build_blob_graph(inst, fam)
     for i, member in enumerate(blob.members, start=1):
         ids = " ".join(str(v) for v in sorted(member))
@@ -295,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_budget(p):
         p.add_argument("--budget", type=int, default=None,
-                       help="cap guesses per enumeration layer (default: env P5HOM_BUDGET or uncapped)")
+                       help="cap guesses per enumeration layer (default: uncapped)")
         p.add_argument("--parallel", type=int, default=1, metavar="N",
                        help="worker processes for the family build")
 

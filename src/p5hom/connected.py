@@ -29,41 +29,21 @@ work across thousands of overlapping sub-instances.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple
 
-from .graph import Graph, iter_mask, mask_from, masked_components, set_from_mask
+from .graph import Graph, iter_mask, mask_from, masked_components
 from .mwis import solve_mwis_masked
-from .pattern import Instance, PatternGraph, Solution, verify_solution
+from .pattern import ZERO, Instance, PatternGraph, Solution, verify_solution
 
 __all__ = [
-    "DominatorPartition",
     "SolveResult",
-    "TildeCleanupResult",
-    "apply_tilde_cleanup",
-    "partition_around",
     "solve_base_singleton_lists",
     "solve_connected_case",
     "ConnectedSolver",
 ]
-
-ZERO = Fraction(0)
-
-
-@dataclass(frozen=True)
-class DominatorPartition:
-    """Ordered dominators, their carved neighborhood parts, and the rest.
-
-    parts[i] is the neighborhood of dominators[i] minus the dominators and
-    all earlier parts; rest is everything the dominators do not dominate.
-    """
-
-    dominators: tuple[int, ...]
-    parts: tuple[frozenset[int], ...]
-    rest: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -76,34 +56,6 @@ class SolveResult:
 
     solution: Solution
     exhaustive: bool
-
-
-class TildeCleanupResult(NamedTuple):
-    """Surviving vertices and their updated lists after the cleanups."""
-
-    kept: frozenset[int]
-    lists: dict[int, frozenset[int]]
-
-
-def partition_around(g: Graph, dominators: Sequence[int]) -> DominatorPartition:
-    """Partition V(g) around an ordered dominator tuple."""
-    doms = tuple(dominators)
-    if not doms:
-        raise ValueError("dominator sequence must be nonempty")
-    if len(set(doms)) != len(doms):
-        raise ValueError(f"duplicate dominators in {doms}")
-    for d in doms:
-        if not 1 <= d <= g.n:
-            raise ValueError(f"dominator {d} out of range 1..{g.n}")
-    dmask = mask_from(doms)
-    used = dmask
-    parts = []
-    for d in doms:
-        x = g.adjacency_mask(d) & ~used
-        parts.append(set_from_mask(x))
-        used |= x
-    rest = g.full_mask & ~used
-    return DominatorPartition(doms, tuple(parts), set_from_mask(rest))
 
 
 def _conflict_mwis(
@@ -156,24 +108,26 @@ def _cross_part_cleanup(
     adj: Sequence[int],
     lists: list[int],
     part_masks: Sequence[int],
-    work: int,
-) -> None:
+    used: int,
+) -> int:
     """Second cleanup, in place: to a fixpoint, strip from the lower part's
     endpoint every color shared across a part-crossing edge.
 
     Pairs (i, j) with i < j are visited in lexicographic order, vertices
-    ascending; only list entries inside work change.
+    ascending; only part vertices' lists change.  Returns used (the
+    dominators plus their parts) minus the part vertices left with an
+    empty list, which the branch deletes.
     """
     p = len(part_masks)
     changed = True
     while changed:
         changed = False
         for i in range(p):
-            xi = part_masks[i] & work
+            xi = part_masks[i]
             if not xi:
                 continue
             for j in range(i + 1, p):
-                xj = part_masks[j] & work
+                xj = part_masks[j]
                 if not xj:
                     continue
                 for u in iter_mask(xi):
@@ -189,55 +143,12 @@ def _cross_part_cleanup(
                     if lu != lists[u]:
                         lists[u] = lu
                         changed = True
-
-
-def apply_tilde_cleanup(
-    inst: Instance,
-    partition: DominatorPartition,
-    guess: Mapping[tuple[int, int, int], Sequence[int]],
-) -> TildeCleanupResult:
-    """Apply both cleanups for a guess and drop emptied vertices.
-
-    guess maps (i, j, r) with 1 <= i < j <= |D| and a color r to an
-    independent set of at most two X_i vertices; every X_j vertex adjacent
-    to that set keeps only colors pattern-adjacent to r.  Then the
-    cross-part fixpoint cleanup runs and vertices with empty lists are
-    deleted.  The rest set is untouched.
-    """
-    p = len(partition.parts)
-    adj = inst.g.adjacency_masks()
-    part_masks = [mask_from(x) for x in partition.parts]
-    lists = list(inst.lists_masks)
-    hadj = inst.h.adjacency_masks()
-    for (i, j, r), tilde in sorted(guess.items(), key=lambda kv: kv[0]):
-        if not (1 <= i < j <= p):
-            raise ValueError(f"bad part pair ({i}, {j}) for {p} parts")
-        if not 1 <= r <= inst.h.k:
-            raise ValueError(f"color {r} out of range 1..{inst.h.k}")
-        tilde = frozenset(tilde)
-        if len(tilde) > 2:
-            raise ValueError(f"guess for ({i}, {j}, {r}) has more than 2 vertices")
-        tmask = mask_from(tilde)
-        if tmask & ~part_masks[i - 1]:
-            raise ValueError(f"guess for ({i}, {j}, {r}) is not inside part {i}")
-        for a in tilde:
-            if adj[a] & tmask:
-                raise ValueError(f"guess for ({i}, {j}, {r}) is not independent")
-        touched = 0
-        for a in tilde:
-            touched |= adj[a]
-        touched &= part_masks[j - 1]
-        hmask = hadj[r]
-        for v in iter_mask(touched):
-            lists[v] &= hmask
-    work = mask_from(partition.dominators)
-    for pm in part_masks:
-        work |= pm
-    _cross_part_cleanup(adj, lists, part_masks, work)
-    kept = [v for v in inst.g.vertices if lists[v]]
-    return TildeCleanupResult(
-        frozenset(kept), {v: set_from_mask(lists[v]) for v in kept}
-    )
+    kept = used
+    for x in part_masks:
+        for v in iter_mask(x):
+            if not lists[v]:
+                kept ^= 1 << v
+    return kept
 
 
 class ConnectedSolver:
@@ -346,16 +257,45 @@ class ConnectedSolver:
     # -- one dominator guess --------------------------------------------------
 
     def _branch(self, vmask, lists, doms, universe):
-        adj = self._adj
-        hadj = self._hadj
+        parts, used = self.carve(vmask, doms)
         dmask = mask_from(doms)
+        for st, kept in sorted(self.cleaned_states(lists, parts, used, universe)):
+            yield from self._branch_colors(st, kept, doms, dmask, parts, lists)
+
+    def carve(self, vmask: int, doms: Sequence[int]) -> tuple[list[int], int]:
+        """Carve N[D] inside vmask into the ordered parts X_1..X_|D|.
+
+        parts[i] is the neighborhood of doms[i] minus the dominators and
+        all earlier parts; used is D plus every part.  Everything of vmask
+        outside used is not dominated and is deleted in this branch.
+        """
+        adj = self._adj
         parts = []
-        used = dmask
+        used = mask_from(doms)
         for d in doms:
             x = adj[d] & vmask & ~used
             parts.append(x)
             used |= x
-        work = used  # everything outside N[D] is deleted in this branch
+        return parts, used
+
+    def cleaned_states(
+        self,
+        lists: tuple[int, ...],
+        parts: Sequence[int],
+        used: int,
+        universe: int,
+    ) -> set[tuple[tuple[int, ...], int]]:
+        """Every (list-mask vector, kept mask) the guesses and cleanups reach.
+
+        For each part pair (i, j) with i < j and color r in universe, the
+        guess is an independent set of at most two X_i vertices whose lists
+        hold r, or no vertex; X_j neighbors of the guess keep only colors
+        pattern-adjacent to r.  Guesses with the same X_j neighborhood are
+        one effect.  Each resulting state then runs the cross-part cleanup,
+        and kept is used minus the part vertices it emptied.
+        """
+        adj = self._adj
+        hadj = self._hadj
 
         # cleanup slots: (color, distinct neighborhoods-to-clean inside X_j)
         slots: list[tuple[int, list[int]]] = []
@@ -406,20 +346,11 @@ class ConnectedSolver:
                 states = set(sorted(states)[:budget])
 
         cleaned: set[tuple[tuple[int, ...], int]] = set()
-        for st in sorted(states):
+        for st in states:
             mod = list(st)
-            _cross_part_cleanup(adj, mod, parts, work)
-            kept = dmask
-            for x in parts:
-                for v in iter_mask(x):
-                    if mod[v]:
-                        kept |= 1 << v
-                    else:
-                        mod[v] = 0
+            kept = _cross_part_cleanup(adj, mod, parts, used)
             cleaned.add((tuple(mod), kept))
-
-        for st, kept in sorted(cleaned):
-            yield from self._branch_colors(st, kept, doms, dmask, parts, lists)
+        return cleaned
 
     # -- one cleaned state: color the dominators, recurse per part -------------
 

@@ -18,7 +18,6 @@ __all__ = [
     "InducedSubgraph",
     "connected_components",
     "enumerate_connected_subsets",
-    "enumerate_independent_subsets",
     "find_induced_p5",
     "induced_subgraph",
     "is_module",
@@ -91,9 +90,6 @@ class Graph:
     def adjacency_masks(self) -> tuple[int, ...]:
         """The whole adjacency table (index 0 unused), for hot loops."""
         return self._adj
-
-    def closed_mask(self, v: int) -> int:
-        return self._adj[v] | (1 << v)
 
     def neighbors(self, v: int) -> frozenset[int]:
         if not 1 <= v <= self.n:
@@ -291,31 +287,3 @@ def enumerate_connected_subsets(
     for m in found:
         yield set_from_mask(m)
 
-
-def enumerate_independent_subsets(
-    g: Graph, pool: Iterable[int], maxsize: int
-) -> Iterator[frozenset[int]]:
-    """All independent subsets of pool with size <= maxsize, including the
-    empty set, in lexicographic order of the sorted vertex tuple."""
-    if maxsize < 0:
-        raise ValueError(f"maxsize must be >= 0, got {maxsize}")
-    verts = sorted(set(pool))
-    for v in verts:
-        if not 1 <= v <= g.n:
-            raise ValueError(f"vertex {v} out of range 1..{g.n}")
-    adj = g._adj
-    chosen: list[int] = []
-
-    def rec(start: int, forbidden: int) -> Iterator[frozenset[int]]:
-        yield frozenset(chosen)
-        if len(chosen) == maxsize:
-            return
-        for idx in range(start, len(verts)):
-            v = verts[idx]
-            if forbidden >> v & 1:
-                continue
-            chosen.append(v)
-            yield from rec(idx + 1, forbidden | adj[v])
-            chosen.pop()
-
-    yield from rec(0, 0)

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import Graph, iter_mask, set_from_mask
+from .pattern import ZERO
 
 __all__ = ["WeightedGraph", "solve_mwis", "solve_mwis_masked"]
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)

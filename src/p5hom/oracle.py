@@ -13,13 +13,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graph import iter_mask
-from .pattern import Instance, Solution
+from .pattern import ZERO, Instance, Solution
 
 __all__ = ["DEFAULT_SIZE_CAP", "OracleSizeError", "oracle_solve"]
 
 DEFAULT_SIZE_CAP = 14
-
-ZERO = Fraction(0)
 
 
 class OracleSizeError(ValueError):

@@ -54,9 +54,6 @@ class PatternGraph:
     def full_colors_mask(self) -> int:
         return (1 << (self.k + 1)) - 2 if self.k else 0
 
-    def neighbors_mask(self, c: int) -> int:
-        return self._adj[c]
-
     def adjacency_masks(self) -> tuple[int, ...]:
         return self._adj
 

@@ -50,14 +50,6 @@ def test_solve_budget_reported(c5_file, capsys):
     assert "exhaustive: false" in capsys.readouterr().out
 
 
-def test_budget_env_var(c5_file, capsys, monkeypatch):
-    monkeypatch.setenv("P5HOM_BUDGET", "1")
-    assert main(["solve", c5_file]) == 0
-    assert "exhaustive: false" in capsys.readouterr().out
-    monkeypatch.setenv("P5HOM_BUDGET", "banana")
-    assert main(["solve", c5_file]) == 2
-
-
 def test_non_p5free_input_rejected(p5_file, capsys):
     assert main(["check-p5free", p5_file]) == 3
     assert "induced P5: 1 2 3 4 5" in capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""Connected-case solver: partitions, cleanups, base case, full search."""
+"""Connected-case solver: carve, cleanups, base case, full search."""
 
 import itertools
 import random
@@ -9,12 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from p5hom.connected import (
-    apply_tilde_cleanup,
-    partition_around,
+    ConnectedSolver,
     solve_base_singleton_lists,
     solve_connected_case,
 )
-from p5hom.graph import Graph
+from p5hom.graph import Graph, iter_mask, mask_from, set_from_mask
 from p5hom.oracle import oracle_solve
 from p5hom.pattern import Instance, PatternGraph, verify_solution
 
@@ -23,37 +22,26 @@ from brute import brute_has_connected_optimum, brute_has_induced_p5, brute_mplhc
 GEM = Graph(5, [(1, 2), (2, 3), (3, 4), (5, 1), (5, 2), (5, 3), (5, 4)])
 
 
+def solver_for(g: Graph, h: PatternGraph) -> tuple[ConnectedSolver, Instance]:
+    inst = Instance.build(g, h)
+    return ConnectedSolver(g, h, inst.wt_tuple), inst
+
+
 def test_partition_around():
-    part = partition_around(GEM, [5])
-    assert part.dominators == (5,)
-    assert part.parts == (frozenset({1, 2, 3, 4}),)
-    assert part.rest == frozenset()
-
-    part = partition_around(GEM, [1, 4])
-    assert part.parts == (frozenset({2, 5}), frozenset({3}))
-    assert part.rest == frozenset()
-
-    # non-dominating choice leaves a rest
-    part = partition_around(Graph.path(4), [1])
-    assert part.parts == (frozenset({2}),)
-    assert part.rest == frozenset({3, 4})
-
-    part = partition_around(Graph.cycle(5), [1, 3])
-    assert part.parts == (frozenset({2, 5}), frozenset({4}))
-    assert part.rest == frozenset()
-
-    part = partition_around(Graph.path(4), [2])
-    assert part.parts == (frozenset({1, 3}),)
-    assert part.rest == frozenset({4})
-
-
-def test_partition_around_validation():
-    with pytest.raises(ValueError):
-        partition_around(GEM, [])
-    with pytest.raises(ValueError):
-        partition_around(GEM, [1, 1])
-    with pytest.raises(ValueError):
-        partition_around(GEM, [6])
+    # (graph, dominators, expected parts X_1..X_|D|, undominated rest)
+    cases = [
+        (GEM, (5,), [{1, 2, 3, 4}], set()),
+        (GEM, (1, 4), [{2, 5}, {3}], set()),
+        # non-dominating choice leaves a rest
+        (Graph.path(4), (1,), [{2}], {3, 4}),
+        (Graph.cycle(5), (1, 3), [{2, 5}, {4}], set()),
+        (Graph.path(4), (2,), [{1, 3}], {4}),
+    ]
+    for g, doms, parts, rest in cases:
+        solver, _ = solver_for(g, PatternGraph.complete(2))
+        got, used = solver.carve(g.full_mask, doms)
+        assert got == [mask_from(x) for x in parts]
+        assert g.full_mask & ~used == mask_from(rest)
 
 
 def test_base_case_conflict_edge():
@@ -81,44 +69,45 @@ def test_base_case_rejects_wide_lists():
         solve_base_singleton_lists(inst)
 
 
+def gem_cleaned_states(h: PatternGraph) -> list:
+    """The solver's cleaned (kept, lists) states for GEM with D = (1, 4),
+    in the order the branch visits them; lists covers kept only."""
+    solver, inst = solver_for(GEM, h)
+    parts, used = solver.carve(GEM.full_mask, (1, 4))
+    cleaned = solver.cleaned_states(inst.lists_masks, parts, used, h.full_colors_mask)
+    return [
+        (set_from_mask(kept), {v: set_from_mask(st[v]) for v in iter_mask(kept)})
+        for st, kept in sorted(cleaned)
+    ]
+
+
 def test_tilde_cleanup_frozen():
-    part = partition_around(GEM, [1, 4])
-    inst = Instance.build(GEM, PatternGraph.complete(2))
-    res = apply_tilde_cleanup(inst, part, {(1, 2, 1): [2]})
-    assert res.kept == frozenset({1, 2, 3, 4, 5})
-    assert res.lists == {1: {1, 2}, 2: {1}, 3: {2}, 4: {1, 2}, 5: {1}}
+    # X_1 = {2, 5}, X_2 = {3}; every state is one guess per (1, 2, color)
+    k2 = gem_cleaned_states(PatternGraph.complete(2))
+    # guess {2} for color 1
+    assert (frozenset({1, 2, 3, 4, 5}),
+            {1: {1, 2}, 2: {1}, 3: {2}, 4: {1, 2}, 5: {1}}) in k2
 
     # an isolated pattern color empties the touched lists, deleting vertex 3
-    inst = Instance.build(GEM, PatternGraph(2, []))
-    res = apply_tilde_cleanup(inst, part, {(1, 2, 1): [2]})
-    assert res.kept == frozenset({1, 2, 4, 5})
-    assert res.lists == {v: {1, 2} for v in (1, 2, 4, 5)}
+    states = gem_cleaned_states(PatternGraph(2, []))
+    assert (frozenset({1, 2, 4, 5}), {v: {1, 2} for v in (1, 2, 4, 5)}) in states
 
     # middle color of the 3-path pattern keeps only its two neighbors
-    inst = Instance.build(GEM, PatternGraph.path(3))
-    res = apply_tilde_cleanup(inst, part, {(1, 2, 2): [2]})
-    assert res.kept == frozenset({1, 2, 3, 4, 5})
-    assert res.lists == {1: {1, 2, 3}, 2: {2}, 3: {1, 3}, 4: {1, 2, 3}, 5: {2}}
+    states = gem_cleaned_states(PatternGraph.path(3))
+    assert (frozenset({1, 2, 3, 4, 5}),
+            {1: {1, 2, 3}, 2: {2}, 3: {1, 3}, 4: {1, 2, 3}, 5: {2}}) in states
 
     # empty guess: only the cross-part cleanup fires; it empties the
     # lower-part ends of the 2-3 and 5-3 edges
-    inst = Instance.build(GEM, PatternGraph.complete(2))
-    res = apply_tilde_cleanup(inst, part, {})
-    assert res.kept == frozenset({1, 3, 4})
-    assert res.lists == {v: {1, 2} for v in (1, 3, 4)}
+    assert (frozenset({1, 3, 4}), {v: {1, 2} for v in (1, 3, 4)}) in k2
 
-
-def test_tilde_cleanup_validation():
-    part = partition_around(GEM, [1, 4])
-    inst = Instance.build(GEM, PatternGraph.complete(2))
-    with pytest.raises(ValueError):
-        apply_tilde_cleanup(inst, part, {(2, 1, 1): [2]})  # needs i < j
-    with pytest.raises(ValueError):
-        apply_tilde_cleanup(inst, part, {(1, 2, 9): [2]})  # color out of range
-    with pytest.raises(ValueError):
-        apply_tilde_cleanup(inst, part, {(1, 2, 1): [3]})  # not inside part 1
-    with pytest.raises(ValueError):
-        apply_tilde_cleanup(inst, part, {(1, 2, 1): [2, 5]})  # 2-5 is an edge
+    # the full K2 set: no guess, guess {2} for color 1 or for color 2, or both
+    assert k2 == [
+        (frozenset({1, 3, 4}), {v: {1, 2} for v in (1, 3, 4)}),
+        (frozenset({1, 2, 3, 4, 5}), {1: {1, 2}, 2: {1}, 3: {2}, 4: {1, 2}, 5: {1}}),
+        (frozenset({1, 2, 3, 4, 5}), {1: {1, 2}, 2: {2}, 3: {1}, 4: {1, 2}, 5: {2}}),
+        (frozenset({1, 2, 4, 5}), {v: {1, 2} for v in (1, 2, 4, 5)}),
+    ]
 
 
 def test_named_connected_cases():

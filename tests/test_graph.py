@@ -11,7 +11,6 @@ from p5hom.graph import (
     Graph,
     connected_components,
     enumerate_connected_subsets,
-    enumerate_independent_subsets,
     find_induced_p5,
     induced_subgraph,
     is_module,
@@ -175,15 +174,3 @@ def test_enumerate_connected_subsets_validation():
         list(enumerate_connected_subsets(g, 0, 2))
     with pytest.raises(ValueError):
         list(enumerate_connected_subsets(g, 3, 2))
-
-
-def test_enumerate_independent_subsets():
-    g = Graph(4, [(1, 2), (3, 4)])
-    got = list(enumerate_independent_subsets(g, [1, 2, 3], 2))
-    assert frozenset() in got
-    assert frozenset({1, 3}) in got
-    assert frozenset({2, 3}) in got
-    assert frozenset({1, 2}) not in got
-    assert all(len(s) <= 2 for s in got)
-    # all pools are over {1, 2, 3} only
-    assert all(s <= {1, 2, 3} for s in got)
