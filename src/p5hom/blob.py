@@ -64,18 +64,17 @@ def build_blob_graph(inst: Instance, fam: Family) -> BlobGraph:
     return BlobGraph(Graph(m, edges), tuple(weights), members)
 
 
-def solve_full(
-    inst: Instance, budget: int | None = None, jobs: int = 1
-) -> SolveResult:
+def solve_full(inst: Instance, budget: int | None = None) -> SolveResult:
     """Full pipeline: family, blob graph, MWIS, per-member coloring.
 
     Raises NotP5FreeError on inputs with an induced 5-vertex path.  The
     returned solution is always verified feasible; with an uncapped
     budget and a complete pattern it is exact at the scales the test
     suite probes (the differential suite measures any gap for other
-    patterns).
+    patterns).  budget bounds the guesses of the whole family build (see
+    build_family); exhaustive is False when it ran out.
     """
-    fam = build_family(inst, budget=budget, jobs=jobs)
+    fam = build_family(inst, budget=budget)
     blob = build_blob_graph(inst, fam)
     picked, blob_weight = solve_mwis(
         WeightedGraph(blob.graph, {v: blob.weights[v] for v in blob.graph.vertices})

@@ -19,7 +19,7 @@ from pathlib import Path
 from .blob import build_blob_graph, solve_full
 from .connected import solve_connected_case
 from .family import NotP5FreeError, build_family
-from .generators import GenSpec, GenerationError, generate
+from .generators import FAMILIES, TRIAL_DENSITIES, GenSpec, GenerationError, generate
 from .graph import find_induced_p5
 from .oracle import OracleSizeError, oracle_solve
 from .pattern import Instance, Solution, verify_solution
@@ -87,7 +87,7 @@ def _cmd_solve(args) -> int:
         sol, exhaustive = res.solution, res.exhaustive
         name = "paper-connected"
     else:
-        res = solve_full(inst, budget=args.budget, jobs=args.parallel)
+        res = solve_full(inst, budget=args.budget)
         sol, exhaustive = res.solution, res.exhaustive
         name = "paper"
     elapsed = time.perf_counter() - start
@@ -116,7 +116,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_family(args) -> int:
     inst = _read_instance(args.file)
-    fam = build_family(inst, budget=args.budget, jobs=args.parallel)
+    fam = build_family(inst, budget=args.budget)
     for member in fam.members:
         print(" ".join(str(v) for v in sorted(member)))
     return 0
@@ -124,7 +124,7 @@ def _cmd_family(args) -> int:
 
 def _cmd_blob(args) -> int:
     inst = _read_instance(args.file)
-    fam = build_family(inst, budget=args.budget, jobs=args.parallel)
+    fam = build_family(inst, budget=args.budget)
     blob = build_blob_graph(inst, fam)
     for i, member in enumerate(blob.members, start=1):
         ids = " ".join(str(v) for v in sorted(member))
@@ -163,22 +163,14 @@ def _cmd_check_p5free(args) -> int:
 
 # -- difftest ----------------------------------------------------------------
 
-_TRIAL_FAMILIES = ("cograph", "split", "random-p5free")
-_TRIAL_DENSITIES = {
-    "cograph": (Fraction(3, 10), Fraction(1, 2), Fraction(7, 10)),
-    "split": (Fraction(2, 5), Fraction(3, 5), Fraction(4, 5)),
-    "random-p5free": (Fraction(3, 20), Fraction(4, 5), Fraction(17, 20)),
-}
-
-
 def trial_spec(seed: int, index: int, max_n: int, pattern, k: int,
                list_density: Fraction) -> GenSpec:
     """The deterministic generator spec for one differential trial."""
     import random as _random
 
     r = _random.Random(seed * 1000003 + index)
-    family = _TRIAL_FAMILIES[index % 3]
-    menu = _TRIAL_DENSITIES[family]
+    family = FAMILIES[index % 3]
+    menu = TRIAL_DENSITIES[family]
     return GenSpec(
         family=family,
         n=r.randint(2, max(2, max_n)),
@@ -279,9 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_budget(p):
         p.add_argument("--budget", type=int, default=None,
-                       help="cap guesses per enumeration layer (default: uncapped)")
-        p.add_argument("--parallel", type=int, default=1, metavar="N",
-                       help="worker processes for the family build")
+                       help="cap on the guesses of the whole run (default: uncapped)")
 
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("file")

@@ -24,7 +24,10 @@ worse than the empty solution or any feasible single vertex.
 
 All recursion operates on (vertex mask, list-mask vector) views over the
 original graph, memoized in one table so that a family build can share
-work across thousands of overlapping sub-instances.
+work across thousands of overlapping sub-instances.  An optional budget
+bounds the guesses of the whole run: dominator tuples, cleanup states
+and dominator colorings draw on one counter, shared with the family
+build's second sets when the family drives the solver.
 """
 
 from __future__ import annotations
@@ -50,8 +53,9 @@ __all__ = [
 class SolveResult:
     """A solver answer plus whether the search ran to completion.
 
-    exhaustive is False only when a guess budget truncated enumeration,
-    in which case the solution is still feasible but may be suboptimal.
+    exhaustive is False only when the run's guess budget ran out before
+    every guess was tried, in which case the solution is still feasible
+    but may be suboptimal.
     """
 
     solution: Solution
@@ -156,9 +160,12 @@ class ConnectedSolver:
 
     solve_masked answers sub-instances given as (vertex mask, list-mask
     vector); results are memoized across calls, so a family build can
-    reuse everything.  budget, when set, caps each enumeration layer
-    (dominator sets per node, cleanup states per dominator set, color
-    assignments per state); any truncation clears the exhaustive flag.
+    reuse everything.  budget, when set, is the number of guesses the
+    solver's whole life may make, charged through spend: one per
+    dominator tuple, one per cleanup state kept, one per dominator
+    coloring, and whatever the caller charges (the family build: one per
+    second set with a new seed).  A guess the budget cannot pay for is skipped and clears
+    the exhaustive flag.  A negative budget raises ValueError.
     """
 
     def __init__(
@@ -172,7 +179,9 @@ class ConnectedSolver:
         self._adj = g.adjacency_masks()
         self._hadj = h.adjacency_masks()
         self._wt = tuple(weights)
-        self._budget = budget
+        if budget is not None and budget < 0:
+            raise ValueError(f"budget must be nonnegative, got {budget}")
+        self._left = budget
         self.exhaustive = True
         self._memo: dict[
             tuple[int, tuple[int, ...]],
@@ -180,6 +189,17 @@ class ConnectedSolver:
         ] = {}
 
     # -- public entry ------------------------------------------------------
+
+    def spend(self, n: int = 1) -> int:
+        """Charge up to n guesses to the budget and return how many it paid
+        for; paying for fewer than n clears the exhaustive flag."""
+        if self._left is None:
+            return n
+        paid = min(n, self._left)
+        self._left -= paid
+        if paid < n:
+            self.exhaustive = False
+        return paid
 
     def solve_masked(
         self, vmask: int, lists: Sequence[int]
@@ -236,18 +256,10 @@ class ConnectedSolver:
         cap = max(universe.bit_count(), 3)
         verts = list(iter_mask(vmask))
         cap = min(cap, len(verts))
-        budget = self._budget
-        d_count = 0
-        done = False
         for size in range(1, cap + 1):
-            if done:
-                break
             for doms in combinations(verts, size):
-                if budget is not None and d_count >= budget:
-                    self.exhaustive = False
-                    done = True
-                    break
-                d_count += 1
+                if not self.spend():
+                    return best_w, best_asg
                 for w, asg in self._branch(vmask, lists, doms, universe):
                     if w > best_w:
                         best_w = w
@@ -292,7 +304,9 @@ class ConnectedSolver:
         hold r, or no vertex; X_j neighbors of the guess keep only colors
         pattern-adjacent to r.  Guesses with the same X_j neighborhood are
         one effect.  Each resulting state then runs the cross-part cleanup,
-        and kept is used minus the part vertices it emptied.
+        and kept is used minus the part vertices it emptied.  Every state
+        kept is charged to the budget; states it cannot pay for are
+        dropped, lexicographically largest first.
         """
         adj = self._adj
         hadj = self._hadj
@@ -326,8 +340,10 @@ class ConnectedSolver:
                     if len(effects) > 1:
                         slots.append((r, sorted(effects)))
 
+        # the budget pays for at most _left states, so growth is cut one
+        # past that: the extra state tells spend that some were dropped
+        cap = None if self._left is None else self._left + 1
         states: set[tuple[int, ...]] = {lists}
-        budget = self._budget
         for r, effects in slots:
             hmask = hadj[r]
             nxt: set[tuple[int, ...]] = set()
@@ -341,9 +357,11 @@ class ConnectedSolver:
                     else:
                         nxt.add(st)
             states = nxt
-            if budget is not None and len(states) > budget:
-                self.exhaustive = False
-                states = set(sorted(states)[:budget])
+            if cap is not None and len(states) > cap:
+                states = set(sorted(states)[:cap])
+        paid = self.spend(len(states))
+        if paid < len(states):
+            states = set(sorted(states)[:paid])
 
         cleaned: set[tuple[tuple[int, ...], int]] = set()
         for st in states:
@@ -359,18 +377,12 @@ class ConnectedSolver:
         hadj = self._hadj
         wt = self._wt
         p = len(doms)
-        budget = self._budget
         assign = [0] * p
-        emitted = 0
 
         def color_rec(idx: int):
-            nonlocal emitted
             if idx == p:
-                if budget is not None and emitted >= budget:
-                    self.exhaustive = False
-                    return
-                emitted += 1
-                yield tuple(assign)
+                if self.spend():
+                    yield tuple(assign)
                 return
             d = doms[idx]
             for r in iter_mask(lists[d]):

@@ -21,9 +21,8 @@ members come out in original vertex ids directly.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from .connected import ConnectedSolver
 from .graph import (
@@ -70,7 +69,8 @@ class FamilyProvenance:
 @dataclass(frozen=True)
 class Family:
     """Deduplicated members (sorted by size, then lexicographically) with
-    per-member provenance ("singleton" or the producing guess)."""
+    per-member provenance ("singleton" or the first guess producing it);
+    exhaustive is False when the guess budget ran out."""
 
     members: tuple[frozenset[int], ...]
     provenance: Mapping[frozenset[int], FamilyProvenance | str]
@@ -209,71 +209,72 @@ def _surjections(doms: tuple[int, ...], colors: tuple[int, ...]):
             yield combo
 
 
-def _family_chunk(args) -> tuple[list[tuple[int, FamilyProvenance]], bool]:
-    """Process a chunk of (color-subset, dominator-set) tasks.
-
-    Returns discovered members as (mask, provenance) in deterministic
-    order, plus whether the search stayed exhaustive.  Runs in a worker
-    process under build_family(jobs > 1), so it keeps its own solver and
-    memo table.
-    """
-    inst, tasks, budget = args
+def _guessed_members(inst: Instance, solver: ConnectedSolver):
+    """Yield (component mask, provenance) for every answer component, in
+    guess order: color subset W by size then lexicographically, connected
+    dominator set D, surjection h, second set D'.  Each D' whose seed
+    N[D u D'] is new for its (W, D, h) is one guess charged to the
+    solver's budget; the walk stops when the budget cannot pay for one."""
     g = inst.g
     adj = g.adjacency_masks()
     full = g.full_mask
-    base_lists = inst.lists_masks
-    solver = ConnectedSolver(g, inst.h, inst.wt_tuple, budget=budget)
-    found: list[tuple[int, FamilyProvenance]] = []
-    for wmask, doms in tasks:
-        colors = tuple(iter_mask(wmask))
+    k = inst.h.k
+    subsets = chain.from_iterable(
+        combinations(range(1, k + 1), size) for size in range(2, min(k, g.n) + 1)
+    )
+    for colors in subsets:
+        wmask = mask_from(colors)
         kprime = len(colors)
-        lists_w = tuple(lv & wmask for lv in base_lists)
-        dmask = mask_from(doms)
-        for h in _surjections(doms, colors):
-            classes: dict[int, int] = {}
-            for d, c in zip(doms, h):
-                classes[c] = classes.get(c, 0) | (1 << d)
-            v1 = _prune_common_mask(adj, full, list(classes.values()))
-            v2 = _prune_non_modules_mask(g, v1, dmask)
-            if dmask & ~v2:
-                continue  # a dominator was pruned; the region step needs D intact
-            closed_d = dmask
-            for d in doms:
-                closed_d |= adj[d]
-            closed_d &= v2
-            seen: set[int] = set()
-            verts2 = list(iter_mask(v2))
-            for size in range(0, kprime + 2):
-                for second in combinations(verts2, size):
-                    seed = closed_d
-                    for v in second:
-                        seed |= adj[v] | (1 << v)
-                    seed &= v2
-                    if seed in seen:
-                        continue
-                    seen.add(seed)
-                    _, core = _core_region_mask(adj, v2, seed)
-                    if not core:
-                        continue
-                    _, assignment = solver.solve_masked(core, lists_w)
-                    if not assignment:
-                        continue
-                    chosen = mask_from(v for v, _ in assignment)
-                    prov = FamilyProvenance(colors, doms, h, second)
-                    for comp in masked_components(g, chosen):
-                        found.append((comp, prov))
-    return found, solver.exhaustive
+        lists_w = tuple(lv & wmask for lv in inst.lists_masks)
+        for dset in enumerate_connected_subsets(g, kprime, min(kprime + 1, g.n)):
+            doms = tuple(sorted(dset))
+            dmask = mask_from(doms)
+            for h in _surjections(doms, colors):
+                classes: dict[int, int] = {}
+                for d, c in zip(doms, h):
+                    classes[c] = classes.get(c, 0) | (1 << d)
+                v1 = _prune_common_mask(adj, full, list(classes.values()))
+                v2 = _prune_non_modules_mask(g, v1, dmask)
+                if dmask & ~v2:
+                    continue  # a dominator was pruned; the region step needs D intact
+                closed_d = dmask
+                for d in doms:
+                    closed_d |= adj[d]
+                closed_d &= v2
+                seen: set[int] = set()
+                verts2 = list(iter_mask(v2))
+                for size in range(0, kprime + 2):
+                    for second in combinations(verts2, size):
+                        seed = closed_d
+                        for v in second:
+                            seed |= adj[v] | (1 << v)
+                        seed &= v2
+                        if seed in seen:
+                            continue
+                        if not solver.spend():
+                            return
+                        seen.add(seed)
+                        _, core = _core_region_mask(adj, v2, seed)
+                        if not core:
+                            continue
+                        _, assignment = solver.solve_masked(core, lists_w)
+                        if not assignment:
+                            continue
+                        chosen = mask_from(v for v, _ in assignment)
+                        prov = FamilyProvenance(colors, doms, h, second)
+                        for comp in masked_components(g, chosen):
+                            yield comp, prov
 
 
-def build_family(
-    inst: Instance, budget: int | None = None, jobs: int = 1
-) -> Family:
+def build_family(inst: Instance, budget: int | None = None) -> Family:
     """Build the component family for a P5-free instance.
 
-    Raises NotP5FreeError (with a witness path) otherwise.  jobs > 1
-    distributes the deterministic (color subset, dominator set) task list
-    over worker processes; members are merged in task order, so the result
-    is identical to a serial run.
+    Raises NotP5FreeError (with a witness path) otherwise.  One
+    ConnectedSolver answers every closed region, so its memo and its
+    budget span the whole build: budget bounds the guesses of the run
+    (one per second set D' with a new seed, plus the solver's own), and a
+    build that runs out keeps the members found so far and reports
+    exhaustive False.
     """
     witness = find_induced_p5(inst.g)
     if witness is not None:
@@ -282,36 +283,11 @@ def build_family(
     for v in inst.g.vertices:
         if inst.lists[v]:
             members.setdefault(1 << v, "singleton")
-
-    k = inst.h.k
-    all_colors = list(range(1, k + 1))
-    tasks: list[tuple[int, tuple[int, ...]]] = []
-    for size_w in range(2, k + 1):
-        if inst.g.n < size_w:
-            break
-        hi = min(size_w + 1, inst.g.n)
-        for wcolors in combinations(all_colors, size_w):
-            wmask = 0
-            for c in wcolors:
-                wmask |= 1 << c
-            for dset in enumerate_connected_subsets(inst.g, size_w, hi):
-                tasks.append((wmask, tuple(sorted(dset))))
-
-    if not tasks:
-        chunks: list[tuple[list[tuple[int, FamilyProvenance]], bool]] = []
-    elif jobs <= 1 or len(tasks) <= 1:
-        chunks = [_family_chunk((inst, tasks, budget))]
-    else:
-        step = (len(tasks) + jobs - 1) // jobs
-        parts = [tasks[i : i + step] for i in range(0, len(tasks), step)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_family_chunk, [(inst, p, budget) for p in parts]))
-    exhaustive = all(flag for _, flag in chunks) if chunks else True
-    for found, _ in chunks:
-        for mask, prov in found:
-            members.setdefault(mask, prov)
+    solver = ConnectedSolver(inst.g, inst.h, inst.wt_tuple, budget=budget)
+    for mask, prov in _guessed_members(inst, solver):
+        members.setdefault(mask, prov)
 
     ordered = sorted(members, key=lambda m: (m.bit_count(), tuple(iter_mask(m))))
     member_sets = tuple(set_from_mask(m) for m in ordered)
     provenance = {set_from_mask(m): members[m] for m in ordered}
-    return Family(member_sets, provenance, exhaustive)
+    return Family(member_sets, provenance, solver.exhaustive)

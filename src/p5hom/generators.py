@@ -32,6 +32,13 @@ __all__ = ["GenSpec", "GenerationError", "generate"]
 
 FAMILIES = ("cograph", "split", "random-p5free")
 
+# per family, the edge densities that seeded trial corpora draw from
+TRIAL_DENSITIES = {
+    "cograph": (Fraction(3, 10), Fraction(1, 2), Fraction(7, 10)),
+    "split": (Fraction(2, 5), Fraction(3, 5), Fraction(4, 5)),
+    "random-p5free": (Fraction(3, 20), Fraction(4, 5), Fraction(17, 20)),
+}
+
 
 class GenerationError(RuntimeError):
     """Rejection sampling failed to find a P5-free graph in max_tries."""

@@ -20,7 +20,7 @@ from p5hom.blob import build_blob_graph, solve_full
 from p5hom.cli import main
 from p5hom.connected import solve_connected_case
 from p5hom.family import build_family
-from p5hom.generators import FAMILIES, GenSpec, generate
+from p5hom.generators import FAMILIES, TRIAL_DENSITIES, GenSpec, generate
 from p5hom.graph import (
     Graph,
     find_induced_p5,
@@ -42,12 +42,6 @@ from brute import (
 BASE_SEED = 20260815
 FINDINGS_DIR = Path("findings")
 
-_DENSITY = {
-    "cograph": (Fraction(3, 10), Fraction(1, 2), Fraction(7, 10)),
-    "split": (Fraction(2, 5), Fraction(3, 5), Fraction(4, 5)),
-    "random-p5free": (Fraction(3, 20), Fraction(4, 5), Fraction(17, 20)),
-}
-
 
 def report(tag: str, ok: bool, detail: str) -> None:
     print(f"criterion {tag}: {'PASS' if ok else 'FAIL'} ({detail})")
@@ -60,7 +54,7 @@ def corpus_instance(index: int, max_n: int = 8,
     patterns, draws size and density from a per-index stream."""
     rng = random.Random(BASE_SEED * 100003 + index)
     family = FAMILIES[index % 3]
-    menu = _DENSITY[family]
+    menu = TRIAL_DENSITIES[family]
     pname, _, karg = patterns[index % len(patterns)].partition(":")
     spec = GenSpec(
         family=family,
@@ -248,10 +242,11 @@ def test_criterion_7_p5_detector_equivalence():
            f"60 generator outputs, {dirty} with an induced P5")
 
 
-def _cli_weight(argv: list[str], capsys) -> str:
+def _cli_solve(argv: list[str], capsys) -> list[str]:
+    """The solve output lines, minus the wall-time line."""
     assert main(argv) == 0
     out = capsys.readouterr().out
-    return next(line for line in out.splitlines() if line.startswith("weight:"))
+    return [line for line in out.splitlines() if not line.startswith("time:")]
 
 
 def test_criterion_8_determinism(tmp_path, capsys):
@@ -268,11 +263,10 @@ def test_criterion_8_determinism(tmp_path, capsys):
         inst = corpus_instance(80000 + i, max_n=7)
         path = tmp_path / f"trial_{i}.txt"
         path.write_text(serialize_instance(inst), encoding="utf-8")
-        w4 = _cli_weight(["solve", str(path), "--parallel", "4"], capsys)
-        w1 = _cli_weight(["solve", str(path), "--parallel", "1"], capsys)
-        if w4 != w1:
+        first_run = _cli_solve(["solve", str(path)], capsys)
+        if _cli_solve(["solve", str(path)], capsys) != first_run:
             unequal += 1
     ok = byte_identical and unequal == 0
     report("8 determinism", ok,
            f"gen byte-identical: {byte_identical}; "
-           f"parallel-vs-serial weights equal on {50 - unequal}/50 trials")
+           f"repeated solve output identical on {50 - unequal}/50 trials")

@@ -50,6 +50,12 @@ def test_solve_budget_reported(c5_file, capsys):
     assert "exhaustive: false" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["solve", "family", "blob"])
+def test_negative_budget_is_exit_2(command, c5_file, capsys):
+    assert main([command, c5_file, "--budget", "-5"]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
 def test_non_p5free_input_rejected(p5_file, capsys):
     assert main(["check-p5free", p5_file]) == 3
     assert "induced P5: 1 2 3 4 5" in capsys.readouterr().out

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from p5hom import family
+from p5hom.blob import solve_full
 from p5hom.connected import (
     ConnectedSolver,
     solve_base_singleton_lists,
@@ -143,6 +145,35 @@ def test_budget_truncates_but_stays_feasible():
     assert not res.exhaustive
     assert verify_solution(inst, res.solution) is None
     assert res.solution.weight <= 4
+
+
+@pytest.mark.parametrize("budget", [1, 3, 10])
+@pytest.mark.parametrize("run", [solve_full, solve_connected_case])
+def test_budget_bounds_whole_run(run, budget, monkeypatch):
+    # every dominator tuple is charged before its branch runs, and every
+    # family second set with a new seed before its region is closed, so
+    # the branches and regions of the whole run never outnumber the budget
+    calls = 0
+
+    def counting(fn):
+        def wrapper(*args):
+            nonlocal calls
+            calls += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ConnectedSolver, "_branch", counting(ConnectedSolver._branch))
+    monkeypatch.setattr(family, "_core_region_mask", counting(family._core_region_mask))
+    inst = Instance.build(Graph.cycle(5), PatternGraph.complete(2))
+    res = run(inst, budget=budget)
+    assert calls <= budget
+    assert res.exhaustive is False
+    assert verify_solution(inst, res.solution) is None
+
+
+def test_negative_budget_rejected():
+    with pytest.raises(ValueError):
+        ConnectedSolver(GEM, PatternGraph.complete(2), (0,) * 6, budget=-1)
 
 
 def random_instance(seed: int, complete_only: bool, p5free: bool = False) -> Instance:

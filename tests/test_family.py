@@ -170,11 +170,3 @@ def test_build_is_deterministic(seed):
     b = build_family(inst)
     assert a.members == b.members
     assert a.provenance == b.provenance
-
-
-def test_parallel_build_matches_serial():
-    inst = random_p5free_instance(123)
-    a = build_family(inst, jobs=1)
-    b = build_family(inst, jobs=3)
-    assert a.members == b.members
-    assert a.exhaustive == b.exhaustive
