@@ -27,7 +27,8 @@ original graph, memoized in one table so that a family build can share
 work across thousands of overlapping sub-instances.  An optional budget
 bounds the guesses of the whole run: dominator tuples, cleanup states
 and dominator colorings draw on one counter, shared with the family
-build's second sets when the family drives the solver.
+build's second sets when the family drives the solver.  Weights are
+scaled once to integers, so no sum inside the search is a Fraction.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .graph import Graph, iter_mask, mask_from, masked_components
 from .mwis import solve_mwis_masked
-from .pattern import ZERO, Instance, PatternGraph, Solution, verify_solution
+from .pattern import Instance, PatternGraph, Solution, verify_solution
 
 __all__ = [
     "SolveResult",
@@ -67,12 +69,13 @@ def _conflict_mwis(
     vmask: int,
     lists: Sequence[int],
     hadj: Sequence[int],
-    weights: Sequence[Fraction],
-) -> tuple[Fraction, tuple[tuple[int, int], ...]]:
+    weights: Sequence[int | Fraction],
+) -> tuple[int | Fraction, tuple[tuple[int, int], ...]]:
     """Exact solve when every live list is a single color.
 
     Builds the conflict graph (host edges whose fixed color pair is not a
-    pattern edge) and returns its MWIS with the forced coloring.
+    pattern edge) and returns its MWIS with the forced coloring.  The
+    weight is in the units of weights (int or Fraction).
     """
     color = {}
     for v in iter_mask(vmask):
@@ -164,28 +167,37 @@ class ConnectedSolver:
     solver's whole life may make, charged through spend: one per
     dominator tuple, one per cleanup state kept, one per dominator
     coloring, and whatever the caller charges (the family build: one per
-    second set with a new seed).  A guess the budget cannot pay for is skipped and clears
-    the exhaustive flag.  A negative budget raises ValueError.
+    second set with a new seed).  A guess the budget cannot pay for is
+    skipped and clears the exhaustive flag.  A negative budget raises
+    ValueError.
+
+    Inside the solver weights are integers: the given exact weights times
+    scale, the least common multiple of their denominators.  A positive
+    scale keeps every comparison and every tie, so the search is the same
+    as on the exact weights; solve_masked returns weights in these scaled
+    units, and weight / scale is the exact one.
     """
 
     def __init__(
         self,
         g: Graph,
         h: PatternGraph,
-        weights: Sequence[Fraction],
+        weights: Sequence[int | Fraction],
         budget: int | None = None,
     ) -> None:
         self._g = g
         self._adj = g.adjacency_masks()
         self._hadj = h.adjacency_masks()
-        self._wt = tuple(weights)
+        exact = [Fraction(w) for w in weights]
+        self.scale = lcm(*(w.denominator for w in exact))
+        self._wt = tuple(w.numerator * (self.scale // w.denominator) for w in exact)
         if budget is not None and budget < 0:
             raise ValueError(f"budget must be nonnegative, got {budget}")
         self._left = budget
         self.exhaustive = True
         self._memo: dict[
             tuple[int, tuple[int, ...]],
-            tuple[Fraction, tuple[tuple[int, int], ...]],
+            tuple[int, tuple[tuple[int, int], ...]],
         ] = {}
 
     # -- public entry ------------------------------------------------------
@@ -203,14 +215,15 @@ class ConnectedSolver:
 
     def solve_masked(
         self, vmask: int, lists: Sequence[int]
-    ) -> tuple[Fraction, tuple[tuple[int, int], ...]]:
-        """Best verified (weight, sorted (vertex, color) pairs) found."""
+    ) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """Best verified (weight, sorted (vertex, color) pairs) found; the
+        weight is in scaled integer units (divide by scale)."""
         live = 0
         for v in iter_mask(vmask):
             if lists[v]:
                 live |= 1 << v
         if not live:
-            return ZERO, ()
+            return 0, ()
         n = self._g.n
         norm = tuple(lists[v] if live >> v & 1 else 0 for v in range(n + 1))
         key = (live, norm)
@@ -219,7 +232,7 @@ class ConnectedSolver:
             return hit
         comps = masked_components(self._g, live)
         if len(comps) > 1:
-            total = ZERO
+            total = 0
             asg: list[tuple[int, int]] = []
             for comp in comps:
                 w, a = self.solve_masked(comp, norm)
@@ -235,7 +248,7 @@ class ConnectedSolver:
 
     def _solve_piece(
         self, vmask: int, lists: tuple[int, ...]
-    ) -> tuple[Fraction, tuple[tuple[int, int], ...]]:
+    ) -> tuple[int, tuple[tuple[int, int], ...]]:
         wt = self._wt
         universe = 0
         all_singletons = True
@@ -246,7 +259,7 @@ class ConnectedSolver:
                 all_singletons = False
         if all_singletons:
             return _conflict_mwis(self._adj, vmask, lists, self._hadj, wt)
-        best_w = ZERO
+        best_w = 0
         best_asg: tuple[tuple[int, int], ...] = ()
         for v in iter_mask(vmask):
             if wt[v] > best_w:
@@ -402,7 +415,7 @@ class ConnectedSolver:
                 hmask = hadj[colors[idx]]
                 for v in iter_mask(adj[doms[idx]] & kept & ~dmask):
                     mod[v] &= hmask
-            total = ZERO
+            total = 0
             coloring: dict[int, int] = {}
             for idx in range(p):
                 total += wt[doms[idx]]
@@ -441,7 +454,9 @@ def solve_connected_case(inst: Instance, budget: int | None = None) -> SolveResu
     """
     engine = ConnectedSolver(inst.g, inst.h, inst.wt_tuple, budget=budget)
     weight, assignment = engine.solve_masked(inst.g.full_mask, inst.lists_masks)
-    sol = Solution(frozenset(v for v, _ in assignment), dict(assignment), weight)
+    sol = Solution(
+        frozenset(v for v, _ in assignment), dict(assignment), Fraction(weight, engine.scale)
+    )
     violation = verify_solution(inst, sol)
     if violation is not None:
         raise RuntimeError(f"internal error: solver produced invalid solution ({violation})")

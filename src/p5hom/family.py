@@ -9,7 +9,9 @@ one-color components are already covered by the singletons), the builder
 guesses a connected dominator set D of |W| or |W|+1 vertices and a
 surjective coloring h of D onto W, prunes vertices adjacent to every
 color class, prunes components of G - N[D] that are not modules, guesses
-a second set D' of at most |W|+1 vertices, closes N[D u D'] downward
+an irredundant second set D' of at most |W|+1 vertices (each vertex of
+D', taken in order, grows the seed N[D u D']; any other D' repeats a
+seed already guessed), closes N[D u D'] downward
 until nothing inside keeps a neighbor outside, and hands the closed
 region to the connected-case solver.  The connected components of every
 answer enter the family.
@@ -81,20 +83,25 @@ def _prune_common_mask(
     adj: Sequence[int], vmask: int, class_masks: Sequence[int]
 ) -> int:
     """Delete, smallest id first and one at a time, any vertex adjacent to
-    at least one live member of every color class."""
-    while True:
-        victim = 0
-        alive = [cm & vmask for cm in class_masks]
-        if any(a == 0 for a in alive):
-            break
-        for v in iter_mask(vmask):
-            av = adj[v]
-            if all(av & a for a in alive):
-                victim = 1 << v
+    at least one live member of every color class.
+
+    One ascending sweep suffices: a deletion only shrinks the live
+    classes, so a vertex that is not adjacent to all of them stays so
+    for the rest of the run, and the next victim is always larger than
+    the last.  The result equals that of restarting from the smallest
+    vertex after every deletion.
+    """
+    alive = [cm & vmask for cm in class_masks]
+    if not all(alive):
+        return vmask
+    for v in iter_mask(vmask):
+        av = adj[v]
+        if all(av & a for a in alive):
+            bit = 1 << v
+            vmask ^= bit
+            alive = [a & ~bit for a in alive]
+            if not all(alive):
                 break
-        if not victim:
-            break
-        vmask ^= victim
     return vmask
 
 
@@ -209,6 +216,39 @@ def _surjections(doms: tuple[int, ...], colors: tuple[int, ...]):
             yield combo
 
 
+def _second_sets(adj: Sequence[int], vmask: int, seed: int, max_size: int):
+    """Yield (D', N[D u D']) for each second set D' of at most max_size
+    vertices of vmask whose seed is new, in size-then-lexicographic order
+    of D'; seed is N[D] inside vmask.
+
+    Only irredundant D' are walked: a set of size s extends a set of size
+    s-1 that brought a new seed by a later vertex whose closed
+    neighborhood grows that seed.  A skipped set has the seed of a smaller
+    or lexicographically earlier set, so the walk yields exactly the first
+    occurrences that a walk over all subsets would, in the same order.
+    """
+    closed = [0] * len(adj)
+    for v in iter_mask(vmask):
+        closed[v] = (adj[v] | 1 << v) & vmask
+    verts = list(iter_mask(vmask))
+    seen = {seed}
+    yield (), seed
+    frontier = [((), seed, 0)]
+    for _ in range(max_size):
+        grown_sets = []
+        for second, base, start in frontier:
+            for i in range(start, len(verts)):
+                v = verts[i]
+                grown = base | closed[v]
+                if grown in seen:  # also when v does not grow base
+                    continue
+                seen.add(grown)
+                nxt = second + (v,)
+                yield nxt, grown
+                grown_sets.append((nxt, grown, i + 1))
+        frontier = grown_sets
+
+
 def _guessed_members(inst: Instance, solver: ConnectedSolver):
     """Yield (component mask, provenance) for every answer component, in
     guess order: color subset W by size then lexicographically, connected
@@ -241,29 +281,19 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
                 for d in doms:
                     closed_d |= adj[d]
                 closed_d &= v2
-                seen: set[int] = set()
-                verts2 = list(iter_mask(v2))
-                for size in range(0, kprime + 2):
-                    for second in combinations(verts2, size):
-                        seed = closed_d
-                        for v in second:
-                            seed |= adj[v] | (1 << v)
-                        seed &= v2
-                        if seed in seen:
-                            continue
-                        if not solver.spend():
-                            return
-                        seen.add(seed)
-                        _, core = _core_region_mask(adj, v2, seed)
-                        if not core:
-                            continue
-                        _, assignment = solver.solve_masked(core, lists_w)
-                        if not assignment:
-                            continue
-                        chosen = mask_from(v for v, _ in assignment)
-                        prov = FamilyProvenance(colors, doms, h, second)
-                        for comp in masked_components(g, chosen):
-                            yield comp, prov
+                for second, seed in _second_sets(adj, v2, closed_d, kprime + 1):
+                    if not solver.spend():
+                        return
+                    _, core = _core_region_mask(adj, v2, seed)
+                    if not core:
+                        continue
+                    _, assignment = solver.solve_masked(core, lists_w)
+                    if not assignment:
+                        continue
+                    chosen = mask_from(v for v, _ in assignment)
+                    prov = FamilyProvenance(colors, doms, h, second)
+                    for comp in masked_components(g, chosen):
+                        yield comp, prov
 
 
 def build_family(inst: Instance, budget: int | None = None) -> Family:

@@ -50,23 +50,24 @@ def solve_mwis(wg: WeightedGraph) -> tuple[frozenset[int], Fraction]:
     for v, w in wg.weights.items():
         warr[v] = w
     mask, weight = solve_mwis_masked(g.adjacency_masks(), g.full_mask, warr)
-    return set_from_mask(mask), weight
+    return set_from_mask(mask), Fraction(weight)
 
 
 def solve_mwis_masked(
-    adj: Sequence[int], vmask: int, weights: Sequence[Fraction]
-) -> tuple[int, Fraction]:
+    adj: Sequence[int], vmask: int, weights: Sequence[int | Fraction]
+) -> tuple[int, int | Fraction]:
     """Exact MWIS on the subgraph induced by vmask, as (mask, weight).
 
     adj is a bitmask adjacency table (index 0 unused) and weights an
-    array of nonnegative Fractions indexed the same way.  Strategy:
+    array of nonnegative exact numbers (int or Fraction) indexed the same
+    way.  Sums start at int 0, so integer weights give an integer weight
+    (and an empty vmask gives 0).  Strategy:
     degree-0 vertices are always taken, a degree-1 vertex at least as
     heavy as its neighbor is taken, otherwise branch on a maximum-degree
     vertex; prune when the remaining total weight cannot beat the best.
     """
     # greedy initial bound: heaviest-first packing
-    best_mask = 0
-    best_w = ZERO
+    best_w = 0
     order = sorted(iter_mask(vmask), key=lambda v: (-weights[v], v))
     taken = 0
     blocked = 0
@@ -78,7 +79,7 @@ def solve_mwis_masked(
         best_w += weights[v]
     best_mask = taken
 
-    def rec(avail: int, chosen: int, cur: Fraction) -> None:
+    def rec(avail: int, chosen: int, cur: int | Fraction) -> None:
         nonlocal best_mask, best_w
         # reductions: take isolated vertices, resolve heavy pendants
         while True:
@@ -119,5 +120,5 @@ def solve_mwis_masked(
         rec(avail & ~(adj[pick] | (1 << pick)), chosen | (1 << pick), cur + weights[pick])
         rec(avail ^ (1 << pick), chosen, cur)
 
-    rec(vmask, 0, ZERO)
+    rec(vmask, 0, 0)
     return best_mask, best_w

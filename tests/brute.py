@@ -174,3 +174,39 @@ def brute_exists_hom(g: Graph, h: PatternGraph,
         if all(h.has_edge(assign[u], assign[v]) for u, v in g.edges()):
             return True
     return False
+
+
+def brute_second_sets(adj: list[int], vmask: int, seed: int,
+                      max_size: int) -> list[tuple[tuple[int, ...], int]]:
+    """(D', seed | N[D'] inside vmask) for every subset D' of vmask with at
+    most max_size vertices whose seed has not appeared before, walking all
+    subsets by size and then lexicographically."""
+    verts = [v for v in range(len(adj)) if vmask >> v & 1]
+    seen: set[int] = set()
+    out = []
+    for size in range(max_size + 1):
+        for second in itertools.combinations(verts, size):
+            s = seed
+            for v in second:
+                s |= adj[v] | 1 << v
+            s &= vmask
+            if s not in seen:
+                seen.add(s)
+                out.append((second, s))
+    return out
+
+
+def brute_prune_common(adj: list[int], vmask: int, class_masks: list[int]) -> int:
+    """Delete the smallest vertex of vmask adjacent to a live member of
+    every class, rescanning from the smallest vertex after each deletion,
+    until no such vertex exists."""
+    while True:
+        alive = [cm & vmask for cm in class_masks]
+        victim = next(
+            (v for v in range(len(adj))
+             if vmask >> v & 1 and all(adj[v] & a for a in alive)),
+            None,
+        )
+        if victim is None:
+            return vmask
+        vmask ^= 1 << victim

@@ -4,15 +4,14 @@ Every weight comparison is exact rational equality, zero tolerance.
 Criteria 1 and 6 carry pinned wall-clock budgets (900 s and 120 s).
 Strict weight gaps on non-complete patterns, and connected-stage gaps
 on instances whose every optimum is disconnected, do not fail the
-battery; they are dumped under findings/ and counted in the printed
-line.
+battery; they are dumped as instance files into a pytest temporary
+directory, which the printed line names along with their count.
 """
 
 import itertools
 import random
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -40,7 +39,6 @@ from brute import (
 )
 
 BASE_SEED = 20260815
-FINDINGS_DIR = Path("findings")
 
 
 def report(tag: str, ok: bool, detail: str) -> None:
@@ -97,7 +95,8 @@ def test_criterion_1_complete_pattern_exactness(complete_corpus):
            f"{300 - mismatches}/300 trials equal, {elapsed:.1f}s of 900s")
 
 
-def test_criterion_2_soundness_every_pattern():
+def test_criterion_2_soundness_every_pattern(tmp_path_factory):
+    findings_dir = tmp_path_factory.mktemp("findings")
     patterns = ("path:3", "path:4", "complete:2", "complete:3")
     failures: list[str] = []
     gaps = 0
@@ -130,8 +129,7 @@ def test_criterion_2_soundness_every_pattern():
                     reason = ("non-complete pattern gap" if not inst.h.is_complete
                               else "no connected optimum exists")
                     gaps += 1
-                    FINDINGS_DIR.mkdir(parents=True, exist_ok=True)
-                    path = FINDINGS_DIR / f"acceptance_crit2_trial_{i:04d}_{label}.txt"
+                    path = findings_dir / f"acceptance_crit2_trial_{i:04d}_{label}.txt"
                     path.write_text(
                         f"# {reason}: {label} "
                         f"{sol.weight} < oracle {orc.weight}\n"
@@ -141,7 +139,8 @@ def test_criterion_2_soundness_every_pattern():
     for msg in failures[:10]:
         print(msg)
     report("2 soundness for every pattern", not failures,
-           f"200 trials, {len(failures)} failures, {gaps} gaps recorded")
+           f"200 trials, {len(failures)} failures, "
+           f"{gaps} gaps recorded in {findings_dir}")
 
 
 def test_criterion_3_blob_graph_p5free(blob_corpus):

@@ -176,6 +176,37 @@ def test_negative_budget_rejected():
         ConnectedSolver(GEM, PatternGraph.complete(2), (0,) * 6, budget=-1)
 
 
+COPRIME_WEIGHTS = (Fraction(1, 3), Fraction(2, 7), Fraction(5, 4), Fraction(11, 6), Fraction(0))
+
+
+@pytest.mark.parametrize("g, k", [(Graph.cycle(5), 2), (GEM, 3)], ids=["C5-K2", "GEM-K3"])
+def test_integer_weights_inside_exact_outside(g, k):
+    # the solver scales by lcm(3, 7, 4, 6) = 84 and works on integers;
+    # every answer at the boundary is the oracle's exact Fraction
+    h = PatternGraph.complete(k)
+    inst = Instance.build(g, h, wt=dict(zip(g.vertices, COPRIME_WEIGHTS)))
+    assert ConnectedSolver(g, h, inst.wt_tuple).scale == 84
+    opt = oracle_solve(inst).weight
+    for sol in (solve_connected_case(inst).solution, solve_full(inst).solution):
+        assert type(sol.weight) is Fraction and sol.weight == opt
+        assert verify_solution(inst, sol) is None
+
+    # singleton lists: the base case runs on the exact weights directly
+    single = Instance.build(g, h, wt=dict(zip(g.vertices, COPRIME_WEIGHTS)),
+                            lists={v: [v % k + 1] for v in g.vertices})
+    sol = solve_base_singleton_lists(single)
+    assert type(sol.weight) is Fraction and sol.weight == oracle_solve(single).weight
+
+    # all-zero weights still report an exact zero, also when every list
+    # is empty and the base case has nothing to sum
+    zero = Instance.build(g, h, wt=dict.fromkeys(g.vertices, 0))
+    empty = Instance.build(g, h, wt=dict.fromkeys(g.vertices, 0),
+                           lists=dict.fromkeys(g.vertices, []))
+    for sol in (solve_connected_case(zero).solution, solve_full(zero).solution,
+                solve_base_singleton_lists(empty), solve_connected_case(empty).solution):
+        assert type(sol.weight) is Fraction and sol.weight == 0
+
+
 def random_instance(seed: int, complete_only: bool, p5free: bool = False) -> Instance:
     rng = random.Random(seed)
     n = rng.randint(1, 7)

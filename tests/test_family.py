@@ -1,5 +1,6 @@
 """Component family: pruning operations, construction invariants."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -15,11 +16,14 @@ from p5hom.family import (
     core_region,
     prune_common_neighbors,
     prune_non_module_components,
+    _prune_common_mask,
+    _second_sets,
 )
-from p5hom.graph import Graph, induced_subgraph, masked_components, mask_from
+from p5hom.generators import FAMILIES, TRIAL_DENSITIES, GenSpec, generate
+from p5hom.graph import Graph, induced_subgraph, masked_components, mask_from, set_from_mask
 from p5hom.pattern import Instance, PatternGraph, exists_list_hom
 
-from brute import brute_has_induced_p5
+from brute import brute_has_induced_p5, brute_prune_common, brute_second_sets
 
 GEM = Graph(5, [(1, 2), (2, 3), (3, 4), (5, 1), (5, 2), (5, 3), (5, 4)])
 
@@ -170,3 +174,92 @@ def test_build_is_deterministic(seed):
     b = build_family(inst)
     assert a.members == b.members
     assert a.provenance == b.provenance
+
+
+# (family, pattern) for the frozen-family instances: every generator
+# family with K2, K3 and P3, then three more draws
+FROZEN_SPECS = [
+    (family, pattern)
+    for pattern in ("complete:2", "complete:3", "path:3")
+    for family in FAMILIES
+] + [("cograph", "complete:3"), ("split", "complete:3"), ("random-p5free", "path:3")]
+
+
+def frozen_instance(index: int) -> Instance:
+    """Seeded instance in the style of the acceptance corpus, n <= 9."""
+    rng = random.Random(4049 * 100003 + index)
+    family, pattern = FROZEN_SPECS[index]
+    pname, _, karg = pattern.partition(":")
+    return generate(GenSpec(
+        family=family,
+        n=rng.randint(5, 9),
+        k=int(karg),
+        seed=4049 + index,
+        density=TRIAL_DENSITIES[family][rng.randrange(3)],
+        pattern=pname,
+        list_density=Fraction(7, 10),
+        weight_range=(0, 6),
+        max_tries=500,
+    ))
+
+
+def family_digest(fam) -> str:
+    """SHA-256 over members, per-member provenance and the exhaustive bit."""
+    rows = []
+    for m in fam.members:
+        prov = fam.provenance[m]
+        if isinstance(prov, FamilyProvenance):
+            prov = (prov.colors, prov.dominators, prov.coloring, prov.second)
+        rows.append((tuple(sorted(m)), prov))
+    return hashlib.sha256(repr((rows, fam.exhaustive)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("budget, digest", [
+    (None, "913c0d94bdf53b9e0d2f8fd4227de490845588a6667b163a3d660a33a66b84f5"),
+    (5, "ab4c91d7513e209a44abb3128109286a44ef2127a7b48be8655bc4d697939a23"),
+    (40, "8aa2f0fedb6f04081d94bfff63a59f4584e2dd5c629f7ef9a802df8c756c27f2"),
+])
+def test_family_frozen_digest(budget, digest):
+    # the family (members, provenance, exhaustive) of twelve seeded
+    # instances, pinned so that a faster build must reproduce it exactly
+    h = hashlib.sha256()
+    for i in range(len(FROZEN_SPECS)):
+        h.update(family_digest(build_family(frozen_instance(i), budget=budget)).encode())
+    assert h.hexdigest() == digest
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**9))
+def test_second_set_walk_matches_all_subsets(seed):
+    # the irredundant walk yields exactly the first-occurrence seeds of
+    # the walk over every subset, with the same D' and in the same order
+    g = random_p5free_instance(seed).g
+    rng = random.Random(seed + 1)
+    adj = list(g.adjacency_masks())
+    vmask = mask_from(v for v in g.vertices if rng.random() < 0.8)
+    dmask = mask_from(v for v in set_from_mask(vmask) if rng.random() < 0.3)
+    base = dmask
+    for d in set_from_mask(dmask):
+        base |= adj[d]
+    base &= vmask
+    max_size = rng.randint(0, 4)
+    got = list(_second_sets(adj, vmask, base, max_size))
+    assert got == brute_second_sets(adj, vmask, base, max_size)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**9))
+def test_one_sweep_prune_matches_restart(seed):
+    g = random_p5free_instance(seed).g
+    rng = random.Random(seed + 1)
+    adj = list(g.adjacency_masks())
+    doms = [v for v in g.vertices if rng.random() < 0.4] or [1]
+    classes: dict[int, int] = {}
+    for d in doms:
+        c = rng.randint(1, 3)
+        classes[c] = classes.get(c, 0) | 1 << d
+    vmask = g.full_mask if rng.random() < 0.5 else mask_from(
+        v for v in g.vertices if rng.random() < 0.8)
+    class_masks = list(classes.values())
+    assert _prune_common_mask(adj, vmask, class_masks) == brute_prune_common(
+        adj, vmask, class_masks)
