@@ -9,15 +9,7 @@ fractions throughout.
 
 from .blob import BlobGraph, build_blob_graph, solve_full, touches
 from .connected import SolveResult, solve_base_singleton_lists, solve_connected_case
-from .family import (
-    Family,
-    FamilyProvenance,
-    NotP5FreeError,
-    build_family,
-    core_region,
-    prune_common_neighbors,
-    prune_non_module_components,
-)
+from .family import Family, FamilyProvenance, NotP5FreeError, build_family
 from .generators import FAMILIES, GenerationError, GenSpec, generate
 from .graph import Graph, connected_components, find_induced_p5, induced_subgraph, is_module
 from .mwis import WeightedGraph, solve_mwis
@@ -60,7 +52,6 @@ __all__ = [
     "build_blob_graph",
     "build_family",
     "connected_components",
-    "core_region",
     "exists_list_hom",
     "find_induced_p5",
     "generate",
@@ -69,8 +60,6 @@ __all__ = [
     "oracle_solve",
     "parse_instance",
     "parse_solution",
-    "prune_common_neighbors",
-    "prune_non_module_components",
     "serialize_instance",
     "serialize_solution",
     "solve_base_singleton_lists",

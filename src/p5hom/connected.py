@@ -9,8 +9,10 @@ optimum's r-colored X_i vertices; the guess drives two list cleanups:
 
   1. every X_j vertex adjacent to the guessed set keeps only colors
      pattern-adjacent to r;
-  2. to a fixpoint, any edge between different parts with overlapping
-     lists loses the shared colors on the lower-indexed side.
+  2. any edge between different parts with overlapping lists loses the
+     shared colors on the lower-indexed side; one pass over the parts in
+     order settles every such edge, since a part's lists shrink only
+     after every lower part has read them.
 
 After guessing colors for D's members (each propagating pattern-adjacency
 onto its neighbors' lists), D is removed and each part recurses as an
@@ -117,44 +119,28 @@ def _cross_part_cleanup(
     part_masks: Sequence[int],
     used: int,
 ) -> int:
-    """Second cleanup, in place: to a fixpoint, strip from the lower part's
-    endpoint every color shared across a part-crossing edge.
+    """Second cleanup, in place: strip from the lower part's endpoint every
+    color shared across a part-crossing edge.
 
-    Pairs (i, j) with i < j are visited in lexicographic order, vertices
-    ascending; only part vertices' lists change.  Returns used (the
-    dominators plus their parts) minus the part vertices left with an
-    empty list, which the branch deletes.
+    One pass over the parts in order suffices: a part's lists change only
+    while that part is processed, after every lower part has read them,
+    and lists only shrink, so afterwards every part-crossing edge has
+    disjoint lists.  Returns used (the dominators plus their parts) minus
+    the part vertices left with an empty list, which the branch deletes.
     """
-    p = len(part_masks)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(p):
-            xi = part_masks[i]
-            if not xi:
-                continue
-            for j in range(i + 1, p):
-                xj = part_masks[j]
-                if not xj:
-                    continue
-                for u in iter_mask(xi):
-                    lu = lists[u]
-                    if not lu:
-                        continue
-                    for v in iter_mask(adj[u] & xj):
-                        shared = lu & lists[v]
-                        if shared:
-                            lu &= ~shared
-                            if not lu:
-                                break
-                    if lu != lists[u]:
-                        lists[u] = lu
-                        changed = True
+    later = 0
+    for x in part_masks:
+        later |= x
     kept = used
     for x in part_masks:
-        for v in iter_mask(x):
-            if not lists[v]:
-                kept ^= 1 << v
+        later &= ~x
+        for u in iter_mask(x):
+            lu = lists[u]
+            for v in iter_mask(adj[u] & later):
+                lu &= ~lists[v]
+            lists[u] = lu
+            if not lu:
+                kept ^= 1 << u
     return kept
 
 

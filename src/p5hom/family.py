@@ -11,10 +11,17 @@ surjective coloring h of D onto W, prunes vertices adjacent to every
 color class, prunes components of G - N[D] that are not modules, guesses
 an irredundant second set D' of at most |W|+1 vertices (each vertex of
 D', taken in order, grows the seed N[D u D']; any other D' repeats a
-seed already guessed), closes N[D u D'] downward
-until nothing inside keeps a neighbor outside, and hands the closed
-region to the connected-case solver.  The connected components of every
-answer enter the family.
+seed already guessed), closes N[D u D'] downward by deleting every seed
+vertex with a neighbor outside the seed, and hands the closed region to
+the connected-case solver.  The connected components of every answer
+enter the family.
+
+The module prune and the closure are single passes.  The components of
+G - N[D] are pairwise non-adjacent, so deleting the non-modules leaves
+N[D] and every other component's outside neighborhood as they were;
+and a closure deletion removes a vertex from the region and the graph
+at once, so the vertices outside the region never change.  A second
+round of either would find nothing.
 
 All pruning works on vertex-mask views over the original graph, so
 members come out in original vertex ids directly.
@@ -22,7 +29,7 @@ members come out in original vertex ids directly.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain, combinations, product
 
@@ -43,9 +50,6 @@ __all__ = [
     "FamilyProvenance",
     "NotP5FreeError",
     "build_family",
-    "core_region",
-    "prune_common_neighbors",
-    "prune_non_module_components",
 ]
 
 
@@ -105,107 +109,46 @@ def _prune_common_mask(
     return vmask
 
 
-def prune_common_neighbors(
-    g: Graph,
-    dominators: Iterable[int],
-    coloring: Mapping[int, int],
-    within: Iterable[int] | None = None,
-) -> frozenset[int]:
-    """Surviving vertices after deleting common neighbors of all classes.
-
-    coloring maps each dominator to its class; every class must be
-    nonempty.  Deletion repeats until no vertex (the dominators included)
-    is adjacent to a live member of every class.
-    """
-    doms = sorted(set(dominators))
-    if not doms:
-        raise ValueError("dominator set must be nonempty")
-    if set(coloring) != set(doms):
-        raise ValueError("coloring must be defined exactly on the dominators")
-    classes: dict[int, int] = {}
-    for d in doms:
-        if not 1 <= d <= g.n:
-            raise ValueError(f"dominator {d} out of range 1..{g.n}")
-        classes[coloring[d]] = classes.get(coloring[d], 0) | (1 << d)
-    if not classes:
-        raise ValueError("coloring has no classes")
-    vmask = g.full_mask if within is None else mask_from(within)
-    out = _prune_common_mask(g.adjacency_masks(), vmask, list(classes.values()))
-    return set_from_mask(out)
-
-
 def _prune_non_modules_mask(g: Graph, vmask: int, dmask: int) -> int:
     """Delete every component of the graph minus N[D] that is not a module
-    of the current graph, repeating until all such components are modules."""
-    adj = g.adjacency_masks()
-    while True:
-        nd = dmask & vmask
-        for d in iter_mask(dmask & vmask):
-            nd |= adj[d]
-        outside = vmask & ~nd
-        bad = 0
-        for comp in masked_components(g, outside):
-            first = comp & -comp
-            ref = adj[first.bit_length() - 1] & vmask & ~comp
-            for v in iter_mask(comp ^ first):
-                if adj[v] & vmask & ~comp != ref:
-                    bad |= comp
-                    break
-        if not bad:
-            return vmask
-        vmask &= ~bad
+    of the graph.
 
-
-def prune_non_module_components(
-    g: Graph, dominators: Iterable[int], within: Iterable[int] | None = None
-) -> frozenset[int]:
-    """Surviving vertices after deleting non-module components of G - N[D]."""
-    dmask = mask_from(dominators)
-    if not dmask:
-        raise ValueError("dominator set must be nonempty")
-    vmask = g.full_mask if within is None else mask_from(within)
-    return set_from_mask(_prune_non_modules_mask(g, vmask, dmask))
-
-
-def _core_region_mask(adj: Sequence[int], vmask: int, seed: int) -> tuple[int, int]:
-    """Close the seed region downward: repeatedly delete (from the graph
-    and the region) the smallest region vertex with a neighbor outside."""
-    core = seed & vmask
-    while True:
-        for v in iter_mask(core):
-            if adj[v] & vmask & ~core:
-                bit = 1 << v
-                core ^= bit
-                vmask ^= bit
-                break
-        else:
-            return vmask, core
-
-
-def core_region(
-    g: Graph,
-    dominators: Iterable[int],
-    second: Iterable[int],
-    within: Iterable[int] | None = None,
-) -> tuple[frozenset[int], frozenset[int]]:
-    """(surviving vertices, closed region) for the seed N[D u D'].
-
-    The seed is the closed neighborhood of D u D' in the current graph;
-    any seed vertex with a neighbor outside the region is deleted from
-    both, smallest first, until the region has no outgoing edges (so it is
-    a union of whole components of what remains).
+    One round suffices: the components are pairwise non-adjacent, so
+    deleting some of them changes neither N[D] nor the outside
+    neighborhood of any other component, and every survivor stays a
+    module.
     """
-    vmask = g.full_mask if within is None else mask_from(within)
-    both = mask_from(dominators) | mask_from(second)
-    if both & ~vmask:
-        raise ValueError("dominators and second set must lie inside the current graph")
     adj = g.adjacency_masks()
-    seed = both
-    for v in iter_mask(both):
-        seed |= adj[v]
-    seed &= vmask
-    out_vmask, core = _core_region_mask(adj, vmask, seed)
-    return set_from_mask(out_vmask), set_from_mask(core)
+    nd = dmask & vmask
+    for d in iter_mask(dmask & vmask):
+        nd |= adj[d]
+    bad = 0
+    for comp in masked_components(g, vmask & ~nd):
+        first = comp & -comp
+        ref = adj[first.bit_length() - 1] & vmask & ~comp
+        for v in iter_mask(comp ^ first):
+            if adj[v] & vmask & ~comp != ref:
+                bad |= comp
+                break
+    return vmask & ~bad
+
+
+def _core_region_mask(adj: Sequence[int], vmask: int, seed: int) -> int:
+    """Close the seed region downward: delete (from the graph and the
+    region) every region vertex with a neighbor outside, and return what
+    is left of the region.
+
+    One pass suffices: a deletion removes the vertex from both the region
+    and the graph, so the vertices outside the region never change, and
+    the result equals that of deleting the smallest such vertex and
+    rescanning until none is left.
+    """
+    core = seed & vmask
+    outside = vmask & ~core
+    for v in iter_mask(core):
+        if adj[v] & outside:
+            core ^= 1 << v
+    return core
 
 
 def _surjections(doms: tuple[int, ...], colors: tuple[int, ...]):
@@ -284,7 +227,7 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
                 for second, seed in _second_sets(adj, v2, closed_d, kprime + 1):
                     if not solver.spend():
                         return
-                    _, core = _core_region_mask(adj, v2, seed)
+                    core = _core_region_mask(adj, v2, seed)
                     if not core:
                         continue
                     _, assignment = solver.solve_masked(core, lists_w)

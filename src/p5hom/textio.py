@@ -132,6 +132,8 @@ def parse_instance(text: str) -> Instance:
                     raise ParseError(line_no, f"negative weight {w} at vertex {u}")
                 wt[u] = w
             else:
+                if len(toks) < 2:
+                    raise ParseError(line_no, "LIST takes a vertex")
                 u = _int(toks[1], line_no, "vertex")
                 if not 1 <= u <= n:
                     raise ParseError(line_no, f"vertex {u} out of range 1..{n}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from p5hom.graph import Graph
+from p5hom.graph import Graph, iter_mask, masked_components
 from p5hom.pattern import Instance, PatternGraph
 
 
@@ -210,3 +210,81 @@ def brute_prune_common(adj: list[int], vmask: int, class_masks: list[int]) -> in
         if victim is None:
             return vmask
         vmask ^= 1 << victim
+
+
+def brute_cross_part_cleanup(adj: list[int], lists: list[int],
+                             part_masks: list[int], used: int) -> int:
+    """The cross-part cleanup run to a fixpoint: visit the part pairs
+    (i, j) with i < j in lexicographic order, strip from each X_i vertex
+    the colors it shares with an X_j neighbor, and repeat while any list
+    changed.  Works in place; returns used minus the emptied part
+    vertices."""
+    p = len(part_masks)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(p):
+            xi = part_masks[i]
+            if not xi:
+                continue
+            for j in range(i + 1, p):
+                xj = part_masks[j]
+                if not xj:
+                    continue
+                for u in iter_mask(xi):
+                    lu = lists[u]
+                    if not lu:
+                        continue
+                    for v in iter_mask(adj[u] & xj):
+                        shared = lu & lists[v]
+                        if shared:
+                            lu &= ~shared
+                            if not lu:
+                                break
+                    if lu != lists[u]:
+                        lists[u] = lu
+                        changed = True
+    kept = used
+    for x in part_masks:
+        for v in iter_mask(x):
+            if not lists[v]:
+                kept ^= 1 << v
+    return kept
+
+
+def brute_core_region(adj: list[int], vmask: int, seed: int) -> tuple[int, int]:
+    """(surviving vertices, region) after repeatedly deleting, from the
+    graph and the region, the smallest region vertex with a neighbor
+    outside, rescanning from the smallest vertex after each deletion."""
+    core = seed & vmask
+    while True:
+        for v in iter_mask(core):
+            if adj[v] & vmask & ~core:
+                bit = 1 << v
+                core ^= bit
+                vmask ^= bit
+                break
+        else:
+            return vmask, core
+
+
+def brute_prune_non_modules(g: Graph, vmask: int, dmask: int) -> int:
+    """Delete every component of the graph minus N[D] that is not a module
+    of the current graph, repeating until no such component is left."""
+    adj = g.adjacency_masks()
+    while True:
+        nd = dmask & vmask
+        for d in iter_mask(dmask & vmask):
+            nd |= adj[d]
+        outside = vmask & ~nd
+        bad = 0
+        for comp in masked_components(g, outside):
+            first = comp & -comp
+            ref = adj[first.bit_length() - 1] & vmask & ~comp
+            for v in iter_mask(comp ^ first):
+                if adj[v] & vmask & ~comp != ref:
+                    bad |= comp
+                    break
+        if not bad:
+            return vmask
+        vmask &= ~bad

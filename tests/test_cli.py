@@ -76,6 +76,9 @@ def test_bad_input_is_exit_2(tmp_path):
     assert main(["solve", str(tmp_path / "missing.txt")]) == 2
     assert main(["solve"]) == 2  # missing positional
     assert main(["solve", str(bad), "--algorithm", "bogus"]) == 2
+    bare_list = tmp_path / "bare_list.txt"  # a LIST line with no vertex
+    bare_list.write_text("H 2\nG 2\nLIST\n")
+    assert main(["solve", str(bare_list)]) == 2
 
 
 def test_verify_roundtrip(c5_file, tmp_path, capsys):

@@ -12,6 +12,7 @@ from p5hom import family
 from p5hom.blob import solve_full
 from p5hom.connected import (
     ConnectedSolver,
+    _cross_part_cleanup,
     solve_base_singleton_lists,
     solve_connected_case,
 )
@@ -19,7 +20,12 @@ from p5hom.graph import Graph, iter_mask, mask_from, set_from_mask
 from p5hom.oracle import oracle_solve
 from p5hom.pattern import Instance, PatternGraph, verify_solution
 
-from brute import brute_has_connected_optimum, brute_has_induced_p5, brute_mplhc
+from brute import (
+    brute_cross_part_cleanup,
+    brute_has_connected_optimum,
+    brute_has_induced_p5,
+    brute_mplhc,
+)
 
 GEM = Graph(5, [(1, 2), (2, 3), (3, 4), (5, 1), (5, 2), (5, 3), (5, 4)])
 
@@ -247,3 +253,25 @@ def test_sound_on_any_pattern(seed):
     res = solve_connected_case(inst)
     assert verify_solution(inst, res.solution) is None
     assert res.solution.weight <= oracle_solve(inst).weight
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**9))
+def test_one_pass_cross_part_cleanup_matches_fixpoint(seed):
+    # random graph and lists (P5-free or not), parts carved around a
+    # random dominator tuple in random order
+    inst = random_instance(seed, complete_only=False)
+    g = inst.g
+    rng = random.Random(seed + 1)
+    vmask = g.full_mask if rng.random() < 0.5 else mask_from(
+        v for v in g.vertices if rng.random() < 0.8) or g.full_mask
+    verts = list(iter_mask(vmask))
+    doms = tuple(rng.sample(verts, rng.randint(1, min(3, len(verts)))))
+    solver = ConnectedSolver(g, inst.h, inst.wt_tuple)
+    parts, used = solver.carve(vmask, doms)
+    one = list(inst.lists_masks)
+    fix = list(inst.lists_masks)
+    adj = g.adjacency_masks()
+    assert _cross_part_cleanup(adj, one, parts, used) == brute_cross_part_cleanup(
+        adj, fix, parts, used)
+    assert one == fix

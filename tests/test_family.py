@@ -13,72 +13,82 @@ from p5hom.family import (
     FamilyProvenance,
     NotP5FreeError,
     build_family,
-    core_region,
-    prune_common_neighbors,
-    prune_non_module_components,
+    _core_region_mask,
     _prune_common_mask,
+    _prune_non_modules_mask,
     _second_sets,
 )
 from p5hom.generators import FAMILIES, TRIAL_DENSITIES, GenSpec, generate
-from p5hom.graph import Graph, induced_subgraph, masked_components, mask_from, set_from_mask
+from p5hom.graph import (
+    Graph,
+    induced_subgraph,
+    iter_mask,
+    mask_from,
+    masked_components,
+    set_from_mask,
+)
 from p5hom.pattern import Instance, PatternGraph, exists_list_hom
 
-from brute import brute_has_induced_p5, brute_prune_common, brute_second_sets
+from brute import (
+    brute_core_region,
+    brute_has_induced_p5,
+    brute_prune_common,
+    brute_prune_non_modules,
+    brute_second_sets,
+)
 
 GEM = Graph(5, [(1, 2), (2, 3), (3, 4), (5, 1), (5, 2), (5, 3), (5, 4)])
+
+
+def closed_seed(g: Graph, verts, vmask: int) -> int:
+    """N[verts] inside vmask, the seed the family closes."""
+    adj = g.adjacency_masks()
+    seed = mask_from(verts)
+    for v in verts:
+        seed |= adj[v]
+    return seed & vmask
 
 
 def test_prune_common_neighbors_frozen():
     # vertex 3 and then 4 are adjacent to both classes and get deleted
     g = Graph(4, [(1, 2), (2, 3), (1, 3), (1, 4), (2, 4)])
-    assert prune_common_neighbors(g, [1, 2], {1: 1, 2: 2}) == {1, 2}
+    got = _prune_common_mask(g.adjacency_masks(), g.full_mask, [mask_from([1]), mask_from([2])])
+    assert got == mask_from([1, 2])
 
     # dominators themselves are deletable: with one class {1, 2}, vertex 1
     # is adjacent to a live class member and goes first
     g = Graph(2, [(1, 2)])
-    assert prune_common_neighbors(g, [1, 2], {1: 1, 2: 1}) == {2}
+    got = _prune_common_mask(g.adjacency_masks(), g.full_mask, [mask_from([1, 2])])
+    assert got == mask_from([2])
 
     # nobody is adjacent to both classes: immediate fixpoint
     p4 = Graph.path(4)
-    assert prune_common_neighbors(p4, [1, 4], {1: 1, 4: 2}) == {1, 2, 3, 4}
-
-
-def test_prune_common_neighbors_validation():
-    g = Graph(3, [(1, 2)])
-    with pytest.raises(ValueError):
-        prune_common_neighbors(g, [], {})
-    with pytest.raises(ValueError):
-        prune_common_neighbors(g, [1], {2: 1})
+    got = _prune_common_mask(p4.adjacency_masks(), p4.full_mask, [mask_from([1]), mask_from([4])])
+    assert got == p4.full_mask
 
 
 def test_prune_non_module_components_frozen():
     # G - N[{1}] on the 4-path is the edge {3, 4}, whose ends see different
     # outside neighborhoods, so it goes
-    assert prune_non_module_components(Graph.path(4), [1]) == {1, 2}
+    p4 = Graph.path(4)
+    assert _prune_non_modules_mask(p4, p4.full_mask, mask_from([1])) == mask_from([1, 2])
 
     # star: the leftover leaves are single vertices, always modules
     star = Graph(4, [(1, 2), (1, 3), (1, 4)])
-    assert prune_non_module_components(star, [2]) == {1, 2, 3, 4}
-
-    with pytest.raises(ValueError):
-        prune_non_module_components(star, [])
+    assert _prune_non_modules_mask(star, star.full_mask, mask_from([2])) == star.full_mask
 
 
 def test_core_region_frozen():
-    surv, core = core_region(Graph.path(4), [2], [])
-    assert core == {1, 2}
-    assert surv == {1, 2, 4}
-
-    surv, core = core_region(Graph.path(3), [2], [])
-    assert core == {1, 2, 3} and surv == {1, 2, 3}
-
-    # a dominating seed closes over everything
-    surv, core = core_region(GEM, [5], [])
-    assert core == {1, 2, 3, 4, 5}
-    assert surv == {1, 2, 3, 4, 5}
-
-    with pytest.raises(ValueError):
-        core_region(Graph.path(4), [1], [], within=[2, 3])
+    # (graph, D, closed region of N[D])
+    cases = [
+        (Graph.path(4), [2], {1, 2}),
+        (Graph.path(3), [2], {1, 2, 3}),
+        # a dominating seed closes over everything
+        (GEM, [5], {1, 2, 3, 4, 5}),
+    ]
+    for g, doms, core in cases:
+        seed = closed_seed(g, doms, g.full_mask)
+        assert _core_region_mask(g.adjacency_masks(), g.full_mask, seed) == mask_from(core)
 
 
 def test_core_region_has_no_outgoing_edges():
@@ -91,9 +101,13 @@ def test_core_region_has_no_outgoing_edges():
             if rng.random() < 0.5
         ])
         d = rng.randint(1, n)
-        surv, core = core_region(g, [d], [])
-        for u in core:
-            assert g.neighbors(u) & surv <= core
+        adj = g.adjacency_masks()
+        seed = closed_seed(g, [d], g.full_mask)
+        core = _core_region_mask(adj, g.full_mask, seed)
+        # the closure deletes the seed vertices it drops from the graph too
+        surv = g.full_mask & ~(seed & ~core)
+        for u in iter_mask(core):
+            assert adj[u] & surv & ~core == 0
 
 
 def test_rejects_non_p5free():
@@ -263,3 +277,38 @@ def test_one_sweep_prune_matches_restart(seed):
     class_masks = list(classes.values())
     assert _prune_common_mask(adj, vmask, class_masks) == brute_prune_common(
         adj, vmask, class_masks)
+
+
+def random_graph(rng: random.Random, max_n: int = 9) -> Graph:
+    """A random graph, P5-free or not, on 1..max_n vertices."""
+    n = rng.randint(1, max_n)
+    density = rng.choice([0.25, 0.45, 0.65])
+    return Graph(n, [
+        (u, v)
+        for u, v in itertools.combinations(range(1, n + 1), 2)
+        if rng.random() < density
+    ])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**9))
+def test_one_pass_core_region_matches_restart(seed):
+    rng = random.Random(seed)
+    g = random_graph(rng)
+    adj = g.adjacency_masks()
+    vmask = g.full_mask if rng.random() < 0.5 else mask_from(
+        v for v in g.vertices if rng.random() < 0.8)
+    verts = [v for v in set_from_mask(vmask) if rng.random() < 0.3]
+    seed_mask = closed_seed(g, verts, vmask)
+    assert _core_region_mask(adj, vmask, seed_mask) == brute_core_region(adj, vmask, seed_mask)[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**9))
+def test_one_round_module_prune_matches_repeat(seed):
+    rng = random.Random(seed)
+    g = random_graph(rng)
+    vmask = g.full_mask if rng.random() < 0.5 else mask_from(
+        v for v in g.vertices if rng.random() < 0.8)
+    dmask = mask_from(v for v in g.vertices if rng.random() < 0.25) or mask_from([1])
+    assert _prune_non_modules_mask(g, vmask, dmask) == brute_prune_non_modules(g, vmask, dmask)

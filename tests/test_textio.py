@@ -87,6 +87,7 @@ def test_duplicate_edges_tolerated():
     ("H 2\nG 2\nWT 3 1\n", "range"),
     ("H x\nG 2\n", "integer"),
     ("H 2\nG 2\nBOGUS 1\n", "BOGUS"),
+    ("H 2\nG 2\nLIST\n", "LIST takes a vertex"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as exc:
