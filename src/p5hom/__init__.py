@@ -4,7 +4,8 @@ The pipeline: a connected-case solver built on dominator guessing, a
 component-family construction that covers every piece of some optimal
 solution, and a reduction to maximum weight independent set on a blob
 graph whose vertices are the family members.  Weights are exact
-fractions throughout.
+Fractions at the Instance/Solution boundary and, inside the solver,
+integers scaled once by the least common multiple of the denominators.
 """
 
 from .blob import BlobGraph, build_blob_graph, solve_full, touches

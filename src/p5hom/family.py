@@ -16,6 +16,17 @@ vertex with a neighbor outside the seed, and hands the closed region to
 the connected-case solver.  The connected components of every answer
 enter the family.
 
+Lists are restricted to W, not to h, so both prunes, the second-set
+walk, every closure and every solve depend on h only through the
+partition of D into color classes.  A surjection whose partition was
+already walked for its (W, D) is not walked again: it charges the
+budget, in one spend, what the first walk charged; and a closed region
+already solved for W reuses that answer.  The work skipped would yield
+only members already held, its solves would be memo hits that spend
+nothing, and a partition is replayed only after its first walk
+finished, so the family, its provenance and every budget charge are
+those of the walk over every surjection.
+
 The module prune and the closure are single passes.  The components of
 G - N[D] are pairwise non-adjacent, so deleting the non-modules leaves
 N[D] and every other component's outside neighborhood as they were;
@@ -197,7 +208,20 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
     guess order: color subset W by size then lexicographically, connected
     dominator set D, surjection h, second set D'.  Each D' whose seed
     N[D u D'] is new for its (W, D, h) is one guess charged to the
-    solver's budget; the walk stops when the budget cannot pay for one."""
+    solver's budget; the walk stops when the budget cannot pay for one.
+
+    The walk of (W, D, h) depends on h only through the partition of D
+    into color classes, so a surjection whose partition was walked before
+    for the same (W, D) is not walked again: it charges, in one spend,
+    the number of second sets the first walk charged (a pruned dominator
+    charged none), and stops the generator if the budget cannot pay for
+    all of them.  A repeated walk would yield only components an earlier
+    guess already yielded, its solves would be memo hits that spend
+    nothing, and a walk is replayed only once it has finished, so the
+    budget pays for the same guesses in the same order.  Likewise each
+    closed region is solved once per W: a repeated core reuses the
+    component masks of its first answer.
+    """
     g = inst.g
     adj = g.adjacency_masks()
     full = g.full_mask
@@ -209,13 +233,22 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
         wmask = mask_from(colors)
         kprime = len(colors)
         lists_w = tuple(lv & wmask for lv in inst.lists_masks)
+        regions: dict[int, list[int]] = {}  # closed core -> answer components
         for dset in enumerate_connected_subsets(g, kprime, min(kprime + 1, g.n)):
             doms = tuple(sorted(dset))
             dmask = mask_from(doms)
+            walked: dict[frozenset[int], int] = {}  # class partition -> charged
             for h in _surjections(doms, colors):
                 classes: dict[int, int] = {}
                 for d, c in zip(doms, h):
                     classes[c] = classes.get(c, 0) | (1 << d)
+                partition = frozenset(classes.values())
+                charged = walked.get(partition)
+                if charged is not None:
+                    if solver.spend(charged) < charged:
+                        return
+                    continue
+                charged = walked[partition] = 0
                 v1 = _prune_common_mask(adj, full, list(classes.values()))
                 v2 = _prune_non_modules_mask(g, v1, dmask)
                 if dmask & ~v2:
@@ -227,16 +260,19 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
                 for second, seed in _second_sets(adj, v2, closed_d, kprime + 1):
                     if not solver.spend():
                         return
+                    charged += 1
                     core = _core_region_mask(adj, v2, seed)
                     if not core:
                         continue
-                    _, assignment = solver.solve_masked(core, lists_w)
-                    if not assignment:
-                        continue
-                    chosen = mask_from(v for v, _ in assignment)
+                    comps = regions.get(core)
+                    if comps is None:
+                        _, assignment = solver.solve_masked(core, lists_w)
+                        chosen = mask_from(v for v, _ in assignment)
+                        comps = regions[core] = masked_components(g, chosen)
                     prov = FamilyProvenance(colors, doms, h, second)
-                    for comp in masked_components(g, chosen):
+                    for comp in comps:
                         yield comp, prov
+                walked[partition] = charged
 
 
 def build_family(inst: Instance, budget: int | None = None) -> Family:
@@ -247,7 +283,11 @@ def build_family(inst: Instance, budget: int | None = None) -> Family:
     budget span the whole build: budget bounds the guesses of the run
     (one per second set D' with a new seed, plus the solver's own), and a
     build that runs out keeps the members found so far and reports
-    exhaustive False.
+    exhaustive False.  Each (W, D, class partition) is walked once and
+    each (W, closed region) solved once; a repeated partition charges
+    what its first walk charged, so a budget pays for the same guesses
+    as a walk over every surjection, and each member keeps the
+    provenance of the first guess that yields it.
     """
     witness = find_induced_p5(inst.g)
     if witness is not None:

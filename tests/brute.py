@@ -10,7 +10,21 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from p5hom.graph import Graph, iter_mask, masked_components
+from p5hom.family import (
+    FamilyProvenance,
+    _core_region_mask,
+    _prune_common_mask,
+    _prune_non_modules_mask,
+    _second_sets,
+    _surjections,
+)
+from p5hom.graph import (
+    Graph,
+    enumerate_connected_subsets,
+    iter_mask,
+    mask_from,
+    masked_components,
+)
 from p5hom.pattern import Instance, PatternGraph
 
 
@@ -288,3 +302,50 @@ def brute_prune_non_modules(g: Graph, vmask: int, dmask: int) -> int:
         if not bad:
             return vmask
         vmask &= ~bad
+
+
+def brute_guessed_members(inst: Instance, solver):
+    """The family's guess loop with every surjection walked in full and
+    every closed region handed to the solver: (component mask, provenance)
+    for every answer component, charging one guess per second set with a
+    new seed and stopping when the budget cannot pay for one."""
+    g = inst.g
+    adj = g.adjacency_masks()
+    full = g.full_mask
+    k = inst.h.k
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(range(1, k + 1), size)
+        for size in range(2, min(k, g.n) + 1)
+    )
+    for colors in subsets:
+        wmask = mask_from(colors)
+        kprime = len(colors)
+        lists_w = tuple(lv & wmask for lv in inst.lists_masks)
+        for dset in enumerate_connected_subsets(g, kprime, min(kprime + 1, g.n)):
+            doms = tuple(sorted(dset))
+            dmask = mask_from(doms)
+            for h in _surjections(doms, colors):
+                classes: dict[int, int] = {}
+                for d, c in zip(doms, h):
+                    classes[c] = classes.get(c, 0) | (1 << d)
+                v1 = _prune_common_mask(adj, full, list(classes.values()))
+                v2 = _prune_non_modules_mask(g, v1, dmask)
+                if dmask & ~v2:
+                    continue
+                closed_d = dmask
+                for d in doms:
+                    closed_d |= adj[d]
+                closed_d &= v2
+                for second, seed in _second_sets(adj, v2, closed_d, kprime + 1):
+                    if not solver.spend():
+                        return
+                    core = _core_region_mask(adj, v2, seed)
+                    if not core:
+                        continue
+                    _, assignment = solver.solve_masked(core, lists_w)
+                    if not assignment:
+                        continue
+                    chosen = mask_from(v for v, _ in assignment)
+                    prov = FamilyProvenance(colors, doms, h, second)
+                    for comp in masked_components(g, chosen):
+                        yield comp, prov

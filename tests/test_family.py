@@ -9,18 +9,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import p5hom.family as family_module
+from p5hom.connected import ConnectedSolver
 from p5hom.family import (
     FamilyProvenance,
     NotP5FreeError,
     build_family,
     _core_region_mask,
+    _guessed_members,
     _prune_common_mask,
     _prune_non_modules_mask,
     _second_sets,
+    _surjections,
 )
 from p5hom.generators import FAMILIES, TRIAL_DENSITIES, GenSpec, generate
 from p5hom.graph import (
     Graph,
+    enumerate_connected_subsets,
     induced_subgraph,
     iter_mask,
     mask_from,
@@ -31,6 +36,7 @@ from p5hom.pattern import Instance, PatternGraph, exists_list_hom
 
 from brute import (
     brute_core_region,
+    brute_guessed_members,
     brute_has_induced_p5,
     brute_prune_common,
     brute_prune_non_modules,
@@ -312,3 +318,93 @@ def test_one_round_module_prune_matches_repeat(seed):
         v for v in g.vertices if rng.random() < 0.8)
     dmask = mask_from(v for v in g.vertices if rng.random() < 0.25) or mask_from([1])
     assert _prune_non_modules_mask(g, vmask, dmask) == brute_prune_non_modules(g, vmask, dmask)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(FAMILIES),
+    st.sampled_from(["complete:2", "complete:3", "path:3"]),
+    st.integers(4, 7),
+    st.integers(0, 10**9),
+    st.none() | st.integers(0, 80),
+)
+def test_partition_replay_matches_full_walk(family, pattern, n, seed, budget):
+    # replaying a walked class partition and reusing a solved region give
+    # the members, provenance, exhaustive flag and budget left of the walk
+    # over every surjection and every region
+    pname, _, karg = pattern.partition(":")
+    inst = generate(GenSpec(
+        family=family,
+        n=n,
+        k=int(karg),
+        seed=seed,
+        density=TRIAL_DENSITIES[family][seed % 3],
+        pattern=pname,
+        list_density=Fraction(7, 10),
+        weight_range=(0, 6),
+        max_tries=500,
+    ))
+    runs = []
+    for walk in (_guessed_members, brute_guessed_members):
+        solver = ConnectedSolver(inst.g, inst.h, inst.wt_tuple, budget=budget)
+        members: dict = {}
+        for mask, prov in walk(inst, solver):
+            members.setdefault(mask, prov)
+        runs.append((list(members.items()), solver.exhaustive, solver._left))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("g, k", [(Graph.cycle(5), 2), (GEM, 3)], ids=["C5-K2", "GEM-K3"])
+def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
+    inst = Instance.build(g, PatternGraph.complete(k))
+    guesses = 0
+    partitions = set()
+    for size in range(2, min(k, g.n) + 1):
+        for colors in itertools.combinations(range(1, k + 1), size):
+            for dset in enumerate_connected_subsets(g, size, min(size + 1, g.n)):
+                doms = tuple(sorted(dset))
+                for h in _surjections(doms, colors):
+                    guesses += 1
+                    classes = {c: frozenset(d for d, e in zip(doms, h) if e == c) for c in h}
+                    partitions.add((colors, doms, frozenset(classes.values())))
+
+    prunes = []
+    prune = family_module._prune_common_mask
+
+    def counted_prune(*args):
+        prunes.append(args)
+        return prune(*args)
+
+    closures = []
+    close = family_module._core_region_mask
+
+    def counted_close(*args):
+        closures.append(args)
+        return close(*args)
+
+    top = []
+    depth = [0]
+    solve = ConnectedSolver.solve_masked
+
+    def counted_solve(self, vmask, lists):
+        if not depth[0]:
+            top.append((vmask, tuple(lists)))
+        depth[0] += 1
+        try:
+            return solve(self, vmask, lists)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(family_module, "_prune_common_mask", counted_prune)
+    monkeypatch.setattr(family_module, "_core_region_mask", counted_close)
+    monkeypatch.setattr(ConnectedSolver, "solve_masked", counted_solve)
+    assert build_family(inst).exhaustive
+
+    # one walk per distinct (W, D, class partition); under K2 a surjection
+    # and its color swap share a partition
+    assert len(prunes) == len(partitions) < guesses
+    if k == 2:
+        assert 2 * len(prunes) == guesses
+    # one solve per distinct (W, closed region): every list is full, so
+    # the lists restricted to W tell the W apart
+    assert len(top) == len(set(top)) < len(closures)
