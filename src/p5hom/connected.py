@@ -24,6 +24,15 @@ can propose cross-part conflicts, and verification is what keeps the
 output sound.  The final answer is the best verified candidate, never
 worse than the empty solution or any feasible single vertex.
 
+The best answer so far is replaced only by a strictly heavier candidate,
+and weights are nonnegative, so a branch whose vertices still in play
+weigh at most the best weight so far cannot change the answer.  Such a
+branch is skipped at three points, each bounded by a plain weight sum:
+a dominator tuple by N[D], a cleaned state by the vertices it keeps, and
+a dominator coloring by D plus the part vertices with nonempty lists,
+tightened part by part as each part's answer comes back.  The answer,
+ties included, is the one the full search would return.
+
 All recursion operates on (vertex mask, list-mask vector) views over the
 original graph, memoized in one table so that a family build can share
 work across thousands of overlapping sub-instances.  An optional budget
@@ -155,7 +164,12 @@ class ConnectedSolver:
     coloring, and whatever the caller charges (the family build: one per
     second set with a new seed).  A guess the budget cannot pay for is
     skipped and clears the exhaustive flag.  A negative budget raises
-    ValueError.
+    ValueError.  A dominator tuple skipped by the weight bound costs its
+    one guess and nothing more.
+
+    Weights must be nonnegative (ValueError otherwise): the search skips
+    every branch whose remaining weight cannot strictly beat the best
+    answer so far, which is sound only because no vertex lowers a sum.
 
     Inside the solver weights are integers: the given exact weights times
     scale, the least common multiple of their denominators.  A positive
@@ -177,6 +191,8 @@ class ConnectedSolver:
         exact = [Fraction(w) for w in weights]
         self.scale = lcm(*(w.denominator for w in exact))
         self._wt = tuple(w.numerator * (self.scale // w.denominator) for w in exact)
+        if any(w < 0 for w in exact):
+            raise ValueError(f"weights must be nonnegative, got {min(exact)}")
         if budget is not None and budget < 0:
             raise ValueError(f"budget must be nonnegative, got {budget}")
         self._left = budget
@@ -235,6 +251,17 @@ class ConnectedSolver:
     def _solve_piece(
         self, vmask: int, lists: tuple[int, ...]
     ) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """Best verified answer on one connected live vmask.
+
+        The best answer so far starts at the heaviest single vertex and is
+        replaced only by a strictly heavier candidate.  Weights are
+        nonnegative, so no candidate of a branch outweighs the vertices the
+        branch may still color; a branch whose bound on that weight is at
+        most the best weight so far cannot change the answer and is
+        skipped (see _branch and _branch_colors).  Skipping such a branch
+        leaves every later comparison as it was, so the answer, ties
+        included, is the one the full search would return.
+        """
         wt = self._wt
         universe = 0
         all_singletons = True
@@ -245,33 +272,46 @@ class ConnectedSolver:
                 all_singletons = False
         if all_singletons:
             return _conflict_mwis(self._adj, vmask, lists, self._hadj, wt)
-        best_w = 0
-        best_asg: tuple[tuple[int, int], ...] = ()
+        best: tuple[int, tuple[tuple[int, int], ...]] = (0, ())
         for v in iter_mask(vmask):
-            if wt[v] > best_w:
-                best_w = wt[v]
+            if wt[v] > best[0]:
                 c = lists[v] & -lists[v]
-                best_asg = ((v, c.bit_length() - 1),)
+                best = (wt[v], ((v, c.bit_length() - 1),))
         cap = max(universe.bit_count(), 3)
         verts = list(iter_mask(vmask))
         cap = min(cap, len(verts))
         for size in range(1, cap + 1):
             for doms in combinations(verts, size):
                 if not self.spend():
-                    return best_w, best_asg
-                for w, asg in self._branch(vmask, lists, doms, universe):
-                    if w > best_w:
-                        best_w = w
-                        best_asg = asg
-        return best_w, best_asg
+                    return best
+                best = self._branch(vmask, lists, doms, universe, best)
+        return best
 
     # -- one dominator guess --------------------------------------------------
 
-    def _branch(self, vmask, lists, doms, universe):
+    def _branch(self, vmask, lists, doms, universe, best):
+        """best, or a heavier verified candidate of the dominator tuple.
+
+        Every candidate colors a subset of N[D] inside vmask, so the tuple
+        is skipped before its cleanup states are built (and charged) when
+        that weighs at most best; a cleaned state likewise when its kept
+        mask does.
+        """
         parts, used = self.carve(vmask, doms)
+        if self._weigh(used) <= best[0]:
+            return best
         dmask = mask_from(doms)
         for st, kept in sorted(self.cleaned_states(lists, parts, used, universe)):
-            yield from self._branch_colors(st, kept, doms, dmask, parts, lists)
+            if self._weigh(kept) > best[0]:
+                best = self._branch_colors(st, kept, doms, dmask, parts, lists, best)
+        return best
+
+    def _weigh(self, mask: int) -> int:
+        wt = self._wt
+        total = 0
+        for v in iter_mask(mask):
+            total += wt[v]
+        return total
 
     def carve(self, vmask: int, doms: Sequence[int]) -> tuple[list[int], int]:
         """Carve N[D] inside vmask into the ordered parts X_1..X_|D|.
@@ -371,12 +411,22 @@ class ConnectedSolver:
 
     # -- one cleaned state: color the dominators, recurse per part -------------
 
-    def _branch_colors(self, lists, kept, doms, dmask, parts, entry_lists):
+    def _branch_colors(self, lists, kept, doms, dmask, parts, entry_lists, best):
+        """best, or a heavier verified candidate of the cleaned state.
+
+        A dominator coloring is charged, then skipped when D's weight plus
+        the part vertices whose lists it leaves nonempty weighs at most
+        best.  Each part's term of that bound becomes the part's answer as
+        it comes back, and the coloring stops once the bound falls to
+        best; a coloring that finishes weighs exactly its bound.
+        """
         adj = self._adj
         hadj = self._hadj
-        wt = self._wt
         p = len(doms)
         assign = [0] * p
+        pieces = [x & kept for x in parts if x & kept]
+        piece_w = [self._weigh(pm) for pm in pieces]
+        dom_w = self._weigh(dmask)
 
         def color_rec(idx: int):
             if idx == p:
@@ -397,24 +447,32 @@ class ConnectedSolver:
 
         for colors in color_rec(0):
             mod = list(lists)
+            emptied = 0
             for idx in range(p):
                 hmask = hadj[colors[idx]]
                 for v in iter_mask(adj[doms[idx]] & kept & ~dmask):
-                    mod[v] &= hmask
-            total = 0
-            coloring: dict[int, int] = {}
-            for idx in range(p):
-                total += wt[doms[idx]]
-                coloring[doms[idx]] = colors[idx]
-            for x in parts:
-                pm = x & kept
-                if not pm:
-                    continue
-                w, asg = self.solve_masked(pm, tuple(mod))
-                total += w
+                    lv = mod[v] & hmask
+                    mod[v] = lv
+                    if not lv:
+                        emptied |= 1 << v
+            caps = piece_w
+            if emptied:
+                caps = [w - self._weigh(pm & emptied) for pm, w in zip(pieces, piece_w)]
+            bound = dom_w + sum(caps)
+            if bound <= best[0]:
+                continue
+            mod = tuple(mod)
+            coloring = dict(zip(doms, colors))
+            for pm, cap in zip(pieces, caps):
+                w, asg = self.solve_masked(pm, mod)
+                bound += w - cap
+                if bound <= best[0]:
+                    break
                 coloring.update(asg)
-            if self._verify_candidate(coloring, entry_lists):
-                yield total, tuple(sorted(coloring.items()))
+            else:
+                if self._verify_candidate(coloring, entry_lists):
+                    best = (bound, tuple(sorted(coloring.items())))
+        return best
 
     def _verify_candidate(self, coloring, entry_lists) -> bool:
         adj = self._adj

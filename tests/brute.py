@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from itertools import combinations
 
+from p5hom.connected import ConnectedSolver, _conflict_mwis
 from p5hom.family import (
     FamilyProvenance,
     _core_region_mask,
@@ -349,3 +351,93 @@ def brute_guessed_members(inst: Instance, solver):
                     prov = FamilyProvenance(colors, doms, h, second)
                     for comp in masked_components(g, chosen):
                         yield comp, prov
+
+
+class UnprunedConnectedSolver(ConnectedSolver):
+    """The connected search with no weight bound: every dominator tuple,
+    cleaned state and dominator coloring is searched in full and every
+    assembled candidate is compared with the best so far."""
+
+    def _solve_piece(
+        self, vmask: int, lists: tuple[int, ...]
+    ) -> tuple[int, tuple[tuple[int, int], ...]]:
+        wt = self._wt
+        universe = 0
+        all_singletons = True
+        for v in iter_mask(vmask):
+            lv = lists[v]
+            universe |= lv
+            if lv & (lv - 1):
+                all_singletons = False
+        if all_singletons:
+            return _conflict_mwis(self._adj, vmask, lists, self._hadj, wt)
+        best_w = 0
+        best_asg: tuple[tuple[int, int], ...] = ()
+        for v in iter_mask(vmask):
+            if wt[v] > best_w:
+                best_w = wt[v]
+                c = lists[v] & -lists[v]
+                best_asg = ((v, c.bit_length() - 1),)
+        cap = max(universe.bit_count(), 3)
+        verts = list(iter_mask(vmask))
+        cap = min(cap, len(verts))
+        for size in range(1, cap + 1):
+            for doms in combinations(verts, size):
+                if not self.spend():
+                    return best_w, best_asg
+                for w, asg in self._branch(vmask, lists, doms, universe):
+                    if w > best_w:
+                        best_w = w
+                        best_asg = asg
+        return best_w, best_asg
+
+    def _branch(self, vmask, lists, doms, universe):
+        parts, used = self.carve(vmask, doms)
+        dmask = mask_from(doms)
+        for st, kept in sorted(self.cleaned_states(lists, parts, used, universe)):
+            yield from self._branch_colors(st, kept, doms, dmask, parts, lists)
+
+    def _branch_colors(self, lists, kept, doms, dmask, parts, entry_lists):
+        adj = self._adj
+        hadj = self._hadj
+        wt = self._wt
+        p = len(doms)
+        assign = [0] * p
+
+        def color_rec(idx: int):
+            if idx == p:
+                if self.spend():
+                    yield tuple(assign)
+                return
+            d = doms[idx]
+            for r in iter_mask(lists[d]):
+                ok = True
+                for jdx in range(idx):
+                    if adj[d] >> doms[jdx] & 1 and not hadj[r] >> assign[jdx] & 1:
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                assign[idx] = r
+                yield from color_rec(idx + 1)
+
+        for colors in color_rec(0):
+            mod = list(lists)
+            for idx in range(p):
+                hmask = hadj[colors[idx]]
+                for v in iter_mask(adj[doms[idx]] & kept & ~dmask):
+                    mod[v] &= hmask
+            total = 0
+            coloring: dict[int, int] = {}
+            for idx in range(p):
+                total += wt[doms[idx]]
+                coloring[doms[idx]] = colors[idx]
+            for x in parts:
+                pm = x & kept
+                if not pm:
+                    continue
+                w, asg = self.solve_masked(pm, tuple(mod))
+                total += w
+                coloring.update(asg)
+            if self._verify_candidate(coloring, entry_lists):
+                yield total, tuple(sorted(coloring.items()))

@@ -16,11 +16,13 @@ from p5hom.connected import (
     solve_base_singleton_lists,
     solve_connected_case,
 )
+from p5hom.generators import FAMILIES, TRIAL_DENSITIES, GenSpec, generate
 from p5hom.graph import Graph, iter_mask, mask_from, set_from_mask
 from p5hom.oracle import oracle_solve
 from p5hom.pattern import Instance, PatternGraph, verify_solution
 
 from brute import (
+    UnprunedConnectedSolver,
     brute_cross_part_cleanup,
     brute_has_connected_optimum,
     brute_has_induced_p5,
@@ -182,6 +184,12 @@ def test_negative_budget_rejected():
         ConnectedSolver(GEM, PatternGraph.complete(2), (0,) * 6, budget=-1)
 
 
+def test_negative_weight_rejected():
+    # the weight bound rests on nonnegative weights
+    with pytest.raises(ValueError):
+        ConnectedSolver(GEM, PatternGraph.complete(2), (0, 1, 2, Fraction(-1, 2), 3, 4))
+
+
 COPRIME_WEIGHTS = (Fraction(1, 3), Fraction(2, 7), Fraction(5, 4), Fraction(11, 6), Fraction(0))
 
 
@@ -275,3 +283,81 @@ def test_one_pass_cross_part_cleanup_matches_fixpoint(seed):
     assert _cross_part_cleanup(adj, one, parts, used) == brute_cross_part_cleanup(
         adj, fix, parts, used)
     assert one == fix
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(FAMILIES),
+    st.sampled_from(["complete:2", "complete:3", "path:3"]),
+    st.integers(4, 8),
+    st.integers(0, 10**9),
+    st.sampled_from(["fractions", "zeros", "all-zero"]),
+)
+def test_weight_bound_matches_unpruned_search(graphs, pattern, n, seed, weights):
+    # skipping every branch that cannot beat the best answer so far keeps
+    # the answer, ties included, and every family member and provenance
+    pname, _, karg = pattern.partition(":")
+    rng = random.Random(seed)
+    inst = generate(GenSpec(
+        family=graphs,
+        n=n,
+        k=int(karg),
+        seed=seed,
+        density=TRIAL_DENSITIES[graphs][seed % 3],
+        pattern=pname,
+        list_density=Fraction(rng.randint(4, 9), 10),
+        weight_range=(0, 6),
+        max_tries=500,
+    ))
+    if weights == "all-zero":
+        wt = dict.fromkeys(inst.g.vertices, Fraction(0))
+    elif weights == "zeros":
+        wt = {v: w if rng.random() < 0.5 else Fraction(0) for v, w in inst.wt.items()}
+    else:
+        wt = inst.wt
+    inst = Instance(inst.g, inst.h, wt, inst.lists)
+    answers = []
+    members = []
+    for cls in (ConnectedSolver, UnprunedConnectedSolver):
+        solver = cls(inst.g, inst.h, inst.wt_tuple)
+        answers.append(solver.solve_masked(inst.g.full_mask, inst.lists_masks))
+        solver = cls(inst.g, inst.h, inst.wt_tuple)
+        members.append(list(family._guessed_members(inst, solver)))
+    assert answers[0] == answers[1]
+    assert members[0] == members[1]
+
+
+def count_solves(solver: ConnectedSolver) -> list[int]:
+    """Count every solve_masked call the solver makes, its own recursive
+    calls included."""
+    calls = [0]
+    inner = solver.solve_masked
+
+    def counting(vmask, lists):
+        calls[0] += 1
+        return inner(vmask, lists)
+
+    solver.solve_masked = counting
+    return calls
+
+
+@pytest.mark.parametrize("g, k", [(Graph.cycle(5), 2), (GEM, 3)], ids=["C5-K2", "GEM-K3"])
+def test_weight_bound_prunes_and_spends_less(g, k):
+    h = PatternGraph.complete(k)
+    inst = Instance.build(g, h, wt={v: Fraction(v + 2, 3) for v in g.vertices})
+    big = 10**9
+    runs = []
+    for cls in (ConnectedSolver, UnprunedConnectedSolver):
+        solver = cls(g, h, inst.wt_tuple, budget=big)
+        calls = count_solves(solver)
+        answer = solver.solve_masked(g.full_mask, inst.lists_masks)
+        runs.append((answer, calls[0], big - solver._left))
+    (answer, calls, spent), (ref_answer, ref_calls, ref_spent) = runs
+    assert answer == ref_answer
+    assert calls < ref_calls
+    assert spent <= ref_spent
+
+    # the reference's whole spend is enough for the pruned search
+    solver = ConnectedSolver(g, h, inst.wt_tuple, budget=ref_spent)
+    assert solver.solve_masked(g.full_mask, inst.lists_masks) == ref_answer
+    assert solver.exhaustive is True

@@ -237,7 +237,7 @@ def family_digest(fam) -> str:
 @pytest.mark.parametrize("budget, digest", [
     (None, "913c0d94bdf53b9e0d2f8fd4227de490845588a6667b163a3d660a33a66b84f5"),
     (5, "ab4c91d7513e209a44abb3128109286a44ef2127a7b48be8655bc4d697939a23"),
-    (40, "8aa2f0fedb6f04081d94bfff63a59f4584e2dd5c629f7ef9a802df8c756c27f2"),
+    (40, "511ce497d0fbf8412fb3daadabe6534e7a8ee2029194f21cfea3f307429a1319"),
 ])
 def test_family_frozen_digest(budget, digest):
     # the family (members, provenance, exhaustive) of twelve seeded
