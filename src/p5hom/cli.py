@@ -173,7 +173,7 @@ def trial_spec(seed: int, index: int, max_n: int, pattern, k: int,
     menu = TRIAL_DENSITIES[family]
     return GenSpec(
         family=family,
-        n=r.randint(2, max(2, max_n)),
+        n=r.randint(2, max_n),
         k=k,
         seed=seed * 7919 + index,
         density=menu[r.randrange(len(menu))],
@@ -228,10 +228,15 @@ def _difftest_trial(args_tuple):
 
 def _cmd_difftest(args) -> int:
     name, _, karg = args.pattern.partition(":")
-    if name not in ("complete", "path") or not karg.isdigit():
-        print(f"bad --pattern {args.pattern!r}; expected complete:K or path:K",
+    if name not in ("complete", "path") or not karg.isdigit() or int(karg) < 1:
+        print(f"bad --pattern {args.pattern!r}; expected complete:K or path:K, K >= 1",
               file=sys.stderr)
         return 2
+    for flag, value, least in (("--trials", args.trials, 1), ("--max-n", args.max_n, 2),
+                               ("--parallel", args.parallel, 1)):
+        if value < least:
+            print(f"bad {flag} {value}; expected at least {least}", file=sys.stderr)
+            return 2
     k = int(karg)
     list_density = Fraction(args.list_density)
     jobs = [

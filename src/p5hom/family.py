@@ -16,16 +16,20 @@ vertex with a neighbor outside the seed, and hands the closed region to
 the connected-case solver.  The connected components of every answer
 enter the family.
 
-Lists are restricted to W, not to h, so both prunes, the second-set
-walk, every closure and every solve depend on h only through the
-partition of D into color classes.  A surjection whose partition was
-already walked for its (W, D) is not walked again: it charges the
-budget, in one spend, what the first walk charged; and a closed region
-already solved for W reuses that answer.  The work skipped would yield
-only members already held, its solves would be memo hits that spend
-nothing, and a partition is replayed only after its first walk
-finished, so the family, its provenance and every budget charge are
-those of the walk over every surjection.
+Lists are restricted to W, not to h, and only the solves read them, so
+both prunes, the second-set walk and every closure depend on the guess
+(W, D, h) only through D and the partition of D into color classes; the
+partition also fixes |W|, its number of classes.  Each (D, partition)
+is walked once per build and its (D', closed core) pairs recorded.
+Every later surjection with the same D and partition, under its own W
+or another of the same size, replays the record: it charges the budget
+one guess per D' in the same order, and solves only the cores not yet
+solved for its W.  A repeated (W, core) would yield only members
+already held and its solve would be a memo hit that spends nothing, and
+a walk is replayed only after it finished, so the family, its
+provenance and every budget charge are those of the walk over every
+surjection.  The common-neighbor prune deletes its victims a mask at a
+time: every candidate up to the next class member in one step.
 
 The module prune and the closure are single passes.  The components of
 G - N[D] are pairwise non-adjacent, so deleting the non-modules leaves
@@ -94,30 +98,56 @@ class Family:
     exhaustive: bool
 
 
+def _neighbors(adj: Sequence[int], mask: int) -> int:
+    """The union of the neighborhoods of the vertices of mask."""
+    out = 0
+    for v in iter_mask(mask):
+        out |= adj[v]
+    return out
+
+
 def _prune_common_mask(
     adj: Sequence[int], vmask: int, class_masks: Sequence[int]
 ) -> int:
     """Delete, smallest id first and one at a time, any vertex adjacent to
     at least one live member of every color class.
 
-    One ascending sweep suffices: a deletion only shrinks the live
-    classes, so a vertex that is not adjacent to all of them stays so
-    for the rest of the run, and the next victim is always larger than
-    the last.  The result equals that of restarting from the smallest
-    vertex after every deletion.
+    A deletion only shrinks the live classes, so a vertex that is not
+    adjacent to all of them stays so for the rest of the run, and the
+    next victim is always larger than the last: one ascending sweep
+    gives the result of restarting from the smallest vertex after every
+    deletion.  The sweep works a mask at a time.  The candidates above
+    the last deletion are the vertices of vmask adjacent to every live
+    class; deleting one that is not a class member leaves the classes
+    as they were, so every candidate up to and including the first class
+    member goes in one step, and the candidates are recomputed only after
+    a class member leaves.  A victim keeps, in every class, the live
+    neighbor that made it one, so no class empties during the sweep; a
+    class with no member in vmask stops it before it starts.
     """
     alive = [cm & vmask for cm in class_masks]
     if not all(alive):
         return vmask
-    for v in iter_mask(vmask):
-        av = adj[v]
-        if all(av & a for a in alive):
-            bit = 1 << v
-            vmask ^= bit
-            alive = [a & ~bit for a in alive]
-            if not all(alive):
-                break
-    return vmask
+    reach = [_neighbors(adj, a) for a in alive]
+    members = 0
+    for a in alive:
+        members |= a
+    passed = 0  # the sweep has gone past these bits
+    while True:
+        cand = vmask & ~passed
+        for r in reach:
+            cand &= r
+        hit = cand & members
+        if not hit:
+            return vmask & ~cand
+        low = hit & -hit
+        passed = (low << 1) - 1
+        vmask &= ~(cand & passed)
+        members ^= low
+        for i, a in enumerate(alive):
+            if a & low:
+                alive[i] = a ^ low
+                reach[i] = _neighbors(adj, a ^ low)
 
 
 def _prune_non_modules_mask(g: Graph, vmask: int, dmask: int) -> int:
@@ -131,8 +161,7 @@ def _prune_non_modules_mask(g: Graph, vmask: int, dmask: int) -> int:
     """
     adj = g.adjacency_masks()
     nd = dmask & vmask
-    for d in iter_mask(dmask & vmask):
-        nd |= adj[d]
+    nd |= _neighbors(adj, nd)
     bad = 0
     for comp in masked_components(g, vmask & ~nd):
         first = comp & -comp
@@ -203,6 +232,28 @@ def _second_sets(adj: Sequence[int], vmask: int, seed: int, max_size: int):
         frontier = grown_sets
 
 
+def _schedule(size: int, kprime: int) -> list:
+    """The surjections of size positions onto kprime color indices, in
+    product order, as (coloring, partition id, blocks): partition ids
+    number the class partitions by first occurrence, and blocks (the
+    position tuple of each class) is given on that first occurrence
+    only, None after it."""
+    ids: dict[frozenset, int] = {}
+    out = []
+    for hidx in _surjections(tuple(range(size)), tuple(range(kprime))):
+        blocks = tuple(
+            tuple(p for p in range(size) if hidx[p] == c) for c in range(kprime)
+        )
+        key = frozenset(blocks)
+        pid = ids.get(key)
+        if pid is None:
+            pid = ids[key] = len(ids)
+            out.append((hidx, pid, blocks))
+        else:
+            out.append((hidx, pid, None))
+    return out
+
+
 def _guessed_members(inst: Instance, solver: ConnectedSolver):
     """Yield (component mask, provenance) for every answer component, in
     guess order: color subset W by size then lexicographically, connected
@@ -210,17 +261,20 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
     N[D u D'] is new for its (W, D, h) is one guess charged to the
     solver's budget; the walk stops when the budget cannot pay for one.
 
-    The walk of (W, D, h) depends on h only through the partition of D
-    into color classes, so a surjection whose partition was walked before
-    for the same (W, D) is not walked again: it charges, in one spend,
-    the number of second sets the first walk charged (a pruned dominator
-    charged none), and stops the generator if the budget cannot pay for
-    all of them.  A repeated walk would yield only components an earlier
-    guess already yielded, its solves would be memo hits that spend
-    nothing, and a walk is replayed only once it has finished, so the
-    budget pays for the same guesses in the same order.  Likewise each
-    closed region is solved once per W: a repeated core reuses the
-    component masks of its first answer.
+    Lists are restricted to W, not to h, and only the solves read them,
+    so the prunes, the second sets and their closed cores depend on
+    (W, D, h) only through D and the class partition of D under h, which
+    also fixes |W| as its number of classes.  Each (D, partition) is
+    walked once per build and its (D', closed core) pairs recorded, a
+    pruned dominator recording none.  Every later guess with the same D
+    and partition, under this W or another of the same size, replays the
+    record: it charges one guess per D' in the same order, returning when
+    the budget cannot pay, and solves only the cores not yet solved for
+    its W.  The charges between two solves go in one spend, as nothing
+    reads the budget in between.  A repeated (W, core) would yield only
+    components an earlier guess of W already yielded, and its solve
+    would be a memo hit that spends nothing, so the budget pays for the
+    same guesses in the same order as a walk over every surjection.
     """
     g = inst.g
     adj = g.adjacency_masks()
@@ -229,50 +283,57 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
     subsets = chain.from_iterable(
         combinations(range(1, k + 1), size) for size in range(2, min(k, g.n) + 1)
     )
+    schedules: dict[tuple[int, int], list] = {}  # (|D|, |W|) -> _schedule
+    walks: dict[tuple[int, int, int], list] = {}  # (D, |W|, partition id) -> walk
     for colors in subsets:
         wmask = mask_from(colors)
         kprime = len(colors)
         lists_w = tuple(lv & wmask for lv in inst.lists_masks)
-        regions: dict[int, list[int]] = {}  # closed core -> answer components
+        solved = {0}  # closed cores solved for W; an empty core needs no solve
+
+        def solve(core, doms, hidx, second):
+            solved.add(core)
+            _, assignment = solver.solve_masked(core, lists_w)
+            prov = FamilyProvenance(colors, doms, tuple(colors[i] for i in hidx), second)
+            for comp in masked_components(g, mask_from(v for v, _ in assignment)):
+                yield comp, prov
+
         for dset in enumerate_connected_subsets(g, kprime, min(kprime + 1, g.n)):
             doms = tuple(sorted(dset))
             dmask = mask_from(doms)
-            walked: dict[frozenset[int], int] = {}  # class partition -> charged
-            for h in _surjections(doms, colors):
-                classes: dict[int, int] = {}
-                for d, c in zip(doms, h):
-                    classes[c] = classes.get(c, 0) | (1 << d)
-                partition = frozenset(classes.values())
-                charged = walked.get(partition)
-                if charged is not None:
-                    if solver.spend(charged) < charged:
-                        return
+            shape = (len(doms), kprime)
+            if shape not in schedules:
+                schedules[shape] = _schedule(*shape)
+            for hidx, pid, blocks in schedules[shape]:
+                key = (dmask, kprime, pid)
+                walk = walks.get(key)
+                if walk is None:
+                    walk = walks[key] = []
+                    v = _prune_common_mask(
+                        adj, full, [mask_from(doms[p] for p in b) for b in blocks]
+                    )
+                    if dmask & ~v:
+                        continue  # the region step needs D intact
+                    v = _prune_non_modules_mask(g, v, dmask)  # keeps N[D]
+                    closed_d = (dmask | _neighbors(adj, dmask)) & v
+                    for second, seed in _second_sets(adj, v, closed_d, kprime + 1):
+                        if not solver.spend():
+                            return
+                        core = _core_region_mask(adj, v, seed)
+                        walk.append((second, core))
+                        if core not in solved:
+                            yield from solve(core, doms, hidx, second)
                     continue
-                charged = walked[partition] = 0
-                v1 = _prune_common_mask(adj, full, list(classes.values()))
-                v2 = _prune_non_modules_mask(g, v1, dmask)
-                if dmask & ~v2:
-                    continue  # a dominator was pruned; the region step needs D intact
-                closed_d = dmask
-                for d in doms:
-                    closed_d |= adj[d]
-                closed_d &= v2
-                for second, seed in _second_sets(adj, v2, closed_d, kprime + 1):
-                    if not solver.spend():
-                        return
-                    charged += 1
-                    core = _core_region_mask(adj, v2, seed)
-                    if not core:
-                        continue
-                    comps = regions.get(core)
-                    if comps is None:
-                        _, assignment = solver.solve_masked(core, lists_w)
-                        chosen = mask_from(v for v, _ in assignment)
-                        comps = regions[core] = masked_components(g, chosen)
-                    prov = FamilyProvenance(colors, doms, h, second)
-                    for comp in comps:
-                        yield comp, prov
-                walked[partition] = charged
+                owed = 0  # guesses replayed but not yet charged
+                for second, core in walk:
+                    owed += 1
+                    if core not in solved:
+                        if solver.spend(owed) < owed:
+                            return
+                        owed = 0
+                        yield from solve(core, doms, hidx, second)
+                if owed and solver.spend(owed) < owed:
+                    return
 
 
 def build_family(inst: Instance, budget: int | None = None) -> Family:
@@ -283,11 +344,12 @@ def build_family(inst: Instance, budget: int | None = None) -> Family:
     budget span the whole build: budget bounds the guesses of the run
     (one per second set D' with a new seed, plus the solver's own), and a
     build that runs out keeps the members found so far and reports
-    exhaustive False.  Each (W, D, class partition) is walked once and
-    each (W, closed region) solved once; a repeated partition charges
-    what its first walk charged, so a budget pays for the same guesses
-    as a walk over every surjection, and each member keeps the
-    provenance of the first guess that yields it.
+    exhaustive False.  Each (D, class partition) is walked once per
+    build, whatever W, and each (W, closed region) solved once; a
+    repeated (D, partition) replays its walk's charges, one guess per
+    second set in the same order, so a budget pays for the same guesses
+    as a walk over every W and every surjection, and each member keeps
+    the provenance of the first guess that yields it.
     """
     witness = find_induced_p5(inst.g)
     if witness is not None:

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, output shape, determinism."""
 
+import itertools
+
 import pytest
 
 from p5hom.cli import instance_digest, main
@@ -135,6 +137,25 @@ def test_difftest_passes_and_writes_nothing(tmp_path, capsys):
 def test_difftest_bad_pattern(capsys):
     assert main(["difftest", "--trials", "1", "--max-n", "4",
                  "--pattern", "wheel:9", "--seed", "0"]) == 2
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--pattern", "complete:0"),
+    ("--pattern", "path:0"),
+    ("--trials", "-1"),
+    ("--trials", "0"),
+    ("--max-n", "0"),
+    ("--max-n", "1"),
+    ("--parallel", "0"),
+])
+def test_difftest_bad_arguments(flag, value, capsys):
+    # a run that could not test anything is refused, not reported clean
+    args = {"--trials": "1", "--max-n": "4", "--pattern": "complete:2", "--seed": "0"}
+    args[flag] = value
+    assert main(["difftest", *itertools.chain.from_iterable(args.items())]) == 2
+    out, err = capsys.readouterr()
+    assert flag in err
+    assert "trials=" not in out
 
 
 def test_difftest_pinned_example(tmp_path, capsys):

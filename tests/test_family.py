@@ -72,6 +72,19 @@ def test_prune_common_neighbors_frozen():
     got = _prune_common_mask(p4.adjacency_masks(), p4.full_mask, [mask_from([1]), mask_from([4])])
     assert got == p4.full_mask
 
+    # class member 1 goes first; the sweep goes on to delete 3, while 4,
+    # adjacent to both classes only through 1, now stays
+    g = Graph(5, [(1, 2), (1, 4), (1, 5), (2, 3), (2, 5), (3, 5), (4, 5)])
+    got = _prune_common_mask(g.adjacency_masks(), g.full_mask, [mask_from([1, 2]), mask_from([5])])
+    assert got == mask_from([2, 4, 5])
+
+    # class {4} has no member in vmask, so the sweep stops before it
+    # starts, although 3 is adjacent to both other classes
+    g = Graph(4, [(1, 2), (1, 3), (2, 3), (3, 4)])
+    vmask = mask_from([1, 2, 3])
+    got = _prune_common_mask(g.adjacency_masks(), vmask, [mask_from([1]), mask_from([2]), mask_from([4])])
+    assert got == vmask
+
 
 def test_prune_non_module_components_frozen():
     # G - N[{1}] on the 4-path is the edge {3, 4}, whose ends see different
@@ -323,15 +336,18 @@ def test_one_round_module_prune_matches_repeat(seed):
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(FAMILIES),
-    st.sampled_from(["complete:2", "complete:3", "path:3"]),
-    st.integers(4, 7),
+    st.tuples(st.sampled_from(["complete:2", "complete:3", "path:3"]), st.integers(4, 7))
+    | st.tuples(st.just("complete:4"), st.integers(4, 6)),
     st.integers(0, 10**9),
     st.none() | st.integers(0, 80),
 )
-def test_partition_replay_matches_full_walk(family, pattern, n, seed, budget):
-    # replaying a walked class partition and reusing a solved region give
-    # the members, provenance, exhaustive flag and budget left of the walk
-    # over every surjection and every region
+def test_partition_replay_matches_full_walk(family, pattern_n, seed, budget):
+    # replaying a walked (D, class partition), under its own W or another
+    # of the same size, and skipping a solved region give the members,
+    # provenance, exhaustive flag and budget left of the walk over every
+    # surjection and every region; under K4 a 3-vertex D is walked for
+    # |W| = 2 and for |W| = 3
+    pattern, n = pattern_n
     pname, _, karg = pattern.partition(":")
     inst = generate(GenSpec(
         family=family,
@@ -357,16 +373,29 @@ def test_partition_replay_matches_full_walk(family, pattern, n, seed, budget):
 @pytest.mark.parametrize("g, k", [(Graph.cycle(5), 2), (GEM, 3)], ids=["C5-K2", "GEM-K3"])
 def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
     inst = Instance.build(g, PatternGraph.complete(k))
+    adj = g.adjacency_masks()
     guesses = 0
-    partitions = set()
+    partitions = set()  # (W, D, class partition)
+    walks = set()  # (|W|, D, class partition)
+    regions = set()  # (W, nonempty closed core), by the restart references
     for size in range(2, min(k, g.n) + 1):
         for colors in itertools.combinations(range(1, k + 1), size):
             for dset in enumerate_connected_subsets(g, size, min(size + 1, g.n)):
                 doms = tuple(sorted(dset))
+                dmask = mask_from(doms)
                 for h in _surjections(doms, colors):
                     guesses += 1
                     classes = {c: frozenset(d for d, e in zip(doms, h) if e == c) for c in h}
                     partitions.add((colors, doms, frozenset(classes.values())))
+                    walks.add((size, doms, frozenset(classes.values())))
+                    v = brute_prune_common(adj, g.full_mask, [mask_from(c) for c in classes.values()])
+                    v = brute_prune_non_modules(g, v, dmask)
+                    if dmask & ~v:
+                        continue
+                    for _, seed in brute_second_sets(adj, v, closed_seed(g, doms, v), size + 1):
+                        core = brute_core_region(adj, v, seed)[1]
+                        if core:
+                            regions.add((colors, core))
 
     prunes = []
     prune = family_module._prune_common_mask
@@ -398,13 +427,20 @@ def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
     monkeypatch.setattr(family_module, "_prune_common_mask", counted_prune)
     monkeypatch.setattr(family_module, "_core_region_mask", counted_close)
     monkeypatch.setattr(ConnectedSolver, "solve_masked", counted_solve)
-    assert build_family(inst).exhaustive
+    solver = ConnectedSolver(inst.g, inst.h, inst.wt_tuple)
+    yielded = list(_guessed_members(inst, solver))
+    assert solver.exhaustive
 
-    # one walk per distinct (W, D, class partition); under K2 a surjection
-    # and its color swap share a partition
-    assert len(prunes) == len(partitions) < guesses
+    # one walk per distinct (|W|, D, class partition) in the whole build;
+    # under K2 a surjection and its color swap share a partition, and
+    # under K3 the three 2-color sets share every walk of their size
+    assert len(prunes) == len(walks) <= len(partitions) < guesses
     if k == 2:
         assert 2 * len(prunes) == guesses
+    else:
+        assert len(walks) < len(partitions)
+    # each (W, closed core) yields its components once
+    assert len(yielded) <= len(regions)
     # one solve per distinct (W, closed region): every list is full, so
     # the lists restricted to W tell the W apart
     assert len(top) == len(set(top)) < len(closures)
