@@ -8,11 +8,11 @@ Fractions at the Instance/Solution boundary and, inside the solver,
 integers scaled once by the least common multiple of the denominators.
 """
 
-from .blob import BlobGraph, build_blob_graph, solve_full, touches
+from .blob import BlobGraph, build_blob_graph, solve_full
 from .connected import SolveResult, solve_base_singleton_lists, solve_connected_case
 from .family import Family, FamilyProvenance, NotP5FreeError, build_family
 from .generators import FAMILIES, GenerationError, GenSpec, generate
-from .graph import Graph, connected_components, find_induced_p5, induced_subgraph, is_module
+from .graph import Graph, find_induced_p5, induced_subgraph
 from .mwis import WeightedGraph, solve_mwis
 from .oracle import OracleSizeError, oracle_solve
 from .pattern import (
@@ -52,12 +52,10 @@ __all__ = [
     "WeightedGraph",
     "build_blob_graph",
     "build_family",
-    "connected_components",
     "exists_list_hom",
     "find_induced_p5",
     "generate",
     "induced_subgraph",
-    "is_module",
     "oracle_solve",
     "parse_instance",
     "parse_solution",
@@ -67,6 +65,5 @@ __all__ = [
     "solve_connected_case",
     "solve_full",
     "solve_mwis",
-    "touches",
     "verify_solution",
 ]

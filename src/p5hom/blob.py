@@ -2,7 +2,8 @@
 
 Two vertex sets touch when they share a vertex or an edge joins them.
 The blob graph has one vertex per family member, weighted by the
-member's total weight, with edges between touching members.  A maximum
+member's total weight, with edges between touching members; the
+touching rule lives in build_blob_graph, as one mask test per pair.  A maximum
 weight independent set of the blob graph selects pairwise non-touching
 members whose union is the final answer; each selected member is colored
 independently by its own list homomorphism, which cannot conflict with
@@ -15,7 +16,6 @@ stage is exact on arbitrary graphs).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,18 +25,7 @@ from .mwis import WeightedGraph, solve_mwis
 from .pattern import ZERO, Instance, Solution, exists_list_hom, verify_solution
 from .connected import SolveResult
 
-__all__ = ["BlobGraph", "build_blob_graph", "solve_full", "touches"]
-
-
-def touches(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
-    """True iff the two vertex sets intersect or an edge joins them."""
-    amask = mask_from(a)
-    bmask = mask_from(b)
-    if (amask | bmask) & ~g.full_mask:
-        raise ValueError("vertex set out of range")
-    if amask & bmask:
-        return True
-    return bool(neighborhood_mask(g, amask) & bmask)
+__all__ = ["BlobGraph", "build_blob_graph", "solve_full"]
 
 
 @dataclass(frozen=True)
@@ -52,8 +41,9 @@ class BlobGraph:
 def build_blob_graph(inst: Instance, fam: Family) -> BlobGraph:
     members = fam.members
     m = len(members)
+    adj = inst.g.adjacency_masks()
     masks = [mask_from(s) for s in members]
-    reach = [mask | neighborhood_mask(inst.g, mask) for mask in masks]
+    reach = [mask | neighborhood_mask(adj, mask) for mask in masks]
     edges = []
     for i in range(m):
         ri = reach[i]

@@ -19,7 +19,7 @@ from pathlib import Path
 from .blob import build_blob_graph, solve_full
 from .connected import solve_connected_case
 from .family import NotP5FreeError, build_family
-from .generators import FAMILIES, TRIAL_DENSITIES, GenSpec, GenerationError, generate
+from .generators import GenSpec, GenerationError, generate, trial_spec
 from .graph import find_induced_p5
 from .oracle import OracleSizeError, oracle_solve
 from .pattern import Instance, Solution, verify_solution
@@ -73,12 +73,15 @@ def _read_instance(path: str) -> Instance:
 
 
 def _cmd_solve(args) -> int:
+    for flag, given, needs in (("--force-connected", args.force_connected, "paper"),
+                               ("--budget", args.budget is not None, "paper"),
+                               ("--force", args.force, "oracle")):
+        if given and args.algorithm != needs:
+            print(f"{flag} requires --algorithm {needs}", file=sys.stderr)
+            return 2
     inst = _read_instance(args.file)
     start = time.perf_counter()
     if args.algorithm == "oracle":
-        if args.force_connected:
-            print("--force-connected requires --algorithm paper", file=sys.stderr)
-            return 2
         sol = oracle_solve(inst, force=args.force)
         exhaustive = True
         name = "oracle"
@@ -163,32 +166,12 @@ def _cmd_check_p5free(args) -> int:
 
 # -- difftest ----------------------------------------------------------------
 
-def trial_spec(seed: int, index: int, max_n: int, pattern, k: int,
-               list_density: Fraction) -> GenSpec:
-    """The deterministic generator spec for one differential trial."""
-    import random as _random
-
-    r = _random.Random(seed * 1000003 + index)
-    family = FAMILIES[index % 3]
-    menu = TRIAL_DENSITIES[family]
-    return GenSpec(
-        family=family,
-        n=r.randint(2, max_n),
-        k=k,
-        seed=seed * 7919 + index,
-        density=menu[r.randrange(len(menu))],
-        pattern=pattern,
-        list_density=list_density,
-        weight_range=(0, 6),
-        max_tries=500,
-    )
-
-
 def _difftest_trial(args_tuple):
     """One trial: generate, run both solvers, compare.  Returns a record
     (picklable) merged deterministically by trial index."""
     seed, index, max_n, pattern, k, list_density = args_tuple
-    spec = trial_spec(seed, index, max_n, pattern, k, list_density)
+    spec = trial_spec(seed * 1000003 + index, seed * 7919 + index, index, max_n,
+                      pattern, k, list_density)
     inst = generate(spec)
     pipeline = solve_full(inst)
     oracle = oracle_solve(inst, force=True)
@@ -286,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="report the self-verification explicitly")
     p.add_argument("--force", action="store_true",
-                   help="let the oracle run above its size cap")
+                   help="let the oracle run above its size cap (needs --algorithm oracle)")
     add_budget(p)
     p.set_defaults(fn=_cmd_solve)
 

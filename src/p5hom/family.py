@@ -21,8 +21,10 @@ both prunes, the second-set walk and every closure depend on the guess
 (W, D, h) only through D and the partition of D into color classes; the
 partition also fixes |W|, its number of classes.  Each (D, partition)
 is walked once per build and its (D', closed core) pairs recorded.
-Every later surjection with the same D and partition, under its own W
-or another of the same size, replays the record: it charges the budget
+The color sets W run by size, and the records of one size are dropped
+when the next size starts, as no later W reads them.  Every later
+surjection with the same D and partition, under its own W or another
+of the same size, replays the record: it charges the budget
 one guess per D' in the same order, and solves only the cores not yet
 solved for its W.  A repeated (W, core) would yield only members
 already held and its solve would be a memo hit that spends nothing, and
@@ -38,15 +40,16 @@ and a closure deletion removes a vertex from the region and the graph
 at once, so the vertices outside the region never change.  A second
 round of either would find nothing.
 
-All pruning works on vertex-mask views over the original graph, so
-members come out in original vertex ids directly.
+Every step, the dominator enumeration included, works on vertex masks
+over the original graph, so members come out in original vertex ids
+directly; they become frozensets only in the returned Family.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import combinations, product
 
 from .connected import ConnectedSolver
 from .graph import (
@@ -56,6 +59,7 @@ from .graph import (
     iter_mask,
     mask_from,
     masked_components,
+    neighborhood_mask,
     set_from_mask,
 )
 from .pattern import Instance
@@ -98,14 +102,6 @@ class Family:
     exhaustive: bool
 
 
-def _neighbors(adj: Sequence[int], mask: int) -> int:
-    """The union of the neighborhoods of the vertices of mask."""
-    out = 0
-    for v in iter_mask(mask):
-        out |= adj[v]
-    return out
-
-
 def _prune_common_mask(
     adj: Sequence[int], vmask: int, class_masks: Sequence[int]
 ) -> int:
@@ -128,7 +124,7 @@ def _prune_common_mask(
     alive = [cm & vmask for cm in class_masks]
     if not all(alive):
         return vmask
-    reach = [_neighbors(adj, a) for a in alive]
+    reach = [neighborhood_mask(adj, a) for a in alive]
     members = 0
     for a in alive:
         members |= a
@@ -147,7 +143,7 @@ def _prune_common_mask(
         for i, a in enumerate(alive):
             if a & low:
                 alive[i] = a ^ low
-                reach[i] = _neighbors(adj, a ^ low)
+                reach[i] = neighborhood_mask(adj, a ^ low)
 
 
 def _prune_non_modules_mask(g: Graph, vmask: int, dmask: int) -> int:
@@ -161,7 +157,7 @@ def _prune_non_modules_mask(g: Graph, vmask: int, dmask: int) -> int:
     """
     adj = g.adjacency_masks()
     nd = dmask & vmask
-    nd |= _neighbors(adj, nd)
+    nd |= neighborhood_mask(adj, nd)
     bad = 0
     for comp in masked_components(g, vmask & ~nd):
         first = comp & -comp
@@ -266,7 +262,9 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
     (W, D, h) only through D and the class partition of D under h, which
     also fixes |W| as its number of classes.  Each (D, partition) is
     walked once per build and its (D', closed core) pairs recorded, a
-    pruned dominator recording none.  Every later guess with the same D
+    pruned dominator recording none; the records, the connected
+    dominator sets and the surjection schedules are kept for one |W| at
+    a time.  Every later guess with the same D
     and partition, under this W or another of the same size, replays the
     record: it charges one guess per D' in the same order, returning when
     the budget cannot pay, and solves only the cores not yet solved for
@@ -280,60 +278,55 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
     adj = g.adjacency_masks()
     full = g.full_mask
     k = inst.h.k
-    subsets = chain.from_iterable(
-        combinations(range(1, k + 1), size) for size in range(2, min(k, g.n) + 1)
-    )
-    schedules: dict[tuple[int, int], list] = {}  # (|D|, |W|) -> _schedule
-    walks: dict[tuple[int, int, int], list] = {}  # (D, |W|, partition id) -> walk
-    for colors in subsets:
-        wmask = mask_from(colors)
-        kprime = len(colors)
-        lists_w = tuple(lv & wmask for lv in inst.lists_masks)
-        solved = {0}  # closed cores solved for W; an empty core needs no solve
+    for kprime in range(2, min(k, g.n) + 1):
+        dsets = list(enumerate_connected_subsets(g, kprime, min(kprime + 1, g.n)))
+        schedules: dict[int, list] = {}  # |D| -> _schedule(|D|, kprime)
+        walks: dict[tuple[int, int], list] = {}  # (D, partition id) -> walk
+        for colors in combinations(range(1, k + 1), kprime):
+            wmask = mask_from(colors)
+            lists_w = tuple(lv & wmask for lv in inst.lists_masks)
+            solved = {0}  # closed cores solved for W; an empty core needs no solve
 
-        def solve(core, doms, hidx, second):
-            solved.add(core)
-            _, assignment = solver.solve_masked(core, lists_w)
-            prov = FamilyProvenance(colors, doms, tuple(colors[i] for i in hidx), second)
-            for comp in masked_components(g, mask_from(v for v, _ in assignment)):
-                yield comp, prov
+            def solve(core, doms, hidx, second):
+                solved.add(core)
+                _, assignment = solver.solve_masked(core, lists_w)
+                prov = FamilyProvenance(colors, doms, tuple(colors[i] for i in hidx), second)
+                for comp in masked_components(g, mask_from(v for v, _ in assignment)):
+                    yield comp, prov
 
-        for dset in enumerate_connected_subsets(g, kprime, min(kprime + 1, g.n)):
-            doms = tuple(sorted(dset))
-            dmask = mask_from(doms)
-            shape = (len(doms), kprime)
-            if shape not in schedules:
-                schedules[shape] = _schedule(*shape)
-            for hidx, pid, blocks in schedules[shape]:
-                key = (dmask, kprime, pid)
-                walk = walks.get(key)
-                if walk is None:
-                    walk = walks[key] = []
-                    v = _prune_common_mask(
-                        adj, full, [mask_from(doms[p] for p in b) for b in blocks]
-                    )
-                    if dmask & ~v:
-                        continue  # the region step needs D intact
-                    v = _prune_non_modules_mask(g, v, dmask)  # keeps N[D]
-                    closed_d = (dmask | _neighbors(adj, dmask)) & v
-                    for second, seed in _second_sets(adj, v, closed_d, kprime + 1):
-                        if not solver.spend():
-                            return
-                        core = _core_region_mask(adj, v, seed)
-                        walk.append((second, core))
+            for dmask in dsets:
+                doms = tuple(iter_mask(dmask))
+                if len(doms) not in schedules:
+                    schedules[len(doms)] = _schedule(len(doms), kprime)
+                for hidx, pid, blocks in schedules[len(doms)]:
+                    walk = walks.get((dmask, pid))
+                    if walk is None:
+                        walk = walks[dmask, pid] = []
+                        v = _prune_common_mask(
+                            adj, full, [mask_from(doms[p] for p in b) for b in blocks]
+                        )
+                        if dmask & ~v:
+                            continue  # the region step needs D intact
+                        v = _prune_non_modules_mask(g, v, dmask)  # keeps N[D]
+                        closed_d = (dmask | neighborhood_mask(adj, dmask)) & v
+                        for second, seed in _second_sets(adj, v, closed_d, kprime + 1):
+                            if not solver.spend():
+                                return
+                            core = _core_region_mask(adj, v, seed)
+                            walk.append((second, core))
+                            if core not in solved:
+                                yield from solve(core, doms, hidx, second)
+                        continue
+                    owed = 0  # guesses replayed but not yet charged
+                    for second, core in walk:
+                        owed += 1
                         if core not in solved:
+                            if solver.spend(owed) < owed:
+                                return
+                            owed = 0
                             yield from solve(core, doms, hidx, second)
-                    continue
-                owed = 0  # guesses replayed but not yet charged
-                for second, core in walk:
-                    owed += 1
-                    if core not in solved:
-                        if solver.spend(owed) < owed:
-                            return
-                        owed = 0
-                        yield from solve(core, doms, hidx, second)
-                if owed and solver.spend(owed) < owed:
-                    return
+                    if owed and solver.spend(owed) < owed:
+                        return
 
 
 def build_family(inst: Instance, budget: int | None = None) -> Family:

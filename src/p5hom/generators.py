@@ -28,7 +28,7 @@ from fractions import Fraction
 from .graph import Graph, find_induced_p5
 from .pattern import Instance, PatternGraph
 
-__all__ = ["GenSpec", "GenerationError", "generate"]
+__all__ = ["GenSpec", "GenerationError", "generate", "trial_spec"]
 
 FAMILIES = ("cograph", "split", "random-p5free")
 
@@ -168,3 +168,25 @@ def generate(spec: GenSpec) -> Instance:
             den = rng.randint(1, 4)
             wt[v] = Fraction(rng.randint(lo * den, hi * den), den)
     return Instance(g, h, wt, lists)
+
+
+def trial_spec(rng_seed: int, gen_seed: int, index: int, max_n: int,
+               pattern: str, k: int, list_density: Fraction) -> GenSpec:
+    """The spec of one seeded trial instance: the family rotates with
+    index, then n in 2..max_n and the density from TRIAL_DENSITIES are
+    drawn from random.Random(rng_seed), in that order; gen_seed seeds the
+    generator itself, and weights range over 0..6."""
+    rng = random.Random(rng_seed)
+    family = FAMILIES[index % len(FAMILIES)]
+    menu = TRIAL_DENSITIES[family]
+    return GenSpec(
+        family=family,
+        n=rng.randint(2, max_n),
+        k=k,
+        seed=gen_seed,
+        density=menu[rng.randrange(len(menu))],
+        pattern=pattern,
+        list_density=list_density,
+        weight_range=(0, 6),
+        max_tries=500,
+    )

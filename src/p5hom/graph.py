@@ -3,24 +3,24 @@
 Vertices are the integers 1..n.  A vertex set travels in one of two
 interchangeable forms: a frozenset of ids at API boundaries, or an int
 bitmask with bit v set for vertex v inside the solvers (bit 0 is never
-used).  All solver stages only ever delete vertices, never single edges,
-so "the current graph" is always the original graph induced on a mask and
-vertex ids stay stable through the whole pipeline.
+used).  The helpers the solvers call (neighborhoods, components,
+connected subsets) take and return masks only.  All solver stages
+only ever delete vertices, never single edges, so "the current graph" is
+always the original graph induced on a mask and vertex ids stay stable
+through the whole pipeline.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
 
 __all__ = [
     "Graph",
     "InducedSubgraph",
-    "connected_components",
     "enumerate_connected_subsets",
     "find_induced_p5",
     "induced_subgraph",
-    "is_module",
     "iter_mask",
     "mask_from",
     "masked_components",
@@ -175,9 +175,9 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> InducedSubgraph:
     return InducedSubgraph(Graph(len(verts), edges), to_sub, tuple([0] + verts))
 
 
-def neighborhood_mask(g: Graph, mask: int) -> int:
-    """Union of the open neighborhoods of the vertices in mask."""
-    adj = g._adj
+def neighborhood_mask(adj: Sequence[int], mask: int) -> int:
+    """Union of the open neighborhoods of the vertices in mask, given the
+    adjacency table of Graph.adjacency_masks."""
     out = 0
     for v in iter_mask(mask):
         out |= adj[v]
@@ -197,31 +197,10 @@ def masked_components(g: Graph, vmask: int) -> list[int]:
         frontier = rem & -rem
         while frontier:
             comp |= frontier
-            grow = 0
-            for v in iter_mask(frontier):
-                grow |= adj[v]
-            frontier = grow & rem & ~comp
+            frontier = neighborhood_mask(adj, frontier) & rem & ~comp
         comps.append(comp)
         rem &= ~comp
     return comps
-
-
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    """Connected components as frozensets, ordered by smallest vertex."""
-    return [set_from_mask(m) for m in masked_components(g, g.full_mask)]
-
-
-def is_module(g: Graph, s: Iterable[int]) -> bool:
-    """True iff every vertex of s has the same neighborhood outside s."""
-    verts = sorted(set(s))
-    if not verts:
-        raise ValueError("module test on an empty vertex set")
-    for v in verts:
-        if not 1 <= v <= g.n:
-            raise ValueError(f"vertex {v} out of range 1..{g.n}")
-    smask = mask_from(verts)
-    outside = g.adjacency_mask(verts[0]) & ~smask
-    return all(g.adjacency_mask(v) & ~smask == outside for v in verts[1:])
 
 
 def find_induced_p5(g: Graph) -> tuple[int, int, int, int, int] | None:
@@ -255,10 +234,9 @@ def find_induced_p5(g: Graph) -> tuple[int, int, int, int, int] | None:
     return None
 
 
-def enumerate_connected_subsets(
-    g: Graph, lo: int, hi: int
-) -> Iterator[frozenset[int]]:
-    """All vertex sets of size lo..hi inducing a connected subgraph.
+def enumerate_connected_subsets(g: Graph, lo: int, hi: int) -> Iterator[int]:
+    """All vertex sets of size lo..hi inducing a connected subgraph, as
+    masks.
 
     Yields each set exactly once, in lexicographic order of the sorted
     vertex tuple.  Requires 1 <= lo <= hi.
@@ -284,6 +262,5 @@ def enumerate_connected_subsets(
         above = -1 << (v + 1)
         grow(1 << v, 1, adj[v] & above, adj[v], above)
     found.sort(key=lambda m: tuple(iter_mask(m)))
-    for m in found:
-        yield set_from_mask(m)
+    yield from found
 

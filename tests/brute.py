@@ -323,9 +323,8 @@ def brute_guessed_members(inst: Instance, solver):
         wmask = mask_from(colors)
         kprime = len(colors)
         lists_w = tuple(lv & wmask for lv in inst.lists_masks)
-        for dset in enumerate_connected_subsets(g, kprime, min(kprime + 1, g.n)):
-            doms = tuple(sorted(dset))
-            dmask = mask_from(doms)
+        for dmask in enumerate_connected_subsets(g, kprime, min(kprime + 1, g.n)):
+            doms = tuple(iter_mask(dmask))
             for h in _surjections(doms, colors):
                 classes: dict[int, int] = {}
                 for d, c in zip(doms, h):

@@ -19,7 +19,7 @@ from p5hom.blob import build_blob_graph, solve_full
 from p5hom.cli import main
 from p5hom.connected import solve_connected_case
 from p5hom.family import build_family
-from p5hom.generators import FAMILIES, TRIAL_DENSITIES, GenSpec, generate
+from p5hom.generators import GenSpec, generate, trial_spec
 from p5hom.graph import (
     Graph,
     find_induced_p5,
@@ -50,22 +50,9 @@ def corpus_instance(index: int, max_n: int = 8,
                     patterns: tuple[str, ...] = ("complete:2", "complete:3")) -> Instance:
     """Deterministic trial instance: rotates generator families and
     patterns, draws size and density from a per-index stream."""
-    rng = random.Random(BASE_SEED * 100003 + index)
-    family = FAMILIES[index % 3]
-    menu = TRIAL_DENSITIES[family]
     pname, _, karg = patterns[index % len(patterns)].partition(":")
-    spec = GenSpec(
-        family=family,
-        n=rng.randint(2, max_n),
-        k=int(karg),
-        seed=BASE_SEED + index,
-        density=menu[rng.randrange(3)],
-        pattern=pname,
-        list_density=Fraction(7, 10),
-        weight_range=(0, 6),
-        max_tries=500,
-    )
-    return generate(spec)
+    return generate(trial_spec(BASE_SEED * 100003 + index, BASE_SEED + index, index,
+                               max_n, pname, int(karg), Fraction(7, 10)))
 
 
 @pytest.fixture(scope="module")

@@ -4,27 +4,30 @@ import itertools
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p5hom.blob import build_blob_graph, solve_full, touches
-from p5hom.family import build_family
+from p5hom.blob import build_blob_graph, solve_full
+from p5hom.family import Family, build_family
 from p5hom.graph import Graph, find_induced_p5
-from p5hom.oracle import oracle_solve
 from p5hom.pattern import Instance, PatternGraph, verify_solution
 
 from brute import brute_has_induced_p5, brute_mplhc
 
 
 def test_touches():
+    # the touching rule of build_blob_graph, on a hand-built family
     g = Graph(5, [(1, 2), (3, 4)])
-    assert touches(g, frozenset({1}), frozenset({1, 3}))  # shared vertex
-    assert touches(g, frozenset({1}), frozenset({2}))  # edge between
-    assert not touches(g, frozenset({1}), frozenset({3}))
-    assert not touches(g, frozenset({2, 5}), frozenset({3, 4}))
-    with pytest.raises(ValueError):
-        touches(g, frozenset({0}), frozenset({1}))
+    inst = Instance.build(g, PatternGraph.complete(2))
+    members = tuple(map(frozenset, ([1], [1, 3], [2], [3], [2, 5], [3, 4])))
+    blob = build_blob_graph(inst, Family(members, {}, True))
+    edges = set(blob.graph.edges())
+    assert (1, 2) in edges  # {1}, {1, 3}: a shared vertex
+    assert (1, 3) in edges  # {1}, {2}: an edge between
+    assert (1, 4) not in edges  # {1}, {3}
+    assert (5, 6) not in edges  # {2, 5}, {3, 4}
+    assert edges == {(1, 2), (1, 3), (1, 5), (2, 3), (2, 4), (2, 5), (2, 6),
+                     (3, 5), (4, 6)}
 
 
 def test_blob_graph_structure():
@@ -36,9 +39,10 @@ def test_blob_graph_structure():
     # weight of each blob vertex is the member's weight sum
     for i, member in enumerate(blob.members, start=1):
         assert blob.weights[i] == inst.weight_of(member)
-    # edges agree with the touching relation
+    # edges agree with the touching relation: a shared vertex or an edge
     for i, j in itertools.combinations(range(1, blob.graph.n + 1), 2):
-        expect = touches(inst.g, blob.members[i - 1], blob.members[j - 1])
+        a, b = blob.members[i - 1], blob.members[j - 1]
+        expect = bool(a & b) or any(inst.g.has_edge(u, v) for u in a for v in b)
         assert blob.graph.has_edge(i, j) == expect
 
 
@@ -50,8 +54,6 @@ def test_blob_graph_frozen_shapes():
     assert blob.graph.n == 2 and blob.graph.edge_count == 0
 
     # hand-built family on a path plus an isolated vertex
-    from p5hom.family import Family
-
     g = Graph(4, [(1, 2), (2, 3)])
     inst = Instance.build(g, PatternGraph.complete(2))
     members = (frozenset({3}), frozenset({4}), frozenset({1, 2}))

@@ -47,6 +47,20 @@ def test_solve_force_connected(c5_file, capsys):
     assert main(["solve", c5_file, "--algorithm", "oracle", "--force-connected"]) == 2
 
 
+@pytest.mark.parametrize("flag, argv", [
+    ("--force-connected", ["--algorithm", "oracle", "--force-connected"]),
+    ("--budget", ["--algorithm", "oracle", "--budget", "3"]),
+    ("--force", ["--force"]),
+    ("--force", ["--algorithm", "paper", "--force", "--budget", "3"]),
+])
+def test_solve_flag_for_other_algorithm_is_exit_2(flag, argv, c5_file, capsys):
+    # a flag the chosen algorithm would ignore is refused, not dropped
+    assert main(["solve", c5_file, *argv]) == 2
+    out, err = capsys.readouterr()
+    assert flag in err
+    assert out == ""
+
+
 def test_solve_budget_reported(c5_file, capsys):
     assert main(["solve", c5_file, "--budget", "1"]) == 0
     assert "exhaustive: false" in capsys.readouterr().out
@@ -132,6 +146,19 @@ def test_difftest_passes_and_writes_nothing(tmp_path, capsys):
     assert rc == 0
     assert "trials=6 failures=0" in capsys.readouterr().out
     assert not (tmp_path / "fnd").exists()
+
+
+def test_difftest_parallel_matches_serial(tmp_path, capsys):
+    # the process pool merges its records by trial index, so the printed
+    # lines are those of the serial run
+    outputs = []
+    for parallel in ("1", "2"):
+        rc = main(["difftest", "--trials", "6", "--max-n", "6",
+                   "--pattern", "path:3", "--seed", "4", "--parallel", parallel,
+                   "--findings-dir", str(tmp_path / "fnd")])
+        outputs.append((rc, capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert "trials=6 failures=0" in outputs[0][1]
 
 
 def test_difftest_bad_pattern(capsys):

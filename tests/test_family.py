@@ -96,6 +96,21 @@ def test_prune_non_module_components_frozen():
     star = Graph(4, [(1, 2), (1, 3), (1, 4)])
     assert _prune_non_modules_mask(star, star.full_mask, mask_from([2])) == star.full_mask
 
+    # G - N[{5}] is the edge {1, 2}, and both ends see {3, 4} outside it:
+    # a module, kept; without vertex 2 the single vertex 1 is kept too
+    g = Graph(5, [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 5), (4, 5)])
+    assert _prune_non_modules_mask(g, g.full_mask, mask_from([5])) == g.full_mask
+    vmask = mask_from([1, 3, 4, 5])
+    assert _prune_non_modules_mask(g, vmask, mask_from([5])) == vmask
+
+    # without the edge 2-4, vertex 1 sees {3, 4} and vertex 2 sees {3}:
+    # not a module, deleted; the module test reads the current graph, so
+    # once 4 is gone both ends see {3} and the edge stays
+    g = Graph(5, [(1, 2), (1, 3), (2, 3), (1, 4), (3, 5), (4, 5)])
+    assert _prune_non_modules_mask(g, g.full_mask, mask_from([5])) == mask_from([3, 4, 5])
+    vmask = mask_from([1, 2, 3, 5])
+    assert _prune_non_modules_mask(g, vmask, mask_from([5])) == vmask
+
 
 def test_core_region_frozen():
     # (graph, D, closed region of N[D])
@@ -380,9 +395,8 @@ def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
     regions = set()  # (W, nonempty closed core), by the restart references
     for size in range(2, min(k, g.n) + 1):
         for colors in itertools.combinations(range(1, k + 1), size):
-            for dset in enumerate_connected_subsets(g, size, min(size + 1, g.n)):
-                doms = tuple(sorted(dset))
-                dmask = mask_from(doms)
+            for dmask in enumerate_connected_subsets(g, size, min(size + 1, g.n)):
+                doms = tuple(iter_mask(dmask))
                 for h in _surjections(doms, colors):
                     guesses += 1
                     classes = {c: frozenset(d for d, e in zip(doms, h) if e == c) for c in h}

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from p5hom.graph import (
     Graph,
-    connected_components,
     enumerate_connected_subsets,
     find_induced_p5,
     induced_subgraph,
-    is_module,
     iter_mask,
     mask_from,
     masked_components,
@@ -99,25 +97,18 @@ def test_induced_subgraph_mapping():
 
 def test_components():
     g = Graph(6, [(1, 2), (2, 3), (5, 6)])
-    comps = connected_components(g)
-    assert sorted(sorted(c) for c in comps) == [[1, 2, 3], [4], [5, 6]]
+    comps = masked_components(g, g.full_mask)
+    assert [set_from_mask(m) for m in comps] == [{1, 2, 3}, {4}, {5, 6}]
     masked = masked_components(g, mask_from([1, 2, 5, 6]))
     assert sorted(set_from_mask(m) for m in masked) == [{1, 2}, {5, 6}]
 
 
 def test_neighborhood_mask():
     g = Graph(4, [(1, 2), (2, 3)])
-    assert set_from_mask(neighborhood_mask(g, mask_from([1]))) == {2}
-    assert set_from_mask(neighborhood_mask(g, mask_from([1, 3]))) == {2}
-
-
-def test_is_module():
-    g = Graph(4, [(1, 3), (2, 3), (1, 4), (2, 4)])
-    assert is_module(g, [1, 2])  # same outside neighborhood {3, 4}
-    assert is_module(g, [1])
-    assert not is_module(g, [1, 3])
-    with pytest.raises(ValueError):
-        is_module(g, [])
+    adj = g.adjacency_masks()
+    assert set_from_mask(neighborhood_mask(adj, mask_from([1]))) == {2}
+    assert set_from_mask(neighborhood_mask(adj, mask_from([1, 3]))) == {2}
+    assert neighborhood_mask(adj, 0) == 0
 
 
 def test_find_induced_p5_frozen_cases():
@@ -163,9 +154,11 @@ def test_enumerate_connected_subsets_matches_brute(g, lo, extra):
     hi = min(lo + extra, g.n)
     if hi < lo:
         return
-    got = [frozenset(s) for s in enumerate_connected_subsets(g, lo, hi)]
-    assert len(got) == len(set(got))  # no duplicates
-    assert set(got) == brute_connected_subsets(g, lo, hi)
+    got = [tuple(iter_mask(m)) for m in enumerate_connected_subsets(g, lo, hi)]
+    # lexicographic order of the sorted vertex tuples, which the family's
+    # guess order (and so its provenance) follows; no duplicates
+    assert got == sorted(set(got))
+    assert set(map(frozenset, got)) == brute_connected_subsets(g, lo, hi)
 
 
 def test_enumerate_connected_subsets_validation():
