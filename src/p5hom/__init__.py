@@ -10,9 +10,9 @@ integers scaled once by the least common multiple of the denominators.
 
 from .blob import BlobGraph, build_blob_graph, solve_full
 from .connected import SolveResult, solve_base_singleton_lists, solve_connected_case
-from .family import Family, FamilyProvenance, NotP5FreeError, build_family
+from .family import Family, FamilyProvenance, build_family
 from .generators import FAMILIES, GenerationError, GenSpec, generate
-from .graph import Graph, find_induced_p5, induced_subgraph
+from .graph import Graph, NotP5FreeError, find_induced_p5, induced_subgraph
 from .mwis import WeightedGraph, solve_mwis
 from .oracle import OracleSizeError, oracle_solve
 from .pattern import (

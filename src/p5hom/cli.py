@@ -18,9 +18,9 @@ from pathlib import Path
 
 from .blob import build_blob_graph, solve_full
 from .connected import solve_connected_case
-from .family import NotP5FreeError, build_family
+from .family import build_family
 from .generators import GenSpec, GenerationError, generate, trial_spec
-from .graph import find_induced_p5
+from .graph import NotP5FreeError, find_induced_p5
 from .oracle import OracleSizeError, oracle_solve
 from .pattern import Instance, Solution, verify_solution
 from .textio import (

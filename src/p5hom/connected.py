@@ -2,10 +2,16 @@
 
 The search guesses a small dominating set D inside the optimum, splits
 the remaining vertices into the neighborhood parts X_1..X_|D| carved out
-by D's members in order, and deletes everything D does not dominate.  It
-then guesses, for every part pair (i, j) with i < j and every color r, a
-set of at most two independent vertices of X_i standing in for the
-optimum's r-colored X_i vertices; the guess drives two list cleanups:
+by D's members in order, and deletes everything D does not dominate.
+Every connected P5-free graph has a dominating clique or a dominating
+induced P3 (Bacsó and Tuza, 1990; Camby and Schaudt, 2016).  A clique
+inside an H-colorable set takes pairwise distinct colors, H being
+loopless, so it has at most as many vertices as the live lists have
+colors.  D therefore ranges over those cliques and the induced P3s only:
+one of them dominates a connected optimum.  The search then guesses,
+for every part pair (i, j) with i < j and every color r, a set of at
+most two independent vertices of X_i standing in for the optimum's
+r-colored X_i vertices; the guess drives two list cleanups:
 
   1. every X_j vertex adjacent to the guessed set keeps only colors
      pattern-adjacent to r;
@@ -44,13 +50,20 @@ scaled once to integers, so no sum inside the search is a Fraction.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .graph import Graph, iter_mask, mask_from, masked_components
+from .graph import (
+    Graph,
+    NotP5FreeError,
+    find_induced_p5,
+    iter_mask,
+    mask_from,
+    masked_components,
+)
 from .mwis import solve_mwis_masked
 from .pattern import Instance, PatternGraph, Solution, verify_solution
 
@@ -153,6 +166,62 @@ def _cross_part_cleanup(
     return kept
 
 
+def _dominator_tuples(
+    adj: Sequence[int], vmask: int, omega: int
+) -> Iterator[tuple[int, ...]]:
+    """The dominator tuples of the live piece vmask: its cliques of 1..omega
+    vertices and, at size 3, its induced P3s.
+
+    Tuples are ascending and come by size, then lexicographically, which
+    is the order of combinations(sorted vmask, size) with every other
+    tuple left out.  Each is built from neighborhood masks, never by
+    testing a combination: an edge (a, b) from N(a) above a; a 3-tuple
+    from each pair a < b, its third vertex above b taken from N(a) | N(b)
+    when a ~ b (less N(a) & N(b), the triangles, when omega < 3) and
+    from N(a) & N(b) otherwise; a larger clique by extending a smaller
+    one with its common neighborhood above its last vertex.
+    """
+    verts = list(iter_mask(vmask))
+    nbr = [0] * len(adj)
+    for v in verts:
+        nbr[v] = adj[v] & vmask
+    for v in verts:
+        yield (v,)
+    if omega >= 2:
+        for a in verts:
+            for b in iter_mask(nbr[a] & (-1 << (a + 1))):
+                yield (a, b)
+    # triangles with their common neighborhood above the last vertex,
+    # kept only to grow the cliques of 4..omega vertices
+    cliques: list[tuple[tuple[int, ...], int]] = []
+    for i, a in enumerate(verts):
+        na = nbr[a]
+        for b in verts[i + 1:]:
+            nb = nbr[b]
+            above = -1 << (b + 1)
+            if na >> b & 1:
+                common = na & nb & above
+                third = (na | nb) & above
+                if omega < 3:
+                    third &= ~common
+                elif omega > 3:
+                    for c in iter_mask(common):
+                        cliques.append(((a, b, c), common & nbr[c] & (-1 << (c + 1))))
+            else:
+                third = na & nb & above
+            for c in iter_mask(third):
+                yield (a, b, c)
+    for size in range(4, omega + 1):
+        grown = []
+        for clique, common in cliques:
+            for c in iter_mask(common):
+                bigger = clique + (c,)
+                yield bigger
+                if size < omega:
+                    grown.append((bigger, common & nbr[c] & (-1 << (c + 1))))
+        cliques = grown
+
+
 class ConnectedSolver:
     """Reusable engine over one (graph, pattern, weights) triple.
 
@@ -253,6 +322,16 @@ class ConnectedSolver:
     ) -> tuple[int, tuple[tuple[int, int], ...]]:
         """Best verified answer on one connected live vmask.
 
+        The dominator tuples are those of _dominator_tuples, with omega
+        the number of colors in the live lists: the cliques of at most
+        omega vertices and the induced P3s.  A connected optimum induces
+        a connected P5-free graph, which has a dominating clique or a
+        dominating induced P3 (Bacsó and Tuza; Camby and Schaudt), and
+        its cliques take pairwise distinct colors, so one of these tuples
+        dominates it.  When no optimum of the piece is connected, no
+        tuple need dominate one, and the answer (still verified) may
+        fall short.  Each tuple is charged one guess before its branch.
+
         The best answer so far starts at the heaviest single vertex and is
         replaced only by a strictly heavier candidate.  Weights are
         nonnegative, so no candidate of a branch outweighs the vertices the
@@ -277,14 +356,10 @@ class ConnectedSolver:
             if wt[v] > best[0]:
                 c = lists[v] & -lists[v]
                 best = (wt[v], ((v, c.bit_length() - 1),))
-        cap = max(universe.bit_count(), 3)
-        verts = list(iter_mask(vmask))
-        cap = min(cap, len(verts))
-        for size in range(1, cap + 1):
-            for doms in combinations(verts, size):
-                if not self.spend():
-                    return best
-                best = self._branch(vmask, lists, doms, universe, best)
+        for doms in _dominator_tuples(self._adj, vmask, universe.bit_count()):
+            if not self.spend():
+                return best
+            best = self._branch(vmask, lists, doms, universe, best)
         return best
 
     # -- one dominator guess --------------------------------------------------
@@ -492,10 +567,15 @@ class ConnectedSolver:
 def solve_connected_case(inst: Instance, budget: int | None = None) -> SolveResult:
     """Run the connected-promise search on a full instance.
 
-    The output is always feasible for inst (verified); when some
-    maximum-weight solution of inst is connected and the pattern is
-    complete, it is optimal at the scales the test suite probes.
+    Raises NotP5FreeError (with a witness path) if inst's graph has an
+    induced P5: the dominator tuples rest on P5-freeness.  The output is
+    always feasible for inst (verified); when some maximum-weight
+    solution of inst is connected and the pattern is complete, it is
+    optimal at the scales the test suite probes.
     """
+    witness = find_induced_p5(inst.g)
+    if witness is not None:
+        raise NotP5FreeError(witness)
     engine = ConnectedSolver(inst.g, inst.h, inst.wt_tuple, budget=budget)
     weight, assignment = engine.solve_masked(inst.g.full_mask, inst.lists_masks)
     sol = Solution(

@@ -54,6 +54,7 @@ from itertools import combinations, product
 from .connected import ConnectedSolver
 from .graph import (
     Graph,
+    NotP5FreeError,
     enumerate_connected_subsets,
     find_induced_p5,
     iter_mask,
@@ -70,14 +71,6 @@ __all__ = [
     "NotP5FreeError",
     "build_family",
 ]
-
-
-class NotP5FreeError(Exception):
-    """The input graph contains an induced 5-vertex path."""
-
-    def __init__(self, witness: tuple[int, int, int, int, int]) -> None:
-        super().__init__(f"input graph is not P5-free; induced path {witness}")
-        self.witness = witness
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from typing import NamedTuple
 __all__ = [
     "Graph",
     "InducedSubgraph",
+    "NotP5FreeError",
     "enumerate_connected_subsets",
     "find_induced_p5",
     "induced_subgraph",
@@ -201,6 +202,14 @@ def masked_components(g: Graph, vmask: int) -> list[int]:
         comps.append(comp)
         rem &= ~comp
     return comps
+
+
+class NotP5FreeError(Exception):
+    """The input graph contains an induced 5-vertex path."""
+
+    def __init__(self, witness: tuple[int, int, int, int, int]) -> None:
+        super().__init__(f"input graph is not P5-free; induced path {witness}")
+        self.witness = witness
 
 
 def find_induced_p5(g: Graph) -> tuple[int, int, int, int, int] | None:

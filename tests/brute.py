@@ -11,7 +11,7 @@ import itertools
 from fractions import Fraction
 from itertools import combinations
 
-from p5hom.connected import ConnectedSolver, _conflict_mwis
+from p5hom.connected import ConnectedSolver, _conflict_mwis, _dominator_tuples
 from p5hom.family import (
     FamilyProvenance,
     _core_region_mask,
@@ -352,10 +352,28 @@ def brute_guessed_members(inst: Instance, solver):
                         yield comp, prov
 
 
+def brute_dominator_tuples(
+    adj: list[int], vmask: int, omega: int
+) -> list[tuple[int, ...]]:
+    """Every ascending vertex tuple of vmask that is a clique of at most
+    omega vertices or an induced P3, by size, then lexicographically."""
+    verts = list(iter_mask(vmask))
+    out = []
+    for size in range(1, max(omega, 3) + 1):
+        for t in combinations(verts, size):
+            edges = sum(1 for u, v in combinations(t, 2) if adj[u] >> v & 1)
+            if (size <= omega and edges == size * (size - 1) // 2
+                    or size == 3 and edges == 2):
+                out.append(t)
+    return out
+
+
 class UnprunedConnectedSolver(ConnectedSolver):
     """The connected search with no weight bound: every dominator tuple,
     cleaned state and dominator coloring is searched in full and every
-    assembled candidate is compared with the best so far."""
+    assembled candidate is compared with the best so far.  The tuples are
+    the solver's own (_dominator_tuples): this is the reference for the
+    weight bound, not for the tuple set."""
 
     def _solve_piece(
         self, vmask: int, lists: tuple[int, ...]
@@ -377,17 +395,13 @@ class UnprunedConnectedSolver(ConnectedSolver):
                 best_w = wt[v]
                 c = lists[v] & -lists[v]
                 best_asg = ((v, c.bit_length() - 1),)
-        cap = max(universe.bit_count(), 3)
-        verts = list(iter_mask(vmask))
-        cap = min(cap, len(verts))
-        for size in range(1, cap + 1):
-            for doms in combinations(verts, size):
-                if not self.spend():
-                    return best_w, best_asg
-                for w, asg in self._branch(vmask, lists, doms, universe):
-                    if w > best_w:
-                        best_w = w
-                        best_asg = asg
+        for doms in _dominator_tuples(self._adj, vmask, universe.bit_count()):
+            if not self.spend():
+                return best_w, best_asg
+            for w, asg in self._branch(vmask, lists, doms, universe):
+                if w > best_w:
+                    best_w = w
+                    best_asg = asg
         return best_w, best_asg
 
     def _branch(self, vmask, lists, doms, universe):

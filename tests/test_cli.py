@@ -80,6 +80,14 @@ def test_non_p5free_input_rejected(p5_file, capsys):
     assert main(["solve", p5_file, "--algorithm", "oracle"]) == 0
 
 
+def test_force_connected_rejects_non_p5free(p5_file, capsys):
+    # the connected stage's dominator tuples rest on P5-freeness too
+    assert main(["solve", p5_file, "--force-connected"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "induced P5: 1 2 3 4 5" in err
+
+
 def test_check_p5free_accepts(c5_file, capsys):
     assert main(["check-p5free", c5_file]) == 0
     assert "P5-free" in capsys.readouterr().out

@@ -13,17 +13,28 @@ from p5hom.blob import solve_full
 from p5hom.connected import (
     ConnectedSolver,
     _cross_part_cleanup,
+    _dominator_tuples,
     solve_base_singleton_lists,
     solve_connected_case,
 )
 from p5hom.generators import FAMILIES, TRIAL_DENSITIES, GenSpec, generate
-from p5hom.graph import Graph, iter_mask, mask_from, set_from_mask
+from p5hom.graph import (
+    Graph,
+    NotP5FreeError,
+    find_induced_p5,
+    iter_mask,
+    mask_from,
+    masked_components,
+    neighborhood_mask,
+    set_from_mask,
+)
 from p5hom.oracle import oracle_solve
-from p5hom.pattern import Instance, PatternGraph, verify_solution
+from p5hom.pattern import Instance, PatternGraph, Solution, verify_solution
 
 from brute import (
     UnprunedConnectedSolver,
     brute_cross_part_cleanup,
+    brute_dominator_tuples,
     brute_has_connected_optimum,
     brute_has_induced_p5,
     brute_mplhc,
@@ -257,10 +268,73 @@ def test_matches_oracle_on_complete_patterns(seed):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**9))
 def test_sound_on_any_pattern(seed):
+    # a draw with an induced P5 is rejected with its witness; the engine
+    # run on it directly still returns only feasible answers
     inst = random_instance(seed, complete_only=False)
-    res = solve_connected_case(inst)
-    assert verify_solution(inst, res.solution) is None
-    assert res.solution.weight <= oracle_solve(inst).weight
+    witness = find_induced_p5(inst.g)
+    if witness is None:
+        sol = solve_connected_case(inst).solution
+    else:
+        with pytest.raises(NotP5FreeError) as exc:
+            solve_connected_case(inst)
+        assert exc.value.witness == witness
+        solver = ConnectedSolver(inst.g, inst.h, inst.wt_tuple)
+        weight, assignment = solver.solve_masked(inst.g.full_mask, inst.lists_masks)
+        sol = Solution.from_assignment(inst, dict(assignment))
+        assert sol.weight == Fraction(weight, solver.scale)
+    assert verify_solution(inst, sol) is None
+    assert sol.weight <= oracle_solve(inst).weight
+
+
+def random_graph(rng: random.Random, n: int) -> Graph:
+    p = rng.choice((0.2, 0.4, 0.6, 0.8))
+    return Graph(n, [(u, v) for u, v in itertools.combinations(range(1, n + 1), 2)
+                     if rng.random() < p])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 6))
+def test_dominator_tuples_match_filter(seed, omega):
+    # the mask-built tuples are exactly the cliques of at most omega
+    # vertices and the induced P3s, in combinations order
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(1, 10))
+    vmask = mask_from(v for v in g.vertices if rng.random() < 0.85)
+    adj = list(g.adjacency_masks())
+    assert list(_dominator_tuples(adj, vmask, omega)) == brute_dominator_tuples(
+        adj, vmask, omega)
+
+
+def dominating_tuples(g: Graph, omega: int) -> list[tuple[int, ...]]:
+    """The dominator tuples of the whole of g that dominate g."""
+    adj = g.adjacency_masks()
+    return [t for t in _dominator_tuples(adj, g.full_mask, omega)
+            if neighborhood_mask(adj, mask_from(t)) | mask_from(t) == g.full_mask]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**9))
+def test_some_dominator_tuple_dominates(seed):
+    # every connected P5-free graph has a dominating clique or induced
+    # P3, and its cliques have at most omega(G) vertices
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    while True:
+        g = random_graph(rng, n)
+        if (len(masked_components(g, g.full_mask)) == 1
+                and find_induced_p5(g) is None):
+            break
+    omega = max(size for size in range(1, n + 1)
+                for t in itertools.combinations(g.vertices, size)
+                if all(g.has_edge(u, v) for u, v in itertools.combinations(t, 2)))
+    assert dominating_tuples(g, omega)
+
+
+def test_c5_is_dominated_only_by_induced_p3s():
+    # random draws seldom need a P3 (C5 has no dominating clique); each
+    # of its five induced P3s dominates it
+    assert dominating_tuples(Graph.cycle(5), 2) == [
+        (1, 2, 3), (1, 2, 5), (1, 4, 5), (2, 3, 4), (3, 4, 5)]
 
 
 @settings(max_examples=80, deadline=None)

@@ -263,9 +263,9 @@ def family_digest(fam) -> str:
 
 
 @pytest.mark.parametrize("budget, digest", [
-    (None, "913c0d94bdf53b9e0d2f8fd4227de490845588a6667b163a3d660a33a66b84f5"),
+    (None, "da3666ae26fcd2ef48078fbfc4483739856f658c6c0db79da1ad40c679a7c1a2"),
     (5, "ab4c91d7513e209a44abb3128109286a44ef2127a7b48be8655bc4d697939a23"),
-    (40, "511ce497d0fbf8412fb3daadabe6534e7a8ee2029194f21cfea3f307429a1319"),
+    (40, "3a589920ecaf12e57d4c914814ca484a08a57bc9958142c1bc70021063c5a15d"),
 ])
 def test_family_frozen_digest(budget, digest):
     # the family (members, provenance, exhaustive) of twelve seeded
