@@ -9,7 +9,7 @@ integers scaled once by the least common multiple of the denominators.
 """
 
 from .blob import BlobGraph, build_blob_graph, solve_full
-from .connected import SolveResult, solve_base_singleton_lists, solve_connected_case
+from .connected import SolveResult, solve_connected_case
 from .family import Family, FamilyProvenance, build_family
 from .generators import FAMILIES, GenerationError, GenSpec, generate
 from .graph import Graph, NotP5FreeError, find_induced_p5, induced_subgraph
@@ -61,7 +61,6 @@ __all__ = [
     "parse_solution",
     "serialize_instance",
     "serialize_solution",
-    "solve_base_singleton_lists",
     "solve_connected_case",
     "solve_full",
     "solve_mwis",

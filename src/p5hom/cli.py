@@ -109,7 +109,10 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     inst = _read_instance(args.instance)
     sol = parse_solution(Path(args.solution).read_text(encoding="utf-8"))
-    violation = verify_solution(inst, sol)
+    try:
+        violation = verify_solution(inst, sol)
+    except ValueError as exc:  # a chosen vertex outside the graph
+        violation = exc
     if violation is None:
         print("ok")
         return 0

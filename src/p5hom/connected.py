@@ -69,7 +69,6 @@ from .pattern import Instance, PatternGraph, Solution, verify_solution
 
 __all__ = [
     "SolveResult",
-    "solve_base_singleton_lists",
     "solve_connected_case",
     "ConnectedSolver",
 ]
@@ -93,13 +92,13 @@ def _conflict_mwis(
     vmask: int,
     lists: Sequence[int],
     hadj: Sequence[int],
-    weights: Sequence[int | Fraction],
-) -> tuple[int | Fraction, tuple[tuple[int, int], ...]]:
+    weights: Sequence[int],
+) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Exact solve when every live list is a single color.
 
     Builds the conflict graph (host edges whose fixed color pair is not a
     pattern edge) and returns its MWIS with the forced coloring.  The
-    weight is in the units of weights (int or Fraction).
+    weight is in the units of weights.
     """
     color = {}
     for v in iter_mask(vmask):
@@ -112,27 +111,6 @@ def _conflict_mwis(
                 conf[u] |= 1 << v
     mask, weight = solve_mwis_masked(conf, vmask, weights)
     return weight, tuple((v, color[v]) for v in iter_mask(mask))
-
-
-def solve_base_singleton_lists(inst: Instance) -> Solution:
-    """Exact solve for instances whose nonempty lists are all singletons.
-
-    Vertices with empty lists are dropped; the rest have their colors
-    forced, so the problem is a maximum weight independent set on the
-    conflict graph.  Raises ValueError if some list has two colors.
-    """
-    live = 0
-    for v in inst.g.vertices:
-        ls = inst.lists[v]
-        if len(ls) > 1:
-            raise ValueError(f"vertex {v} has a non-singleton list {sorted(ls)}")
-        if ls:
-            live |= 1 << v
-    weight, assignment = _conflict_mwis(
-        inst.g.adjacency_masks(), live, inst.lists_masks,
-        inst.h.adjacency_masks(), inst.wt_tuple,
-    )
-    return Solution(frozenset(v for v, _ in assignment), dict(assignment), weight)
 
 
 def _cross_part_cleanup(
@@ -419,8 +397,12 @@ class ConnectedSolver:
         pattern-adjacent to r.  Guesses with the same X_j neighborhood are
         one effect.  Each resulting state then runs the cross-part cleanup,
         and kept is used minus the part vertices it emptied.  Every state
-        kept is charged to the budget; states it cannot pay for are
-        dropped, lexicographically largest first.
+        kept is charged to the budget.  Under a budget with g guesses
+        left, the growth is cut to its g + 1 lexicographically smallest
+        states after every slot, and of the states left at the end the
+        budget keeps those it can pay for, smallest first.  A state cut
+        early takes its descendants with it, so the states kept need not
+        be the smallest that the uncut growth would reach.
         """
         adj = self._adj
         hadj = self._hadj

@@ -19,19 +19,16 @@ enter the family.
 Lists are restricted to W, not to h, and only the solves read them, so
 both prunes, the second-set walk and every closure depend on the guess
 (W, D, h) only through D and the partition of D into color classes; the
-partition also fixes |W|, its number of classes.  Each (D, partition)
-is walked once per build and its (D', closed core) pairs recorded.
-The color sets W run by size, and the records of one size are dropped
-when the next size starts, as no later W reads them.  Every later
-surjection with the same D and partition, under its own W or another
-of the same size, replays the record: it charges the budget
-one guess per D' in the same order, and solves only the cores not yet
-solved for its W.  A repeated (W, core) would yield only members
-already held and its solve would be a memo hit that spends nothing, and
-a walk is replayed only after it finished, so the family, its
-provenance and every budget charge are those of the walk over every
-surjection.  The common-neighbor prune deletes its victims a mask at a
-time: every candidate up to the next class member in one step.
+partition also fixes |W|, its number of classes.  The family is a union
+over every guess, so the loops may run in any order: for each size |W|,
+each (D, partition) is walked once, its first surjection in product
+order standing for all of them, and W runs innermost.  Each D' is one
+guess charged to the budget, and each closed region new to the size is
+solved under every W of that size.  A region met again would yield only
+members already held, and its solves would be memo hits.  A member's
+provenance is the first guess in this order that yields it.  The
+common-neighbor prune deletes its victims a mask at a time: every
+candidate up to the next class member in one step.
 
 The module prune and the closure are single passes.  The components of
 G - N[D] are pairwise non-adjacent, so deleting the non-modules leaves
@@ -49,7 +46,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from .connected import ConnectedSolver
 from .graph import (
@@ -180,14 +177,6 @@ def _core_region_mask(adj: Sequence[int], vmask: int, seed: int) -> int:
     return core
 
 
-def _surjections(doms: tuple[int, ...], colors: tuple[int, ...]):
-    """All colorings of doms using every color at least once."""
-    want = set(colors)
-    for combo in product(colors, repeat=len(doms)):
-        if set(combo) == want:
-            yield combo
-
-
 def _second_sets(adj: Sequence[int], vmask: int, seed: int, max_size: int):
     """Yield (D', N[D u D']) for each second set D' of at most max_size
     vertices of vmask whose seed is new, in size-then-lexicographic order
@@ -221,105 +210,81 @@ def _second_sets(adj: Sequence[int], vmask: int, seed: int, max_size: int):
         frontier = grown_sets
 
 
-def _schedule(size: int, kprime: int) -> list:
-    """The surjections of size positions onto kprime color indices, in
-    product order, as (coloring, partition id, blocks): partition ids
-    number the class partitions by first occurrence, and blocks (the
-    position tuple of each class) is given on that first occurrence
-    only, None after it."""
-    ids: dict[frozenset, int] = {}
-    out = []
-    for hidx in _surjections(tuple(range(size)), tuple(range(kprime))):
-        blocks = tuple(
-            tuple(p for p in range(size) if hidx[p] == c) for c in range(kprime)
-        )
-        key = frozenset(blocks)
-        pid = ids.get(key)
-        if pid is None:
-            pid = ids[key] = len(ids)
-            out.append((hidx, pid, blocks))
-        else:
-            out.append((hidx, pid, None))
-    return out
+def _class_labellings(size: int, kprime: int, head: tuple[int, ...] = ()):
+    """One labelling of size positions per partition of them into kprime
+    classes: the restricted-growth strings (each label at most one past
+    the largest before it), in lexicographic order, extending head.
+
+    The first surjection onto range(kprime) in product order with a given
+    class partition numbers the classes by first position, so this is
+    that surjection, and the partitions come in the order of their first
+    surjections.
+    """
+    rest = size - len(head)
+    if not rest:
+        yield head
+        return
+    top = max(head, default=-1) + 1  # classes opened so far
+    if kprime - top > rest:
+        return
+    labels = (top,) if kprime - top == rest else range(min(top + 1, kprime))
+    for c in labels:
+        yield from _class_labellings(size, kprime, head + (c,))
 
 
 def _guessed_members(inst: Instance, solver: ConnectedSolver):
     """Yield (component mask, provenance) for every answer component, in
-    guess order: color subset W by size then lexicographically, connected
-    dominator set D, surjection h, second set D'.  Each D' whose seed
-    N[D u D'] is new for its (W, D, h) is one guess charged to the
-    solver's budget; the walk stops when the budget cannot pay for one.
+    guess order: size |W|, connected dominator set D, class partition of
+    D, second set D', color subset W of that size lexicographically.
+    Each D' whose seed N[D u D'] is new for its (D, partition) is one
+    guess, charged to the solver's budget before its region is closed;
+    the walk stops when the budget cannot pay for one.
 
     Lists are restricted to W, not to h, and only the solves read them,
     so the prunes, the second sets and their closed cores depend on
     (W, D, h) only through D and the class partition of D under h, which
     also fixes |W| as its number of classes.  Each (D, partition) is
-    walked once per build and its (D', closed core) pairs recorded, a
-    pruned dominator recording none; the records, the connected
-    dominator sets and the surjection schedules are kept for one |W| at
-    a time.  Every later guess with the same D
-    and partition, under this W or another of the same size, replays the
-    record: it charges one guess per D' in the same order, returning when
-    the budget cannot pay, and solves only the cores not yet solved for
-    its W.  The charges between two solves go in one spend, as nothing
-    reads the budget in between.  A repeated (W, core) would yield only
-    components an earlier guess of W already yielded, and its solve
-    would be a memo hit that spends nothing, so the budget pays for the
-    same guesses in the same order as a walk over every surjection.
+    walked once per size, with its first surjection in product order
+    (its restricted-growth labelling, read through each W's colors), and
+    each closed core new to the size is solved under every W of the size.
+    A core met again would yield only components already yielded, and
+    its solves would be memo hits that spend nothing.
     """
     g = inst.g
     adj = g.adjacency_masks()
     full = g.full_mask
     k = inst.h.k
     for kprime in range(2, min(k, g.n) + 1):
-        dsets = list(enumerate_connected_subsets(g, kprime, min(kprime + 1, g.n)))
-        schedules: dict[int, list] = {}  # |D| -> _schedule(|D|, kprime)
-        walks: dict[tuple[int, int], list] = {}  # (D, partition id) -> walk
-        for colors in combinations(range(1, k + 1), kprime):
-            wmask = mask_from(colors)
-            lists_w = tuple(lv & wmask for lv in inst.lists_masks)
-            solved = {0}  # closed cores solved for W; an empty core needs no solve
-
-            def solve(core, doms, hidx, second):
-                solved.add(core)
-                _, assignment = solver.solve_masked(core, lists_w)
-                prov = FamilyProvenance(colors, doms, tuple(colors[i] for i in hidx), second)
-                for comp in masked_components(g, mask_from(v for v, _ in assignment)):
-                    yield comp, prov
-
-            for dmask in dsets:
-                doms = tuple(iter_mask(dmask))
-                if len(doms) not in schedules:
-                    schedules[len(doms)] = _schedule(len(doms), kprime)
-                for hidx, pid, blocks in schedules[len(doms)]:
-                    walk = walks.get((dmask, pid))
-                    if walk is None:
-                        walk = walks[dmask, pid] = []
-                        v = _prune_common_mask(
-                            adj, full, [mask_from(doms[p] for p in b) for b in blocks]
-                        )
-                        if dmask & ~v:
-                            continue  # the region step needs D intact
-                        v = _prune_non_modules_mask(g, v, dmask)  # keeps N[D]
-                        closed_d = (dmask | neighborhood_mask(adj, dmask)) & v
-                        for second, seed in _second_sets(adj, v, closed_d, kprime + 1):
-                            if not solver.spend():
-                                return
-                            core = _core_region_mask(adj, v, seed)
-                            walk.append((second, core))
-                            if core not in solved:
-                                yield from solve(core, doms, hidx, second)
-                        continue
-                    owed = 0  # guesses replayed but not yet charged
-                    for second, core in walk:
-                        owed += 1
-                        if core not in solved:
-                            if solver.spend(owed) < owed:
-                                return
-                            owed = 0
-                            yield from solve(core, doms, hidx, second)
-                    if owed and solver.spend(owed) < owed:
+        wsets = [
+            (colors, tuple(lv & mask_from(colors) for lv in inst.lists_masks))
+            for colors in combinations(range(1, k + 1), kprime)
+        ]
+        solved = {0}  # closed cores solved at this size; an empty core needs no solve
+        for dmask in enumerate_connected_subsets(g, kprime, min(kprime + 1, g.n)):
+            doms = tuple(iter_mask(dmask))
+            for hidx in _class_labellings(len(doms), kprime):
+                classes = [0] * kprime
+                for d, c in zip(doms, hidx):
+                    classes[c] |= 1 << d
+                v = _prune_common_mask(adj, full, classes)
+                if dmask & ~v:
+                    continue  # the region step needs D intact
+                v = _prune_non_modules_mask(g, v, dmask)  # keeps N[D]
+                closed_d = (dmask | neighborhood_mask(adj, dmask)) & v
+                for second, seed in _second_sets(adj, v, closed_d, kprime + 1):
+                    if not solver.spend():
                         return
+                    core = _core_region_mask(adj, v, seed)
+                    if core in solved:
+                        continue
+                    solved.add(core)
+                    for colors, lists_w in wsets:
+                        _, assignment = solver.solve_masked(core, lists_w)
+                        prov = FamilyProvenance(
+                            colors, doms, tuple(colors[c] for c in hidx), second
+                        )
+                        for comp in masked_components(g, mask_from(u for u, _ in assignment)):
+                            yield comp, prov
 
 
 def build_family(inst: Instance, budget: int | None = None) -> Family:
@@ -330,12 +295,11 @@ def build_family(inst: Instance, budget: int | None = None) -> Family:
     budget span the whole build: budget bounds the guesses of the run
     (one per second set D' with a new seed, plus the solver's own), and a
     build that runs out keeps the members found so far and reports
-    exhaustive False.  Each (D, class partition) is walked once per
-    build, whatever W, and each (W, closed region) solved once; a
-    repeated (D, partition) replays its walk's charges, one guess per
-    second set in the same order, so a budget pays for the same guesses
-    as a walk over every W and every surjection, and each member keeps
-    the provenance of the first guess that yields it.
+    exhaustive False.  For each size |W|, each (D, class partition) is
+    walked once, whatever W, and each closed region new to the size is
+    solved under every W of that size, so the unit of the budget is one
+    guess per (D, partition, D'); each member keeps the provenance of
+    the first guess that yields it.
     """
     witness = find_induced_p5(inst.g)
     if witness is not None:

@@ -18,7 +18,6 @@ from p5hom.family import (
     _prune_common_mask,
     _prune_non_modules_mask,
     _second_sets,
-    _surjections,
 )
 from p5hom.graph import (
     Graph,
@@ -306,29 +305,39 @@ def brute_prune_non_modules(g: Graph, vmask: int, dmask: int) -> int:
         vmask &= ~bad
 
 
+def _surjections(doms: tuple[int, ...], colors: tuple[int, ...]):
+    """All colorings of doms using every color at least once, in product
+    order."""
+    want = set(colors)
+    for combo in itertools.product(colors, repeat=len(doms)):
+        if set(combo) == want:
+            yield combo
+
+
 def brute_guessed_members(inst: Instance, solver):
     """The family's guess loop with every surjection walked in full and
-    every closed region handed to the solver: (component mask, provenance)
-    for every answer component, charging one guess per second set with a
-    new seed and stopping when the budget cannot pay for one."""
+    every closed region handed to the solver under every color set:
+    (component mask, provenance) for every answer component, in the
+    order size, dominators D, surjection onto color indices, second set
+    D', color set W.  One guess is charged per second set with a new
+    seed, for the first surjection of each class partition of D only,
+    and the walk stops when the budget cannot pay for one."""
     g = inst.g
     adj = g.adjacency_masks()
     full = g.full_mask
     k = inst.h.k
-    subsets = itertools.chain.from_iterable(
-        itertools.combinations(range(1, k + 1), size)
-        for size in range(2, min(k, g.n) + 1)
-    )
-    for colors in subsets:
-        wmask = mask_from(colors)
-        kprime = len(colors)
-        lists_w = tuple(lv & wmask for lv in inst.lists_masks)
-        for dmask in enumerate_connected_subsets(g, kprime, min(kprime + 1, g.n)):
+    for size in range(2, min(k, g.n) + 1):
+        wsets = list(combinations(range(1, k + 1), size))
+        for dmask in enumerate_connected_subsets(g, size, min(size + 1, g.n)):
             doms = tuple(iter_mask(dmask))
-            for h in _surjections(doms, colors):
+            walked = set()  # class partitions of D already charged
+            for h in _surjections(doms, tuple(range(size))):
                 classes: dict[int, int] = {}
                 for d, c in zip(doms, h):
                     classes[c] = classes.get(c, 0) | (1 << d)
+                partition = frozenset(classes.values())
+                first = partition not in walked
+                walked.add(partition)
                 v1 = _prune_common_mask(adj, full, list(classes.values()))
                 v2 = _prune_non_modules_mask(g, v1, dmask)
                 if dmask & ~v2:
@@ -337,19 +346,24 @@ def brute_guessed_members(inst: Instance, solver):
                 for d in doms:
                     closed_d |= adj[d]
                 closed_d &= v2
-                for second, seed in _second_sets(adj, v2, closed_d, kprime + 1):
-                    if not solver.spend():
+                for second, seed in _second_sets(adj, v2, closed_d, size + 1):
+                    if first and not solver.spend():
                         return
                     core = _core_region_mask(adj, v2, seed)
                     if not core:
                         continue
-                    _, assignment = solver.solve_masked(core, lists_w)
-                    if not assignment:
-                        continue
-                    chosen = mask_from(v for v, _ in assignment)
-                    prov = FamilyProvenance(colors, doms, h, second)
-                    for comp in masked_components(g, chosen):
-                        yield comp, prov
+                    for colors in wsets:
+                        wmask = mask_from(colors)
+                        lists_w = tuple(lv & wmask for lv in inst.lists_masks)
+                        _, assignment = solver.solve_masked(core, lists_w)
+                        if not assignment:
+                            continue
+                        chosen = mask_from(v for v, _ in assignment)
+                        prov = FamilyProvenance(
+                            colors, doms, tuple(colors[c] for c in h), second
+                        )
+                        for comp in masked_components(g, chosen):
+                            yield comp, prov
 
 
 def brute_dominator_tuples(

@@ -114,6 +114,13 @@ def test_verify_roundtrip(c5_file, tmp_path, capsys):
     bad.write_text("weight 4/1\nvertex 1 1\nvertex 2 1\nvertex 3 1\nvertex 4 2\n")
     assert main(["verify", c5_file, str(bad)]) == 1
     assert "violation" in capsys.readouterr().out
+    # a vertex outside the graph parses but fails verification, as a
+    # color outside the pattern does
+    for line in ("vertex 9 1", "vertex 1 9"):
+        stray = tmp_path / "stray.txt"
+        stray.write_text(f"weight 1/1\n{line}\n")
+        assert main(["verify", c5_file, str(stray)]) == 1
+        assert "violation" in capsys.readouterr().out
 
 
 def test_family_and_blob_listing(c5_file, capsys):

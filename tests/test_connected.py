@@ -14,7 +14,6 @@ from p5hom.connected import (
     ConnectedSolver,
     _cross_part_cleanup,
     _dominator_tuples,
-    solve_base_singleton_lists,
     solve_connected_case,
 )
 from p5hom.generators import FAMILIES, TRIAL_DENSITIES, GenSpec, generate
@@ -66,28 +65,23 @@ def test_partition_around():
 
 
 def test_base_case_conflict_edge():
-    # colors 1 and 3 are not adjacent in the 3-path pattern, so the edge
-    # forces dropping one endpoint
+    # every list is a single color, so the search goes straight to the
+    # conflict-graph base case; colors 1 and 3 are not adjacent in the
+    # 3-path pattern, so the edge forces dropping one endpoint
     e = Graph(2, [(1, 2)])
     h = PatternGraph.path(3)
     inst = Instance.build(e, h, lists={1: [1], 2: [3]})
-    sol = solve_base_singleton_lists(inst)
+    sol = solve_connected_case(inst).solution
     assert sol.weight == 1
 
     inst = Instance.build(e, h, lists={1: [1], 2: [2]})
-    assert solve_base_singleton_lists(inst).weight == 2
+    assert solve_connected_case(inst).solution.weight == 2
 
     # equal colors collide on a loopless pattern; keep the heavier end
     inst = Instance.build(e, PatternGraph.complete(2), wt={1: 3, 2: 5},
                           lists={1: [1], 2: [1]})
-    sol = solve_base_singleton_lists(inst)
+    sol = solve_connected_case(inst).solution
     assert sol.weight == 5 and sol.chosen == {2}
-
-
-def test_base_case_rejects_wide_lists():
-    inst = Instance.build(Graph(1, []), PatternGraph.complete(2))
-    with pytest.raises(ValueError):
-        solve_base_singleton_lists(inst)
 
 
 def gem_cleaned_states(h: PatternGraph) -> list:
@@ -216,10 +210,10 @@ def test_integer_weights_inside_exact_outside(g, k):
         assert type(sol.weight) is Fraction and sol.weight == opt
         assert verify_solution(inst, sol) is None
 
-    # singleton lists: the base case runs on the exact weights directly
+    # singleton lists: the base case runs on the scaled integers too
     single = Instance.build(g, h, wt=dict(zip(g.vertices, COPRIME_WEIGHTS)),
                             lists={v: [v % k + 1] for v in g.vertices})
-    sol = solve_base_singleton_lists(single)
+    sol = solve_connected_case(single).solution
     assert type(sol.weight) is Fraction and sol.weight == oracle_solve(single).weight
 
     # all-zero weights still report an exact zero, also when every list
@@ -228,7 +222,7 @@ def test_integer_weights_inside_exact_outside(g, k):
     empty = Instance.build(g, h, wt=dict.fromkeys(g.vertices, 0),
                            lists=dict.fromkeys(g.vertices, []))
     for sol in (solve_connected_case(zero).solution, solve_full(zero).solution,
-                solve_base_singleton_lists(empty), solve_connected_case(empty).solution):
+                solve_connected_case(empty).solution):
         assert type(sol.weight) is Fraction and sol.weight == 0
 
 
