@@ -12,7 +12,7 @@ from .blob import BlobGraph, build_blob_graph, solve_full
 from .connected import SolveResult, solve_connected_case
 from .family import Family, FamilyProvenance, build_family
 from .generators import FAMILIES, GenerationError, GenSpec, generate
-from .graph import Graph, NotP5FreeError, find_induced_p5, induced_subgraph
+from .graph import Graph, NotP5FreeError, find_induced_p5
 from .mwis import WeightedGraph, solve_mwis
 from .oracle import OracleSizeError, oracle_solve
 from .pattern import (
@@ -55,7 +55,6 @@ __all__ = [
     "exists_list_hom",
     "find_induced_p5",
     "generate",
-    "induced_subgraph",
     "oracle_solve",
     "parse_instance",
     "parse_solution",

@@ -1,13 +1,14 @@
 """Blob-graph reduction: from a component family to one MWIS call.
 
 Two vertex sets touch when they share a vertex or an edge joins them.
-The blob graph has one vertex per family member, weighted by the
-member's total weight, with edges between touching members; the
-touching rule lives in build_blob_graph, as one mask test per pair.  A maximum
-weight independent set of the blob graph selects pairwise non-touching
-members whose union is the final answer; each selected member is colored
-independently by its own list homomorphism, which cannot conflict with
-the others because non-touching sets share neither vertices nor edges.
+The blob graph is a WeightedGraph with one vertex per family member,
+weighted by the member's total weight, with edges between touching
+members; the touching rule lives in build_blob_graph, as one mask test
+per pair.  A maximum weight independent set of the blob graph selects
+pairwise non-touching members whose union is the final answer; each
+selected member is colored independently, by a list homomorphism of the
+host graph induced on it, in host ids.  The colorings cannot conflict
+because non-touching sets share neither vertices nor edges.
 
 For P5-free inputs the blob graph is itself P5-free; the test suite
 probes that as an invariant but the solver does not rely on it (the MWIS
@@ -17,24 +18,22 @@ stage is exact on arbitrary graphs).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .family import Family, build_family
-from .graph import Graph, induced_subgraph, mask_from, neighborhood_mask
+from .graph import Graph, mask_from, neighborhood_mask
 from .mwis import WeightedGraph, solve_mwis
-from .pattern import ZERO, Instance, Solution, exists_list_hom, verify_solution
+from .pattern import Instance, Solution, exists_list_hom, verify_solution
 from .connected import SolveResult
 
 __all__ = ["BlobGraph", "build_blob_graph", "solve_full"]
 
 
 @dataclass(frozen=True)
-class BlobGraph:
+class BlobGraph(WeightedGraph):
     """One vertex per family member (1-based, family order), weighted by
-    the member's weight sum, adjacent iff the members touch."""
+    the member's weight sum, adjacent iff the members touch; members[i - 1]
+    is the member of blob vertex i."""
 
-    graph: Graph
-    weights: tuple[Fraction, ...]  # indexed by blob vertex, entry 0 unused
     members: tuple[frozenset[int], ...]
 
 
@@ -50,8 +49,8 @@ def build_blob_graph(inst: Instance, fam: Family) -> BlobGraph:
         for j in range(i + 1, m):
             if ri & masks[j]:
                 edges.append((i + 1, j + 1))
-    weights = [ZERO] + [inst.weight_of(s) for s in members]
-    return BlobGraph(Graph(m, edges), tuple(weights), members)
+    weights = {i: inst.weight_of(s) for i, s in enumerate(members, start=1)}
+    return BlobGraph(Graph(m, edges), weights, members)
 
 
 def solve_full(inst: Instance, budget: int | None = None) -> SolveResult:
@@ -66,21 +65,16 @@ def solve_full(inst: Instance, budget: int | None = None) -> SolveResult:
     """
     fam = build_family(inst, budget=budget)
     blob = build_blob_graph(inst, fam)
-    picked, blob_weight = solve_mwis(
-        WeightedGraph(blob.graph, {v: blob.weights[v] for v in blob.graph.vertices})
-    )
+    picked, blob_weight = solve_mwis(blob)
     coloring: dict[int, int] = {}
     for bv in sorted(picked):
         member = blob.members[bv - 1]
-        sub = induced_subgraph(inst.g, member)
-        hom = exists_list_hom(
-            sub.graph, inst.h, {sub.to_sub[v]: inst.lists[v] for v in member}
-        )
+        hom = exists_list_hom(inst.g, inst.h, {v: inst.lists[v] for v in member})
         if hom is None:
             raise RuntimeError(
                 f"internal error: family member {sorted(member)} admits no list homomorphism"
             )
-        coloring.update({sub.to_parent[nv]: c for nv, c in hom.items()})
+        coloring.update(hom)
     sol = Solution.from_assignment(inst, coloring)
     if sol.weight != blob_weight:
         raise RuntimeError(

@@ -244,10 +244,9 @@ class ConnectedSolver:
             raise ValueError(f"budget must be nonnegative, got {budget}")
         self._left = budget
         self.exhaustive = True
-        self._memo: dict[
-            tuple[int, tuple[int, ...]],
-            tuple[int, tuple[tuple[int, int], ...]],
-        ] = {}
+        # keyed on the list vector alone: the live vertices are exactly
+        # those with a nonempty list in it
+        self._memo: dict[tuple[int, ...], tuple[int, tuple[tuple[int, int], ...]]] = {}
 
     # -- public entry ------------------------------------------------------
 
@@ -275,8 +274,7 @@ class ConnectedSolver:
             return 0, ()
         n = self._g.n
         norm = tuple(lists[v] if live >> v & 1 else 0 for v in range(n + 1))
-        key = (live, norm)
-        hit = self._memo.get(key)
+        hit = self._memo.get(norm)
         if hit is not None:
             return hit
         comps = masked_components(self._g, live)
@@ -290,7 +288,7 @@ class ConnectedSolver:
             result = (total, tuple(sorted(asg)))
         else:
             result = self._solve_piece(live, norm)
-        self._memo[key] = result
+        self._memo[norm] = result
         return result
 
     # -- one connected sub-instance -----------------------------------------

@@ -7,21 +7,22 @@ used).  The helpers the solvers call (neighborhoods, components,
 connected subsets) take and return masks only.  All solver stages
 only ever delete vertices, never single edges, so "the current graph" is
 always the original graph induced on a mask and vertex ids stay stable
-through the whole pipeline.
+through the whole pipeline, down to the final coloring of each member.
+
+Graph is the one graph type of the package: the pattern H is a Graph on
+colors 1..k (pattern.PatternGraph) and the blob graph a weighted one
+(mwis.WeightedGraph, blob.BlobGraph).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from typing import NamedTuple
 
 __all__ = [
     "Graph",
-    "InducedSubgraph",
     "NotP5FreeError",
     "enumerate_connected_subsets",
     "find_induced_p5",
-    "induced_subgraph",
     "iter_mask",
     "mask_from",
     "masked_components",
@@ -145,35 +146,7 @@ class Graph:
         return hash((self.n, self._adj))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={self.edge_count})"
-
-
-class InducedSubgraph(NamedTuple):
-    """An induced subgraph plus the vertex bijection in both directions.
-
-    to_sub maps original id -> subgraph id; to_parent is indexed by the
-    subgraph id (entry 0 unused).  Subgraph ids follow the sorted order of
-    the selected vertices.
-    """
-
-    graph: Graph
-    to_sub: dict[int, int]
-    to_parent: tuple[int, ...]
-
-
-def induced_subgraph(g: Graph, s: Iterable[int]) -> InducedSubgraph:
-    verts = sorted(set(s))
-    for v in verts:
-        if not 1 <= v <= g.n:
-            raise ValueError(f"vertex {v} out of range 1..{g.n}")
-    to_sub = {v: i + 1 for i, v in enumerate(verts)}
-    smask = mask_from(verts)
-    edges = []
-    for v in verts:
-        rest = g.adjacency_mask(v) & smask & (-1 << (v + 1))
-        for u in iter_mask(rest):
-            edges.append((to_sub[v], to_sub[u]))
-    return InducedSubgraph(Graph(len(verts), edges), to_sub, tuple([0] + verts))
+        return f"{type(self).__name__}(n={self.n}, m={self.edge_count})"
 
 
 def neighborhood_mask(adj: Sequence[int], mask: int) -> int:

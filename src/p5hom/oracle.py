@@ -21,23 +21,21 @@ DEFAULT_SIZE_CAP = 14
 
 
 class OracleSizeError(ValueError):
-    """Instance exceeds the oracle's size cap and force was not given."""
+    """Instance exceeds DEFAULT_SIZE_CAP and force was not given."""
 
 
-def oracle_solve(
-    inst: Instance, *, size_cap: int = DEFAULT_SIZE_CAP, force: bool = False
-) -> Solution:
+def oracle_solve(inst: Instance, *, force: bool = False) -> Solution:
     """Exact maximum-weight solution by exhaustive backtracking.
 
-    Refuses instances with more than size_cap vertices unless force is
-    true (the search is exponential).  Deterministic: vertices are
-    processed heaviest first and colors in ascending order, and only a
-    strictly better weight replaces the incumbent.
+    Refuses instances with more than DEFAULT_SIZE_CAP vertices unless
+    force is true (the search is exponential).  Deterministic: vertices
+    are processed heaviest first and colors in ascending order, and only
+    a strictly better weight replaces the incumbent.
     """
     n = inst.g.n
-    if n > size_cap and not force:
+    if n > DEFAULT_SIZE_CAP and not force:
         raise OracleSizeError(
-            f"instance has {n} vertices, above the oracle cap of {size_cap}; "
+            f"instance has {n} vertices, above the oracle cap of {DEFAULT_SIZE_CAP}; "
             "pass force=True to run anyway"
         )
     order = sorted(inst.g.vertices, key=lambda v: (-inst.wt[v], v))

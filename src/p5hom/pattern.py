@@ -2,14 +2,16 @@
 
 An instance asks for a maximum-weight vertex subset of a host graph that
 admits a homomorphism into a loopless pattern graph H, where each host
-vertex may only receive colors from its own list.  Weights are exact
-rationals throughout; floats never enter a weight comparison.
+vertex may only receive colors from its own list.  The pattern is a Graph
+whose vertices 1..k are the colors (PatternGraph adds only that
+vocabulary).  Weights are exact rationals throughout; floats never enter
+a weight comparison.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -27,73 +29,25 @@ __all__ = [
 ZERO = Fraction(0)
 
 
-class PatternGraph:
-    """Loopless undirected pattern graph on colors 1..k."""
+class PatternGraph(Graph):
+    """Loopless undirected pattern graph: a Graph whose vertices 1..k are
+    the colors.  Construction, adjacency, equality and hashing are
+    Graph's, so a pattern equals the Graph with the same edges."""
 
-    __slots__ = ("k", "_adj")
+    __slots__ = ()
 
-    def __init__(self, k: int, edges: Iterable[tuple[int, int]] = ()) -> None:
-        if not isinstance(k, int) or k < 0:
-            raise ValueError(f"color count must be a nonnegative int, got {k!r}")
-        adj = [0] * (k + 1)
-        for a, b in edges:
-            if not (1 <= a <= k and 1 <= b <= k):
-                raise ValueError(f"pattern edge ({a}, {b}) out of range 1..{k}")
-            if a == b:
-                raise ValueError(f"pattern graph must be loopless; loop at color {a}")
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        self.k = k
-        self._adj = tuple(adj)
+    @property
+    def k(self) -> int:
+        return self.n
 
     @property
     def colors(self) -> range:
-        return range(1, self.k + 1)
-
-    @property
-    def full_colors_mask(self) -> int:
-        return (1 << (self.k + 1)) - 2 if self.k else 0
-
-    def adjacency_masks(self) -> tuple[int, ...]:
-        return self._adj
-
-    def has_edge(self, a: int, b: int) -> bool:
-        if not (1 <= a <= self.k and 1 <= b <= self.k):
-            raise ValueError(f"color pair ({a}, {b}) out of range 1..{self.k}")
-        return bool(self._adj[a] >> b & 1)
-
-    def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for a in self.colors:
-            rest = self._adj[a] & (-1 << (a + 1))
-            for b in iter_mask(rest):
-                out.append((a, b))
-        return out
+        return self.vertices
 
     @property
     def is_complete(self) -> bool:
         """True iff every pair of distinct colors is adjacent."""
-        full = self.full_colors_mask
-        return all(self._adj[c] == full & ~(1 << c) for c in self.colors)
-
-    @classmethod
-    def complete(cls, k: int) -> "PatternGraph":
-        return cls(k, [(a, b) for a in range(1, k + 1) for b in range(a + 1, k + 1)])
-
-    @classmethod
-    def path(cls, k: int) -> "PatternGraph":
-        return cls(k, [(c, c + 1) for c in range(1, k)])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PatternGraph):
-            return NotImplemented
-        return self.k == other.k and self._adj == other._adj
-
-    def __hash__(self) -> int:
-        return hash((self.k, self._adj))
-
-    def __repr__(self) -> str:
-        return f"PatternGraph(k={self.k}, edges={self.edges()})"
+        return self.edge_count == self.k * (self.k - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -122,12 +76,13 @@ class Instance:
             if w < 0:
                 raise ValueError(f"negative weight {w} at vertex {v}")
             wt[v] = w
+        k = self.h.k
         lists = {}
         for v in sorted(verts):
             ls = frozenset(self.lists[v])
             for c in ls:
-                if not 1 <= c <= self.h.k:
-                    raise ValueError(f"list color {c} at vertex {v} out of range 1..{self.h.k}")
+                if not 1 <= c <= k:
+                    raise ValueError(f"list color {c} at vertex {v} out of range 1..{k}")
             lists[v] = ls
         object.__setattr__(self, "wt", wt)
         object.__setattr__(self, "lists", lists)
@@ -141,12 +96,18 @@ class Instance:
         lists: Mapping[int, Iterable[int]] | None = None,
     ) -> "Instance":
         """Instance with defaults filled in: weight 1 and the full color
-        list for every vertex not mentioned."""
+        list for every vertex not mentioned.  A key that is not a vertex
+        of g raises ValueError."""
         full = frozenset(h.colors)
         wt = dict(wt or {})
         lists = dict(lists or {})
-        wt_total = {v: Fraction(wt.get(v, 1)) for v in g.vertices}
-        lists_total = {v: frozenset(lists.get(v, full)) for v in g.vertices}
+        verts = g.vertices
+        for name, given in (("weight", wt), ("list", lists)):
+            for v in given:
+                if v not in verts:
+                    raise ValueError(f"{name} given for vertex {v!r}, not in 1..{g.n}")
+        wt_total = {v: Fraction(wt.get(v, 1)) for v in verts}
+        lists_total = {v: frozenset(lists.get(v, full)) for v in verts}
         return cls(g, h, wt_total, lists_total)
 
     @cached_property
@@ -253,36 +214,39 @@ def verify_solution(inst: Instance, sol: Solution) -> SolutionViolation | None:
 def exists_list_hom(
     g: Graph, h: PatternGraph, lists: Mapping[int, Iterable[int]]
 ) -> dict[int, int] | None:
-    """A list homomorphism coloring every vertex of g into h, or None.
+    """A list homomorphism into h of the subgraph of g induced on the
+    vertices that lists names, or None.
 
-    Exhaustive backtracking with forward list pruning; picks the most
-    constrained vertex first.  The search is exact: None means no list
-    homomorphism exists.
+    The keys of lists are vertices of g (ValueError for one outside 1..n);
+    vertices not named are ignored, and the answer colors exactly the named
+    ones, in g's own ids.  Exhaustive backtracking with forward list
+    pruning; picks the most constrained vertex first, the smallest id
+    among equals.  The search is exact: None means no list homomorphism
+    exists.
     """
-    n = g.n
-    if n == 0:
-        return {}
+    n, k = g.n, h.k
     cand = [0] * (n + 1)
-    for v in g.vertices:
-        try:
-            ls = lists[v]
-        except KeyError:
-            raise ValueError(f"lists must cover every vertex; missing {v}") from None
+    smask = 0
+    for v in sorted(lists):
+        if not 1 <= v <= n:
+            raise ValueError(f"vertex {v} out of range 1..{n}")
         m = 0
-        for c in ls:
-            if not 1 <= c <= h.k:
-                raise ValueError(f"list color {c} at vertex {v} out of range 1..{h.k}")
+        for c in lists[v]:
+            if not 1 <= c <= k:
+                raise ValueError(f"list color {c} at vertex {v} out of range 1..{k}")
             m |= 1 << c
         if m == 0:
             return None
         cand[v] = m
+        smask |= 1 << v
+    size = smask.bit_count()
     adj = g.adjacency_masks()
     hadj = h.adjacency_masks()
     assigned: dict[int, int] = {}
 
     def pick() -> int:
         best, best_sz = 0, 1 << 30
-        for v in g.vertices:
+        for v in iter_mask(smask):
             if v in assigned:
                 continue
             sz = cand[v].bit_count()
@@ -291,7 +255,7 @@ def exists_list_hom(
         return best
 
     def rec() -> bool:
-        if len(assigned) == n:
+        if len(assigned) == size:
             return True
         v = pick()
         options = cand[v]
@@ -299,7 +263,7 @@ def exists_list_hom(
             assigned[v] = c
             touched: list[tuple[int, int]] = []
             ok = True
-            for u in iter_mask(adj[v]):
+            for u in iter_mask(adj[v] & smask):
                 if u in assigned:
                     continue
                 new = cand[u] & hadj[c]

@@ -89,7 +89,7 @@ def gem_cleaned_states(h: PatternGraph) -> list:
     in the order the branch visits them; lists covers kept only."""
     solver, inst = solver_for(GEM, h)
     parts, used = solver.carve(GEM.full_mask, (1, 4))
-    cleaned = solver.cleaned_states(inst.lists_masks, parts, used, h.full_colors_mask)
+    cleaned = solver.cleaned_states(inst.lists_masks, parts, used, h.full_mask)
     return [
         (set_from_mask(kept), {v: set_from_mask(st[v]) for v in iter_mask(kept)})
         for st, kept in sorted(cleaned)

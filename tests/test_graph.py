@@ -11,7 +11,6 @@ from p5hom.graph import (
     Graph,
     enumerate_connected_subsets,
     find_induced_p5,
-    induced_subgraph,
     iter_mask,
     mask_from,
     masked_components,
@@ -82,17 +81,6 @@ def test_graph_equality_and_hash():
     b = Graph(3, [(2, 1)])
     assert a == b and hash(a) == hash(b)
     assert a != Graph(3, [(1, 3)])
-
-
-def test_induced_subgraph_mapping():
-    g = Graph(5, [(1, 2), (2, 4), (4, 5), (3, 5)])
-    sub = induced_subgraph(g, [2, 4, 5])
-    assert sub.graph.n == 3
-    # ids are compacted but adjacency is preserved through the maps
-    for u, v in itertools.combinations([2, 4, 5], 2):
-        assert g.has_edge(u, v) == sub.graph.has_edge(sub.to_sub[u], sub.to_sub[v])
-    for i in sub.graph.vertices:
-        assert sub.to_sub[sub.to_parent[i]] == i
 
 
 def test_components():

@@ -60,7 +60,6 @@ def test_size_cap():
         oracle_solve(inst)
     sol = oracle_solve(inst, force=True)
     assert sol.weight == 15
-    assert oracle_solve(inst, size_cap=20).weight == 15
 
 
 def random_instance(seed: int) -> Instance:

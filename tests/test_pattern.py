@@ -33,6 +33,17 @@ def test_pattern_graph_basics():
     assert PatternGraph.complete(1).is_complete
 
 
+def test_pattern_graph_is_a_graph():
+    # equality and hashing are Graph's, and the hash is the one the
+    # pattern had as a class of its own: hash((k, adjacency table))
+    h = PatternGraph.complete(3)
+    assert isinstance(h, Graph)
+    assert h == Graph.complete(3) and Graph.complete(3) == h
+    assert hash(h) == hash(Graph.complete(3)) == hash((3, h.adjacency_masks()))
+    assert h != Graph.path(3)
+    assert h.full_mask == 0b1110 and PatternGraph(0).full_mask == 0
+
+
 def test_pattern_graph_rejects_loops_and_bad_range():
     with pytest.raises(ValueError):
         PatternGraph(2, [(1, 1)])
@@ -50,6 +61,17 @@ def test_instance_build_defaults():
     assert inst.wt == {1: 1, 2: Fraction(5, 3), 3: 1}
     assert inst.lists == {1: {1, 2}, 2: {1, 2}, 3: {1}}
     assert inst.weight_of([1, 2]) == Fraction(8, 3)
+
+
+def test_instance_build_rejects_keys_outside_the_graph():
+    # a caller counting vertices from 0 must hear about it, not lose input
+    g, h = Graph.path(3), PatternGraph.complete(2)
+    with pytest.raises(ValueError, match="vertex 0"):
+        Instance.build(g, h, wt={0: 5}, lists={0: [1], 4: [2]})
+    with pytest.raises(ValueError, match="vertex 4"):
+        Instance.build(g, h, lists={4: [2]})
+    with pytest.raises(ValueError, match="vertex 0"):
+        Instance.build(g, h, wt={0: 5})
 
 
 def test_instance_validation():
@@ -119,6 +141,27 @@ def test_exists_list_hom_frozen_cases():
                            {1: {1}, 2: {3}}) is None
     # empty list on a vertex: impossible
     assert exists_list_hom(Graph(1, []), PatternGraph.complete(2), {1: set()}) is None
+    # no vertex named: the empty coloring
+    assert exists_list_hom(Graph.cycle(5), PatternGraph.complete(2), {}) == {}
+
+
+def test_exists_list_hom_colors_named_vertices_in_host_ids():
+    c5, k2 = Graph.cycle(5), PatternGraph.complete(2)
+    # C5 has no 2-coloring, but the path 1-2-3-4 inside it has
+    got = exists_list_hom(c5, k2, {v: {1, 2} for v in (1, 2, 3, 4)})
+    assert got is not None and set(got) == {1, 2, 3, 4}
+    assert all(got[v] != got[v + 1] for v in (1, 2, 3))
+    # {2, 3, 5} induces the one edge 2-3; 5 is the most constrained, then
+    # the smallest id among equals
+    assert exists_list_hom(c5, k2, {2: {1, 2}, 3: {1, 2}, 5: {2}}) == {5: 2, 2: 1, 3: 2}
+
+
+def test_exists_list_hom_rejects_vertices_outside_the_graph():
+    k2 = PatternGraph.complete(2)
+    with pytest.raises(ValueError, match="vertex 4"):
+        exists_list_hom(Graph.path(3), k2, {1: {1}, 4: {2}})
+    with pytest.raises(ValueError, match="vertex 0"):
+        exists_list_hom(Graph.path(3), k2, {0: {1}})
 
 
 def random_case(seed: int):
@@ -152,3 +195,22 @@ def test_exists_list_hom_matches_brute(seed):
         assert set(got) == set(g.vertices)
         assert all(got[v] in lists[v] for v in g.vertices)
         assert all(h.has_edge(got[u], got[v]) for u, v in g.edges())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**9))
+def test_exists_list_hom_on_a_vertex_subset_matches_brute(seed):
+    # coloring the vertices lists names is coloring the subgraph they
+    # induce: the brute force sees that subgraph with the other vertices
+    # isolated and free to take any color
+    g, h, lists = random_case(seed)
+    rng = random.Random(seed + 1)
+    named = {v for v in g.vertices if rng.random() < 0.6}
+    got = exists_list_hom(g, h, {v: lists[v] for v in named})
+    inner = [(u, v) for u, v in g.edges() if u in named and v in named]
+    free = {v: lists[v] if v in named else frozenset(h.colors) for v in g.vertices}
+    assert (got is not None) == brute_exists_hom(Graph(g.n, inner), h, free)
+    if got is not None:
+        assert set(got) == named
+        assert all(got[v] in lists[v] for v in named)
+        assert all(h.has_edge(got[u], got[v]) for u, v in inner)
