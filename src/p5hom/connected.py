@@ -44,8 +44,9 @@ original graph, memoized in one table so that a family build can share
 work across thousands of overlapping sub-instances.  An optional budget
 bounds the guesses of the whole run: dominator tuples, cleanup states
 and dominator colorings draw on one counter, shared with the family
-build's second sets when the family drives the solver.  Weights are
-scaled once to integers, so no sum inside the search is a Fraction.
+build's second sets when the family drives the solver.  The solver is
+built from an Instance and scales its weights once to integers
+(mwis.scale_weights), so no sum inside the search is a Fraction.
 """
 
 from __future__ import annotations
@@ -54,18 +55,16 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from .graph import (
-    Graph,
     NotP5FreeError,
     find_induced_p5,
     iter_mask,
     mask_from,
     masked_components,
 )
-from .mwis import solve_mwis_masked
-from .pattern import Instance, PatternGraph, Solution, verify_solution
+from .mwis import scale_weights, solve_mwis_masked
+from .pattern import Instance, Solution, verify_solution
 
 __all__ = [
     "SolveResult",
@@ -201,7 +200,7 @@ def _dominator_tuples(
 
 
 class ConnectedSolver:
-    """Reusable engine over one (graph, pattern, weights) triple.
+    """Reusable engine over one Instance's graph, pattern and weights.
 
     solve_masked answers sub-instances given as (vertex mask, list-mask
     vector); results are memoized across calls, so a family build can
@@ -214,32 +213,18 @@ class ConnectedSolver:
     ValueError.  A dominator tuple skipped by the weight bound costs its
     one guess and nothing more.
 
-    Weights must be nonnegative (ValueError otherwise): the search skips
-    every branch whose remaining weight cannot strictly beat the best
-    answer so far, which is sound only because no vertex lowers a sum.
-
-    Inside the solver weights are integers: the given exact weights times
-    scale, the least common multiple of their denominators.  A positive
-    scale keeps every comparison and every tie, so the search is the same
-    as on the exact weights; solve_masked returns weights in these scaled
-    units, and weight / scale is the exact one.
+    Inside the solver weights are inst.wt scaled to integers by
+    mwis.scale_weights; solve_masked returns weights in these units, and
+    weight / scale is the exact one.  An Instance holds no negative
+    weight, so no vertex lowers a sum: that makes it sound to skip every
+    branch whose remaining weight cannot strictly beat the best so far.
     """
 
-    def __init__(
-        self,
-        g: Graph,
-        h: PatternGraph,
-        weights: Sequence[int | Fraction],
-        budget: int | None = None,
-    ) -> None:
-        self._g = g
-        self._adj = g.adjacency_masks()
-        self._hadj = h.adjacency_masks()
-        exact = [Fraction(w) for w in weights]
-        self.scale = lcm(*(w.denominator for w in exact))
-        self._wt = tuple(w.numerator * (self.scale // w.denominator) for w in exact)
-        if any(w < 0 for w in exact):
-            raise ValueError(f"weights must be nonnegative, got {min(exact)}")
+    def __init__(self, inst: Instance, budget: int | None = None) -> None:
+        self._g = inst.g
+        self._adj = inst.g.adjacency_masks()
+        self._hadj = inst.h.adjacency_masks()
+        self.scale, self._wt = scale_weights(inst.wt)
         if budget is not None and budget < 0:
             raise ValueError(f"budget must be nonnegative, got {budget}")
         self._left = budget
@@ -556,7 +541,7 @@ def solve_connected_case(inst: Instance, budget: int | None = None) -> SolveResu
     witness = find_induced_p5(inst.g)
     if witness is not None:
         raise NotP5FreeError(witness)
-    engine = ConnectedSolver(inst.g, inst.h, inst.wt_tuple, budget=budget)
+    engine = ConnectedSolver(inst, budget=budget)
     weight, assignment = engine.solve_masked(inst.g.full_mask, inst.lists_masks)
     sol = Solution(
         frozenset(v for v, _ in assignment), dict(assignment), Fraction(weight, engine.scale)

@@ -308,7 +308,7 @@ def build_family(inst: Instance, budget: int | None = None) -> Family:
     for v in inst.g.vertices:
         if inst.lists[v]:
             members.setdefault(1 << v, "singleton")
-    solver = ConnectedSolver(inst.g, inst.h, inst.wt_tuple, budget=budget)
+    solver = ConnectedSolver(inst, budget=budget)
     for mask, prov in _guessed_members(inst, solver):
         members.setdefault(mask, prov)
 

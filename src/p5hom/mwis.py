@@ -5,6 +5,11 @@ graphs arising in the pipeline's base case are not guaranteed P5-free, so
 a specialized polynomial routine would not be safe here.  Consequently
 this step is exponential in the worst case; at the scales the pipeline
 produces it is far from the bottleneck.
+
+The search runs on integers.  scale_weights, the one scaling step of
+both searches, multiplies by the lcm of the denominators; a positive
+scale keeps every comparison and tie, and an answer w is exactly
+w / scale.
 """
 
 from __future__ import annotations
@@ -12,11 +17,11 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .graph import Graph, iter_mask, set_from_mask
-from .pattern import ZERO
 
-__all__ = ["WeightedGraph", "solve_mwis", "solve_mwis_masked"]
+__all__ = ["WeightedGraph", "scale_weights", "solve_mwis", "solve_mwis_masked"]
 
 
 @dataclass(frozen=True)
@@ -39,29 +44,34 @@ class WeightedGraph:
         object.__setattr__(self, "weights", norm)
 
 
+def scale_weights(weights: Mapping[int, Fraction]) -> tuple[int, tuple[int, ...]]:
+    """(scale, ints): the lcm of the denominators, and ints[v] =
+    weights[v] * scale for the keys v = 1..n, with ints[0] = 0."""
+    scale = lcm(*(w.denominator for w in weights.values()))
+    ints = [0] * (len(weights) + 1)
+    for v, w in weights.items():
+        ints[v] = w.numerator * (scale // w.denominator)
+    return scale, tuple(ints)
+
+
 def solve_mwis(wg: WeightedGraph) -> tuple[frozenset[int], Fraction]:
-    """An exact maximum weight independent set and its weight.
+    """An exact maximum weight independent set and its exact weight.
 
     Ties between equal-weight sets are broken by the deterministic search
     order, so repeated runs return the same set.
     """
     g = wg.graph
-    warr = [ZERO] * (g.n + 1)
-    for v, w in wg.weights.items():
-        warr[v] = w
-    mask, weight = solve_mwis_masked(g.adjacency_masks(), g.full_mask, warr)
-    return set_from_mask(mask), Fraction(weight)
+    scale, ints = scale_weights(wg.weights)
+    mask, weight = solve_mwis_masked(g.adjacency_masks(), g.full_mask, ints)
+    return set_from_mask(mask), Fraction(weight, scale)
 
 
-def solve_mwis_masked(
-    adj: Sequence[int], vmask: int, weights: Sequence[int | Fraction]
-) -> tuple[int, int | Fraction]:
+def solve_mwis_masked(adj: Sequence[int], vmask: int, weights: Sequence[int]) -> tuple[int, int]:
     """Exact MWIS on the subgraph induced by vmask, as (mask, weight).
 
     adj is a bitmask adjacency table (index 0 unused) and weights an
-    array of nonnegative exact numbers (int or Fraction) indexed the same
-    way.  Sums start at int 0, so integer weights give an integer weight
-    (and an empty vmask gives 0).  Strategy:
+    array of nonnegative integers indexed the same way (see
+    scale_weights); an empty vmask gives weight 0.  Strategy:
     degree-0 vertices are always taken, a degree-1 vertex at least as
     heavy as its neighbor is taken, otherwise branch on a maximum-degree
     vertex; prune when the remaining total weight cannot beat the best.
@@ -79,7 +89,7 @@ def solve_mwis_masked(
         best_w += weights[v]
     best_mask = taken
 
-    def rec(avail: int, chosen: int, cur: int | Fraction) -> None:
+    def rec(avail: int, chosen: int, cur: int) -> None:
         nonlocal best_mask, best_w
         # reductions: take isolated vertices, resolve heavy pendants
         while True:

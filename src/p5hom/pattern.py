@@ -50,13 +50,21 @@ class PatternGraph(Graph):
         return self.edge_count == self.k * (self.k - 1) // 2
 
 
+def _check_color(c: object, v: int, k: int) -> None:
+    """ValueError unless list color c of vertex v is a non-bool int in 1..k."""
+    if isinstance(c, bool) or not isinstance(c, int):
+        raise ValueError(f"list color {c!r} at vertex {v} is not an int")
+    if not 1 <= c <= k:
+        raise ValueError(f"list color {c} at vertex {v} out of range 1..{k}")
+
+
 @dataclass(frozen=True)
 class Instance:
     """A host graph with pattern, exact rational weights and color lists.
 
     wt and lists must be total on the vertices of g; weights nonnegative,
-    lists subsets of 1..k.  Empty lists are legal (the vertex can never be
-    chosen).  Use Instance.build for unit-weight / full-list defaults.
+    lists int colors in 1..k.  Empty lists are legal (the vertex can never
+    be chosen).  Use Instance.build for unit-weight / full-list defaults.
     """
 
     g: Graph
@@ -81,8 +89,7 @@ class Instance:
         for v in sorted(verts):
             ls = frozenset(self.lists[v])
             for c in ls:
-                if not 1 <= c <= k:
-                    raise ValueError(f"list color {c} at vertex {v} out of range 1..{k}")
+                _check_color(c, v, k)
             lists[v] = ls
         object.__setattr__(self, "wt", wt)
         object.__setattr__(self, "lists", lists)
@@ -120,11 +127,6 @@ class Instance:
                 m |= 1 << c
             out[v] = m
         return tuple(out)
-
-    @cached_property
-    def wt_tuple(self) -> tuple[Fraction, ...]:
-        """Weights indexed by vertex (index 0 unused)."""
-        return tuple([ZERO] + [self.wt[v] for v in self.g.vertices])
 
     def weight_of(self, vertices: Iterable[int]) -> Fraction:
         return sum((self.wt[v] for v in vertices), ZERO)
@@ -217,9 +219,9 @@ def exists_list_hom(
     """A list homomorphism into h of the subgraph of g induced on the
     vertices that lists names, or None.
 
-    The keys of lists are vertices of g (ValueError for one outside 1..n);
-    vertices not named are ignored, and the answer colors exactly the named
-    ones, in g's own ids.  Exhaustive backtracking with forward list
+    The keys of lists are vertices of g and its colors ints in 1..k
+    (ValueError otherwise); vertices not named are ignored, and the answer
+    colors exactly the named ones, in g's own ids.  Exhaustive backtracking with forward list
     pruning; picks the most constrained vertex first, the smallest id
     among equals.  The search is exact: None means no list homomorphism
     exists.
@@ -232,8 +234,7 @@ def exists_list_hom(
             raise ValueError(f"vertex {v} out of range 1..{n}")
         m = 0
         for c in lists[v]:
-            if not 1 <= c <= k:
-                raise ValueError(f"list color {c} at vertex {v} out of range 1..{k}")
+            _check_color(c, v, k)
             m |= 1 << c
         if m == 0:
             return None

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import p5hom.connected as connected_module
+import p5hom.mwis as mwis_module
 from p5hom import family
 from p5hom.blob import solve_full
 from p5hom.connected import (
@@ -27,6 +29,7 @@ from p5hom.graph import (
     neighborhood_mask,
     set_from_mask,
 )
+from p5hom.mwis import WeightedGraph
 from p5hom.oracle import oracle_solve
 from p5hom.pattern import Instance, PatternGraph, Solution, verify_solution
 
@@ -37,6 +40,7 @@ from brute import (
     brute_has_connected_optimum,
     brute_has_induced_p5,
     brute_mplhc,
+    brute_mwis_subsets,
 )
 
 GEM = Graph(5, [(1, 2), (2, 3), (3, 4), (5, 1), (5, 2), (5, 3), (5, 4)])
@@ -44,7 +48,7 @@ GEM = Graph(5, [(1, 2), (2, 3), (3, 4), (5, 1), (5, 2), (5, 3), (5, 4)])
 
 def solver_for(g: Graph, h: PatternGraph) -> tuple[ConnectedSolver, Instance]:
     inst = Instance.build(g, h)
-    return ConnectedSolver(g, h, inst.wt_tuple), inst
+    return ConnectedSolver(inst), inst
 
 
 def test_partition_around():
@@ -186,33 +190,47 @@ def test_budget_bounds_whole_run(run, budget, monkeypatch):
 
 def test_negative_budget_rejected():
     with pytest.raises(ValueError):
-        ConnectedSolver(GEM, PatternGraph.complete(2), (0,) * 6, budget=-1)
+        ConnectedSolver(Instance.build(GEM, PatternGraph.complete(2)), budget=-1)
 
 
 def test_negative_weight_rejected():
     # the weight bound rests on nonnegative weights
     with pytest.raises(ValueError):
-        ConnectedSolver(GEM, PatternGraph.complete(2), (0, 1, 2, Fraction(-1, 2), 3, 4))
+        Instance.build(GEM, PatternGraph.complete(2), wt={3: Fraction(-1, 2)})
 
 
 COPRIME_WEIGHTS = (Fraction(1, 3), Fraction(2, 7), Fraction(5, 4), Fraction(11, 6), Fraction(0))
 
 
 @pytest.mark.parametrize("g, k", [(Graph.cycle(5), 2), (GEM, 3)], ids=["C5-K2", "GEM-K3"])
-def test_integer_weights_inside_exact_outside(g, k):
+def test_integer_weights_inside_exact_outside(monkeypatch, g, k):
     # the solver scales by lcm(3, 7, 4, 6) = 84 and works on integers;
-    # every answer at the boundary is the oracle's exact Fraction
+    # every answer at the boundary is the oracle's exact Fraction; the
+    # MWIS search, the blob's and the base case's, sees only ints
+    seen = []
+    inner = mwis_module.solve_mwis_masked
+
+    def spy(adj, vmask, weights):
+        seen.extend(weights)
+        return inner(adj, vmask, weights)
+
+    monkeypatch.setattr(mwis_module, "solve_mwis_masked", spy)
+    monkeypatch.setattr(connected_module, "solve_mwis_masked", spy)
+    wt = dict(zip(g.vertices, COPRIME_WEIGHTS))
+    _, weight = mwis_module.solve_mwis(WeightedGraph(g, wt))
+    assert type(weight) is Fraction and weight == brute_mwis_subsets(g.n, g.edges(), wt)
+    assert seen and all(type(w) is int for w in seen)
+
     h = PatternGraph.complete(k)
-    inst = Instance.build(g, h, wt=dict(zip(g.vertices, COPRIME_WEIGHTS)))
-    assert ConnectedSolver(g, h, inst.wt_tuple).scale == 84
+    inst = Instance.build(g, h, wt=wt)
+    assert ConnectedSolver(inst).scale == 84
     opt = oracle_solve(inst).weight
     for sol in (solve_connected_case(inst).solution, solve_full(inst).solution):
         assert type(sol.weight) is Fraction and sol.weight == opt
         assert verify_solution(inst, sol) is None
 
     # singleton lists: the base case runs on the scaled integers too
-    single = Instance.build(g, h, wt=dict(zip(g.vertices, COPRIME_WEIGHTS)),
-                            lists={v: [v % k + 1] for v in g.vertices})
+    single = Instance.build(g, h, wt=wt, lists={v: [v % k + 1] for v in g.vertices})
     sol = solve_connected_case(single).solution
     assert type(sol.weight) is Fraction and sol.weight == oracle_solve(single).weight
 
@@ -224,6 +242,7 @@ def test_integer_weights_inside_exact_outside(g, k):
     for sol in (solve_connected_case(zero).solution, solve_full(zero).solution,
                 solve_connected_case(empty).solution):
         assert type(sol.weight) is Fraction and sol.weight == 0
+    assert all(type(w) is int for w in seen)
 
 
 def random_instance(seed: int, complete_only: bool, p5free: bool = False) -> Instance:
@@ -272,7 +291,7 @@ def test_sound_on_any_pattern(seed):
         with pytest.raises(NotP5FreeError) as exc:
             solve_connected_case(inst)
         assert exc.value.witness == witness
-        solver = ConnectedSolver(inst.g, inst.h, inst.wt_tuple)
+        solver = ConnectedSolver(inst)
         weight, assignment = solver.solve_masked(inst.g.full_mask, inst.lists_masks)
         sol = Solution.from_assignment(inst, dict(assignment))
         assert sol.weight == Fraction(weight, solver.scale)
@@ -343,7 +362,7 @@ def test_one_pass_cross_part_cleanup_matches_fixpoint(seed):
         v for v in g.vertices if rng.random() < 0.8) or g.full_mask
     verts = list(iter_mask(vmask))
     doms = tuple(rng.sample(verts, rng.randint(1, min(3, len(verts)))))
-    solver = ConnectedSolver(g, inst.h, inst.wt_tuple)
+    solver = ConnectedSolver(inst)
     parts, used = solver.carve(vmask, doms)
     one = list(inst.lists_masks)
     fix = list(inst.lists_masks)
@@ -387,9 +406,9 @@ def test_weight_bound_matches_unpruned_search(graphs, pattern, n, seed, weights)
     answers = []
     members = []
     for cls in (ConnectedSolver, UnprunedConnectedSolver):
-        solver = cls(inst.g, inst.h, inst.wt_tuple)
+        solver = cls(inst)
         answers.append(solver.solve_masked(inst.g.full_mask, inst.lists_masks))
-        solver = cls(inst.g, inst.h, inst.wt_tuple)
+        solver = cls(inst)
         members.append(list(family._guessed_members(inst, solver)))
     assert answers[0] == answers[1]
     assert members[0] == members[1]
@@ -416,7 +435,7 @@ def test_weight_bound_prunes_and_spends_less(g, k):
     big = 10**9
     runs = []
     for cls in (ConnectedSolver, UnprunedConnectedSolver):
-        solver = cls(g, h, inst.wt_tuple, budget=big)
+        solver = cls(inst, budget=big)
         calls = count_solves(solver)
         answer = solver.solve_masked(g.full_mask, inst.lists_masks)
         runs.append((answer, calls[0], big - solver._left))
@@ -426,6 +445,6 @@ def test_weight_bound_prunes_and_spends_less(g, k):
     assert spent <= ref_spent
 
     # the reference's whole spend is enough for the pruned search
-    solver = ConnectedSolver(g, h, inst.wt_tuple, budget=ref_spent)
+    solver = ConnectedSolver(inst, budget=ref_spent)
     assert solver.solve_masked(g.full_mask, inst.lists_masks) == ref_answer
     assert solver.exhaustive is True

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import p5hom.family as family_module
-from p5hom.connected import ConnectedSolver
+from p5hom.blob import solve_full
+from p5hom.connected import ConnectedSolver, solve_connected_case
 from p5hom.family import (
     FamilyProvenance,
     NotP5FreeError,
@@ -31,6 +32,7 @@ from p5hom.graph import (
     set_from_mask,
 )
 from p5hom.pattern import Instance, PatternGraph, exists_list_hom
+from p5hom.textio import serialize_solution
 
 from brute import (
     _surjections,
@@ -273,6 +275,30 @@ def test_family_frozen_digest(budget, digest):
     assert h.hexdigest() == digest
 
 
+def answers_digest(budget) -> str:
+    """SHA-256 over the serialized solution and the exhaustive bit of
+    solve_full and of solve_connected_case on every frozen instance."""
+    h = hashlib.sha256()
+    for i in range(len(FROZEN_SPECS)):
+        inst = frozen_instance(i)
+        for solve in (solve_full, solve_connected_case):
+            res = solve(inst, budget=budget)
+            h.update(repr((serialize_solution(res.solution), res.exhaustive)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("budget, digest", [
+    (None, "4c18fca9779817645f54b58737f1c0cf348e3812581c53f53ac66af0a4b73a85"),
+    (5, "77164fe2c77894636ea4b481e863d83f29cd4455f31ff3d64c861db847d0bbfa"),
+    (40, "ac7c5d46b62ab141d3ba077df6f5b7210746980c88434a57a4ef56a5e3a7a4da"),
+], ids=["None", "5", "40"])
+def test_answers_frozen_digest(budget, digest):
+    # the answers (colorings, tie-breaks, exhaustive bits) of both
+    # searches on the twelve frozen instances, pinned so that a change
+    # inside the solver must reproduce them exactly
+    assert answers_digest(budget) == digest
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10**9))
 def test_second_set_walk_matches_all_subsets(seed):
@@ -374,7 +400,7 @@ def test_guess_order_matches_full_walk(family, pattern_n, seed, budget):
     ))
     runs = []
     for walk in (_guessed_members, brute_guessed_members):
-        solver = ConnectedSolver(inst.g, inst.h, inst.wt_tuple, budget=budget)
+        solver = ConnectedSolver(inst, budget=budget)
         members: dict = {}
         for mask, prov in walk(inst, solver):
             members.setdefault(mask, prov)
@@ -438,7 +464,7 @@ def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
     monkeypatch.setattr(family_module, "_prune_common_mask", counted_prune)
     monkeypatch.setattr(family_module, "_core_region_mask", counted_close)
     monkeypatch.setattr(ConnectedSolver, "solve_masked", counted_solve)
-    solver = ConnectedSolver(inst.g, inst.h, inst.wt_tuple)
+    solver = ConnectedSolver(inst)
     yielded = list(_guessed_members(inst, solver))
     assert solver.exhaustive
 

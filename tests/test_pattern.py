@@ -83,6 +83,11 @@ def test_instance_validation():
         Instance.build(g, h, wt={1: -1})
     with pytest.raises(ValueError):
         Instance.build(g, h, lists={1: [3]})
+    # a color that is not an int (a bool included) is named with its vertex
+    with pytest.raises(ValueError, match="vertex 1"):
+        Instance.build(g, h, lists={1: [1.0]})
+    with pytest.raises(ValueError, match="vertex 2"):
+        Instance.build(g, h, lists={2: [True]})
 
 
 def test_solution_constructors():
@@ -162,6 +167,10 @@ def test_exists_list_hom_rejects_vertices_outside_the_graph():
         exists_list_hom(Graph.path(3), k2, {1: {1}, 4: {2}})
     with pytest.raises(ValueError, match="vertex 0"):
         exists_list_hom(Graph.path(3), k2, {0: {1}})
+    with pytest.raises(ValueError, match="vertex 1"):
+        exists_list_hom(Graph.path(3), k2, {1: {1.0}})
+    with pytest.raises(ValueError, match="vertex 2"):
+        exists_list_hom(Graph.path(3), k2, {2: {True}})
 
 
 def random_case(seed: int):
