@@ -5,10 +5,11 @@ the remaining vertices into the neighborhood parts X_1..X_|D| carved out
 by D's members in order, and deletes everything D does not dominate.
 Every connected P5-free graph has a dominating clique or a dominating
 induced P3 (Bacsó and Tuza, 1990; Camby and Schaudt, 2016).  A clique
-inside an H-colorable set takes pairwise distinct colors, H being
-loopless, so it has at most as many vertices as the live lists have
-colors.  D therefore ranges over those cliques and the induced P3s only:
-one of them dominates a connected optimum.  The search then guesses,
+inside an H-colorable set takes pairwise distinct, pairwise adjacent
+colors, H being loopless, so it has at most omega vertices, omega being
+the clique number of H on the colors of the live lists.  D therefore
+ranges over those cliques and the induced P3s only: one of them
+dominates a connected optimum.  The search then guesses,
 for every part pair (i, j) with i < j and every color r, a set of at
 most two independent vertices of X_i standing in for the optimum's
 r-colored X_i vertices; the guess drives two list cleanups:
@@ -27,17 +28,24 @@ the dominator's color, so the recursion depth is at most k.  Every
 assembled candidate is re-verified against the branch's own instance and
 dropped if infeasible: for non-complete patterns the part-wise recursion
 can propose cross-part conflicts, and verification is what keeps the
-output sound.  The final answer is the best verified candidate, never
-worse than the empty solution or any feasible single vertex.
+output sound.  Each piece starts from a greedy coloring (heaviest vertex
+first, each taking the lowest list color that fits its colored
+neighbors), feasible by construction and possibly disconnected; the
+final answer is the best verified candidate, never worse than that
+start.
 
 The best answer so far is replaced only by a strictly heavier candidate,
-and weights are nonnegative, so a branch whose vertices still in play
-weigh at most the best weight so far cannot change the answer.  Such a
-branch is skipped at three points, each bounded by a plain weight sum:
-a dominator tuple by N[D], a cleaned state by the vertices it keeps, and
-a dominator coloring by D plus the part vertices with nonempty lists,
-tightened part by part as each part's answer comes back.  The answer,
-ties included, is the one the full search would return.
+and weights are nonnegative, so a branch that no candidate heavier than
+the best weight so far can come from cannot change the answer.  Such a
+branch is skipped at four points.  The whole piece, a dominator tuple
+(by N[D]) and a cleaned state (by the vertices it keeps) are bounded by
+a clique cover: the vertices are split greedily into host cliques, and
+each clique counts only its omega heaviest vertices, since an answer
+colors at most omega vertices of a clique.  A dominator coloring is
+bounded by the plain weight of D plus the part vertices with nonempty
+lists, tightened part by part as each part's answer comes back.  The
+answer, ties included, is the one the search without these skips
+would return from the same greedy start.
 
 All recursion operates on (vertex mask, list-mask vector) views over the
 original graph, memoized in one table so that a family build can share
@@ -147,7 +155,9 @@ def _dominator_tuples(
     adj: Sequence[int], vmask: int, omega: int
 ) -> Iterator[tuple[int, ...]]:
     """The dominator tuples of the live piece vmask: its cliques of 1..omega
-    vertices and, at size 3, its induced P3s.
+    vertices and, at size 3, its induced P3s.  The solver passes the
+    clique number of the pattern on the live colors as omega, so under a
+    bipartite pattern (a path, say) no triangle is walked.
 
     Tuples are ascending and come by size, then lexicographically, which
     is the order of combinations(sorted vmask, size) with every other
@@ -210,14 +220,18 @@ class ConnectedSolver:
     coloring, and whatever the caller charges (the family build: one per
     second set with a new seed).  A guess the budget cannot pay for is
     skipped and clears the exhaustive flag.  A negative budget raises
-    ValueError.  A dominator tuple skipped by the weight bound costs its
-    one guess and nothing more.
+    ValueError.  A dominator tuple skipped by the clique-cover bound costs
+    its one guess and nothing more; a piece whose greedy start already
+    meets the bound costs none.
 
     Inside the solver weights are inst.wt scaled to integers by
     mwis.scale_weights; solve_masked returns weights in these units, and
     weight / scale is the exact one.  An Instance holds no negative
     weight, so no vertex lowers a sum: that makes it sound to skip every
-    branch whose remaining weight cannot strictly beat the best so far.
+    branch whose bound cannot strictly beat the best so far.  The
+    solver also keeps the vertices in one weight-descending order (ties
+    by id) for the greedy start and the bound, the pattern's clique
+    number per color mask, and the bound per (mask, omega).
     """
 
     def __init__(self, inst: Instance, budget: int | None = None) -> None:
@@ -225,6 +239,10 @@ class ConnectedSolver:
         self._adj = inst.g.adjacency_masks()
         self._hadj = inst.h.adjacency_masks()
         self.scale, self._wt = scale_weights(inst.wt)
+        # heaviest first, ties by id: the incumbent's and the bound's order
+        self._order = sorted(inst.g.vertices, key=lambda v: (-self._wt[v], v))
+        self._omega = {0: 0}  # clique_number's table, by color mask
+        self._bounds: dict[tuple[int, int], int] = {}  # cover_bound's, by (mask, omega)
         if budget is not None and budget < 0:
             raise ValueError(f"budget must be nonnegative, got {budget}")
         self._left = budget
@@ -284,25 +302,27 @@ class ConnectedSolver:
         """Best verified answer on one connected live vmask.
 
         The dominator tuples are those of _dominator_tuples, with omega
-        the number of colors in the live lists: the cliques of at most
-        omega vertices and the induced P3s.  A connected optimum induces
-        a connected P5-free graph, which has a dominating clique or a
-        dominating induced P3 (Bacsó and Tuza; Camby and Schaudt), and
-        its cliques take pairwise distinct colors, so one of these tuples
-        dominates it.  When no optimum of the piece is connected, no
-        tuple need dominate one, and the answer (still verified) may
-        fall short.  Each tuple is charged one guess before its branch.
+        the clique number of the pattern on the colors of the live lists:
+        the cliques of at most omega vertices and the induced P3s.  A
+        connected optimum induces a connected P5-free graph, which has a
+        dominating clique or a dominating induced P3 (Bacsó and Tuza;
+        Camby and Schaudt), and its cliques take pairwise distinct,
+        pairwise adjacent colors, so one of these tuples dominates it.
+        When no optimum of the piece is connected, no tuple need dominate
+        one, and the answer (still verified) may fall short, though never
+        below the greedy start.  Each tuple is charged one guess before
+        its branch.
 
-        The best answer so far starts at the heaviest single vertex and is
-        replaced only by a strictly heavier candidate.  Weights are
-        nonnegative, so no candidate of a branch outweighs the vertices the
-        branch may still color; a branch whose bound on that weight is at
-        most the best weight so far cannot change the answer and is
-        skipped (see _branch and _branch_colors).  Skipping such a branch
-        leaves every later comparison as it was, so the answer, ties
-        included, is the one the full search would return.
+        The best answer so far starts at the greedy incumbent and is
+        replaced only by a strictly heavier candidate.  When the piece's
+        clique-cover bound is at most the incumbent's weight, no candidate
+        can replace it and the piece returns it at once; otherwise a
+        branch whose bound is at most the best weight so far is skipped
+        (see _branch and _branch_colors).  Skipping such a branch leaves
+        every later comparison as it was, so the answer, ties included,
+        is the one the search without skips would return from the same
+        start.
         """
-        wt = self._wt
         universe = 0
         all_singletons = True
         for v in iter_mask(vmask):
@@ -311,34 +331,127 @@ class ConnectedSolver:
             if lv & (lv - 1):
                 all_singletons = False
         if all_singletons:
-            return _conflict_mwis(self._adj, vmask, lists, self._hadj, wt)
-        best: tuple[int, tuple[tuple[int, int], ...]] = (0, ())
-        for v in iter_mask(vmask):
-            if wt[v] > best[0]:
-                c = lists[v] & -lists[v]
-                best = (wt[v], ((v, c.bit_length() - 1),))
-        for doms in _dominator_tuples(self._adj, vmask, universe.bit_count()):
+            return _conflict_mwis(self._adj, vmask, lists, self._hadj, self._wt)
+        best = self.incumbent(vmask, lists)
+        omega = self.clique_number(universe)
+        if self.cover_bound(vmask, omega) <= best[0]:
+            return best
+        for doms in _dominator_tuples(self._adj, vmask, omega):
             if not self.spend():
                 return best
-            best = self._branch(vmask, lists, doms, universe, best)
+            best = self._branch(vmask, lists, doms, universe, omega, best)
         return best
+
+    def clique_number(self, colors: int) -> int:
+        """omega(H[colors]), the clique number of the pattern on a color mask.
+
+        omega(S) = max(omega(S - c), 1 + omega(S & N_H(c))) with c the
+        lowest color of S: a largest clique either misses c or holds it and
+        only neighbors of c.  Each mask is computed once per solver, when
+        first asked for, so a large pattern costs only the masks it meets.
+        """
+        memo = self._omega
+        hit = memo.get(colors)
+        if hit is None:
+            low = colors & -colors
+            hit = max(
+                self.clique_number(colors ^ low),
+                1 + self.clique_number(colors & self._hadj[low.bit_length() - 1]),
+            )
+            memo[colors] = hit
+        return hit
+
+    def incumbent(
+        self, vmask: int, lists: Sequence[int]
+    ) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """A feasible answer on vmask, colored greedily.
+
+        Vertices come heaviest first (the solver's weight order, ties by
+        id); each takes the lowest color of its list that is
+        pattern-adjacent to the colors of all its colored neighbors, and
+        is left out when none is.  Zero-weight vertices are left out: they
+        would add nothing.  The heaviest vertex always gets its lowest
+        color, so the answer is never lighter than any single vertex.
+        """
+        adj = self._adj
+        hadj = self._hadj
+        wt = self._wt
+        color = {}
+        colored = 0
+        total = 0
+        rest = vmask
+        for v in self._order:
+            if not rest or not wt[v]:
+                break
+            if not rest >> v & 1:
+                continue
+            rest ^= 1 << v
+            fits = lists[v]
+            for u in iter_mask(adj[v] & colored):
+                fits &= hadj[color[u]]
+            if fits:
+                color[v] = (fits & -fits).bit_length() - 1
+                colored |= 1 << v
+                total += wt[v]
+        return total, tuple((v, color[v]) for v in iter_mask(colored))
+
+    def cover_bound(self, mask: int, omega: int) -> int:
+        """An upper bound on the weight of any answer inside mask whose
+        colors span a pattern clique of at most omega colors.
+
+        mask is split greedily into host cliques, heaviest vertex first,
+        each vertex joining the first clique it is adjacent to throughout
+        or opening a new one; a clique counts only its omega heaviest
+        vertices.  An answer's vertices in one host clique take pairwise
+        distinct colors that are pairwise pattern-adjacent, so there are
+        at most omega of them.  Bounds are memoized per solver: the
+        cleaned states of one dominator tuple mostly keep the same mask.
+        """
+        key = (mask, omega)
+        total = self._bounds.get(key)
+        if total is not None:
+            return total
+        adj = self._adj
+        wt = self._wt
+        commons: list[int] = []  # common neighborhood of each clique
+        room: list[int] = []  # vertices each clique may still count
+        total = 0
+        for v in self._order:
+            if not mask or not wt[v]:
+                break
+            if not mask >> v & 1:
+                continue
+            mask ^= 1 << v
+            for i, common in enumerate(commons):
+                if common >> v & 1:
+                    commons[i] = common & adj[v]
+                    if room[i]:
+                        room[i] -= 1
+                        total += wt[v]
+                    break
+            else:
+                commons.append(adj[v])
+                room.append(omega - 1)
+                total += wt[v]
+        self._bounds[key] = total
+        return total
 
     # -- one dominator guess --------------------------------------------------
 
-    def _branch(self, vmask, lists, doms, universe, best):
+    def _branch(self, vmask, lists, doms, universe, omega, best):
         """best, or a heavier verified candidate of the dominator tuple.
 
         Every candidate colors a subset of N[D] inside vmask, so the tuple
         is skipped before its cleanup states are built (and charged) when
-        that weighs at most best; a cleaned state likewise when its kept
-        mask does.
+        the clique-cover bound of that mask is at most best; a cleaned
+        state likewise when the bound of its kept mask is.
         """
         parts, used = self.carve(vmask, doms)
-        if self._weigh(used) <= best[0]:
+        if self.cover_bound(used, omega) <= best[0]:
             return best
         dmask = mask_from(doms)
         for st, kept in sorted(self.cleaned_states(lists, parts, used, universe)):
-            if self._weigh(kept) > best[0]:
+            if self.cover_bound(kept, omega) > best[0]:
                 best = self._branch_colors(st, kept, doms, dmask, parts, lists, best)
         return best
 

@@ -50,6 +50,18 @@ class PatternGraph(Graph):
         return self.edge_count == self.k * (self.k - 1) // 2
 
 
+def _check_weight(w: object, v: int) -> Fraction:
+    """w as an exact Fraction; ValueError for a float or bool weight of
+    vertex v, whose binary value would silently stand in for the intended
+    one, and for a negative weight."""
+    if isinstance(w, (bool, float)):
+        raise ValueError(f"weight {w!r} at vertex {v} is a {type(w).__name__}, not exact")
+    w = Fraction(w)
+    if w < 0:
+        raise ValueError(f"negative weight {w} at vertex {v}")
+    return w
+
+
 def _check_color(c: object, v: int, k: int) -> None:
     """ValueError unless list color c of vertex v is a non-bool int in 1..k."""
     if isinstance(c, bool) or not isinstance(c, int):
@@ -62,9 +74,11 @@ def _check_color(c: object, v: int, k: int) -> None:
 class Instance:
     """A host graph with pattern, exact rational weights and color lists.
 
-    wt and lists must be total on the vertices of g; weights nonnegative,
-    lists int colors in 1..k.  Empty lists are legal (the vertex can never
-    be chosen).  Use Instance.build for unit-weight / full-list defaults.
+    wt and lists must be total on the vertices of g.  Weights are
+    nonnegative and exact: an int, a Fraction or a Fraction string; a
+    float or bool raises ValueError.  Lists hold int colors in 1..k.
+    Empty lists are legal (the vertex can never be chosen).  Use
+    Instance.build for unit-weight / full-list defaults.
     """
 
     g: Graph
@@ -78,12 +92,7 @@ class Instance:
             raise ValueError("weights must be defined exactly on the vertices of g")
         if set(self.lists) != verts:
             raise ValueError("lists must be defined exactly on the vertices of g")
-        wt = {}
-        for v in sorted(verts):
-            w = Fraction(self.wt[v])
-            if w < 0:
-                raise ValueError(f"negative weight {w} at vertex {v}")
-            wt[v] = w
+        wt = {v: _check_weight(self.wt[v], v) for v in sorted(verts)}
         k = self.h.k
         lists = {}
         for v in sorted(verts):
@@ -113,7 +122,7 @@ class Instance:
             for v in given:
                 if v not in verts:
                     raise ValueError(f"{name} given for vertex {v!r}, not in 1..{g.n}")
-        wt_total = {v: Fraction(wt.get(v, 1)) for v in verts}
+        wt_total = {v: wt.get(v, 1) for v in verts}
         lists_total = {v: frozenset(lists.get(v, full)) for v in verts}
         return cls(g, h, wt_total, lists_total)
 

@@ -382,12 +382,26 @@ def brute_dominator_tuples(
     return out
 
 
+def brute_clique_number(h: PatternGraph, colors: int) -> int:
+    """The largest number of pairwise adjacent colors in the color mask
+    colors, by trying every subset from the largest down."""
+    cs = [c for c in h.colors if colors >> c & 1]
+    hadj = h.adjacency_masks()
+    for size in range(len(cs), 0, -1):
+        for sub in combinations(cs, size):
+            if all(hadj[a] >> b & 1 for a, b in combinations(sub, 2)):
+                return size
+    return 0
+
+
 class UnprunedConnectedSolver(ConnectedSolver):
     """The connected search with no weight bound: every dominator tuple,
     cleaned state and dominator coloring is searched in full and every
-    assembled candidate is compared with the best so far.  The tuples are
-    the solver's own (_dominator_tuples): this is the reference for the
-    weight bound, not for the tuple set."""
+    assembled candidate is compared with the best so far.  The starting
+    answer (the greedy incumbent) and the tuples (_dominator_tuples with
+    omega the pattern's clique number on the live colors) are the
+    solver's own: this is the reference for the bounds, not for the
+    incumbent or the tuple set."""
 
     def _solve_piece(
         self, vmask: int, lists: tuple[int, ...]
@@ -402,14 +416,8 @@ class UnprunedConnectedSolver(ConnectedSolver):
                 all_singletons = False
         if all_singletons:
             return _conflict_mwis(self._adj, vmask, lists, self._hadj, wt)
-        best_w = 0
-        best_asg: tuple[tuple[int, int], ...] = ()
-        for v in iter_mask(vmask):
-            if wt[v] > best_w:
-                best_w = wt[v]
-                c = lists[v] & -lists[v]
-                best_asg = ((v, c.bit_length() - 1),)
-        for doms in _dominator_tuples(self._adj, vmask, universe.bit_count()):
+        best_w, best_asg = self.incumbent(vmask, lists)
+        for doms in _dominator_tuples(self._adj, vmask, self.clique_number(universe)):
             if not self.spend():
                 return best_w, best_asg
             for w, asg in self._branch(vmask, lists, doms, universe):

@@ -35,6 +35,7 @@ from p5hom.pattern import Instance, PatternGraph, Solution, verify_solution
 
 from brute import (
     UnprunedConnectedSolver,
+    brute_clique_number,
     brute_cross_part_cleanup,
     brute_dominator_tuples,
     brute_has_connected_optimum,
@@ -372,6 +373,23 @@ def test_one_pass_cross_part_cleanup_matches_fixpoint(seed):
     assert one == fix
 
 
+def drawn_instance(graphs: str, pattern: str, n: int, seed: int, rng: random.Random) -> Instance:
+    """A seeded P5-free instance of the family under pattern ("complete:K"
+    or "path:K"), its list density drawn from rng, weights 0..6."""
+    pname, _, karg = pattern.partition(":")
+    return generate(GenSpec(
+        family=graphs,
+        n=n,
+        k=int(karg),
+        seed=seed,
+        density=TRIAL_DENSITIES[graphs][seed % 3],
+        pattern=pname,
+        list_density=Fraction(rng.randint(4, 9), 10),
+        weight_range=(0, 6),
+        max_tries=500,
+    ))
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(FAMILIES),
@@ -383,19 +401,8 @@ def test_one_pass_cross_part_cleanup_matches_fixpoint(seed):
 def test_weight_bound_matches_unpruned_search(graphs, pattern, n, seed, weights):
     # skipping every branch that cannot beat the best answer so far keeps
     # the answer, ties included, and every family member and provenance
-    pname, _, karg = pattern.partition(":")
     rng = random.Random(seed)
-    inst = generate(GenSpec(
-        family=graphs,
-        n=n,
-        k=int(karg),
-        seed=seed,
-        density=TRIAL_DENSITIES[graphs][seed % 3],
-        pattern=pname,
-        list_density=Fraction(rng.randint(4, 9), 10),
-        weight_range=(0, 6),
-        max_tries=500,
-    ))
+    inst = drawn_instance(graphs, pattern, n, seed, rng)
     if weights == "all-zero":
         wt = dict.fromkeys(inst.g.vertices, Fraction(0))
     elif weights == "zeros":
@@ -448,3 +455,90 @@ def test_weight_bound_prunes_and_spends_less(g, k):
     solver = ConnectedSolver(inst, budget=ref_spent)
     assert solver.solve_masked(g.full_mask, inst.lists_masks) == ref_answer
     assert solver.exhaustive is True
+
+
+def random_pattern(seed: int) -> PatternGraph:
+    rng = random.Random(seed)
+    k = rng.randint(1, 5)
+    return PatternGraph(k, [e for e in itertools.combinations(range(1, k + 1), 2)
+                            if rng.random() < 0.5])
+
+
+PATTERNS = {
+    **{f"complete:{k}": PatternGraph.complete(k) for k in range(1, 6)},
+    **{f"path:{k}": PatternGraph.path(k) for k in range(1, 6)},
+    "C5": PatternGraph.cycle(5),
+    **{f"random-{seed}": random_pattern(seed) for seed in range(8)},
+}
+
+
+@pytest.mark.parametrize("h", PATTERNS.values(), ids=PATTERNS.keys())
+def test_clique_number_table(h):
+    # omega(H[S]) by the recurrence equals the largest clique found by
+    # trying every color subset, on every color mask S
+    solver = ConnectedSolver(Instance.build(Graph(1, []), h))
+    for colors in range(0, 1 << (h.k + 1), 2):
+        assert solver.clique_number(colors) == brute_clique_number(h, colors)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(FAMILIES),
+    st.sampled_from(["complete:2", "complete:3", "path:3", "path:4"]),
+    st.integers(3, 8),
+    st.integers(0, 10**9),
+)
+def test_cover_bound_and_incumbent(graphs, pattern, n, seed):
+    # on a random vertex mask, the clique-cover bound is at least the
+    # optimum of the instance restricted to the mask, and the greedy
+    # incumbent is a feasible answer of that instance with its weight
+    rng = random.Random(seed)
+    inst = drawn_instance(graphs, pattern, n, seed, rng)
+    vmask = mask_from(v for v in inst.g.vertices if rng.random() < 0.7)
+    restricted = Instance(inst.g, inst.h, inst.wt, {
+        v: ls if vmask >> v & 1 else frozenset() for v, ls in inst.lists.items()})
+    lists = restricted.lists_masks
+    universe = 0
+    for v in iter_mask(vmask):
+        universe |= lists[v]
+    solver = ConnectedSolver(inst)
+    bound = solver.cover_bound(vmask, solver.clique_number(universe))
+    assert Fraction(bound, solver.scale) >= oracle_solve(restricted).weight
+    weight, assignment = solver.incumbent(vmask, lists)
+    sol = Solution(frozenset(v for v, _ in assignment), dict(assignment),
+                   Fraction(weight, solver.scale))
+    assert verify_solution(restricted, sol) is None
+
+
+class ColorCountSolver(ConnectedSolver):
+    """The solver with omega taken as the number of live colors, as if the
+    pattern on them were complete."""
+
+    def clique_number(self, colors: int) -> int:
+        return colors.bit_count()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(FAMILIES),
+    st.sampled_from(["path:3", "path:4"]),
+    st.integers(4, 8),
+    st.integers(0, 10**9),
+)
+def test_trimmed_tuples_under_path_patterns(graphs, pattern, n, seed):
+    # a path pattern is bipartite, so no triangle can be colored into it:
+    # the trimmed tuple set holds none, and dropping them (with the bound
+    # that counts two vertices per host clique) leaves the answer as it was
+    inst = drawn_instance(graphs, pattern, n, seed, random.Random(seed))
+    lists = inst.lists_masks
+    adj = inst.g.adjacency_masks()
+    live = mask_from(v for v in inst.g.vertices if lists[v])
+    universe = 0
+    for v in iter_mask(live):
+        universe |= lists[v]
+    solver = ConnectedSolver(inst)
+    for t in _dominator_tuples(adj, live, solver.clique_number(universe)):
+        assert len(t) <= 3
+        assert sum(adj[a] >> b & 1 for a, b in itertools.combinations(t, 2)) < 3
+    assert solver.solve_masked(inst.g.full_mask, lists) == ColorCountSolver(
+        inst).solve_masked(inst.g.full_mask, lists)

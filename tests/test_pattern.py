@@ -90,6 +90,25 @@ def test_instance_validation():
         Instance.build(g, h, lists={2: [True]})
 
 
+@pytest.mark.parametrize("bad", [0.1, 2.0, True, False], ids=repr)
+def test_float_and_bool_weights_rejected(bad):
+    # a float's binary value or a bool's 0/1 must not stand in for the
+    # intended exact weight; the error names the vertex
+    g, h = Graph.path(2), PatternGraph.complete(2)
+    with pytest.raises(ValueError, match="vertex 2"):
+        Instance.build(g, h, wt={1: 1, 2: bad})
+    with pytest.raises(ValueError, match="vertex 1"):
+        Instance(g, h, {1: bad, 2: Fraction(1)}, {1: frozenset({1}), 2: frozenset({2})})
+
+
+def test_exact_weights_accepted():
+    # ints, Fractions and Fraction strings (the text format's weights)
+    inst = Instance.build(
+        Graph.path(3), PatternGraph.complete(2), wt={1: 3, 2: Fraction(1, 10), 3: "2/7"})
+    assert inst.wt == {1: Fraction(3), 2: Fraction(1, 10), 3: Fraction(2, 7)}
+    assert all(type(w) is Fraction for w in inst.wt.values())
+
+
 def test_solution_constructors():
     g = Graph(2, [(1, 2)])
     inst = Instance.build(g, PatternGraph.complete(2), wt={1: 2, 2: 3})
