@@ -21,14 +21,20 @@ both prunes, the second-set walk and every closure depend on the guess
 (W, D, h) only through D and the partition of D into color classes; the
 partition also fixes |W|, its number of classes.  The family is a union
 over every guess, so the loops may run in any order: for each size |W|,
-each (D, partition) is walked once, its first surjection in product
+each (D, partition) is pruned once, its first surjection in product
 order standing for all of them, and W runs innermost.  Each D' is one
 guess charged to the budget, and each closed region new to the size is
 solved under every W of that size.  A region met again would yield only
 members already held, and its solves would be memo hits.  A member's
-provenance is the first guess in this order that yields it.  The
-common-neighbor prune deletes its victims a mask at a time: every
-candidate up to the next class member in one step.
+provenance is the first guess in this order that yields it.
+
+The common-neighbor prune is one intersection: its candidates change
+only when a vertex of D goes, which drops the guess, so a guess whose D
+meets the common neighbors of its classes is dropped and any other loses
+exactly those.  The second-set walk and its closed cores depend only on
+the pruned region and N[D] in it; a pair met again at the same size is
+charged its first walk's second sets in one call and walked no more,
+since that walk solved every core it closes.
 
 The module prune and the closure are single passes.  The components of
 G - N[D] are pairwise non-adjacent, so deleting the non-modules leaves
@@ -92,48 +98,20 @@ class Family:
     exhaustive: bool
 
 
-def _prune_common_mask(
-    adj: Sequence[int], vmask: int, class_masks: Sequence[int]
-) -> int:
-    """Delete, smallest id first and one at a time, any vertex adjacent to
-    at least one live member of every color class.
+def _common_neighbors_mask(adj: Sequence[int], class_masks: Sequence[int]) -> int:
+    """The vertices adjacent to a member of every color class.
 
-    A deletion only shrinks the live classes, so a vertex that is not
-    adjacent to all of them stays so for the rest of the run, and the
-    next victim is always larger than the last: one ascending sweep
-    gives the result of restarting from the smallest vertex after every
-    deletion.  The sweep works a mask at a time.  The candidates above
-    the last deletion are the vertices of vmask adjacent to every live
-    class; deleting one that is not a class member leaves the classes
-    as they were, so every candidate up to and including the first class
-    member goes in one step, and the candidates are recomputed only after
-    a class member leaves.  A victim keeps, in every class, the live
-    neighbor that made it one, so no class empties during the sweep; a
-    class with no member in vmask stops it before it starts.
+    The common-neighbor prune deletes, smallest first and rescanning
+    after each deletion, every vertex adjacent to a live member of every
+    class.  Its candidates are this mask until a class member, a vertex
+    of D, goes, so it either reaches a vertex of D in this mask or
+    deletes exactly this mask; the caller drops a guess whose D loses a
+    vertex, so the mask is all it needs.
     """
-    alive = [cm & vmask for cm in class_masks]
-    if not all(alive):
-        return vmask
-    reach = [neighborhood_mask(adj, a) for a in alive]
-    members = 0
-    for a in alive:
-        members |= a
-    passed = 0  # the sweep has gone past these bits
-    while True:
-        cand = vmask & ~passed
-        for r in reach:
-            cand &= r
-        hit = cand & members
-        if not hit:
-            return vmask & ~cand
-        low = hit & -hit
-        passed = (low << 1) - 1
-        vmask &= ~(cand & passed)
-        members ^= low
-        for i, a in enumerate(alive):
-            if a & low:
-                alive[i] = a ^ low
-                reach[i] = neighborhood_mask(adj, a ^ low)
+    common = -1
+    for cm in class_masks:
+        common &= neighborhood_mask(adj, cm)
+    return common
 
 
 def _prune_non_modules_mask(g: Graph, vmask: int, dmask: int) -> int:
@@ -244,11 +222,13 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
     so the prunes, the second sets and their closed cores depend on
     (W, D, h) only through D and the class partition of D under h, which
     also fixes |W| as its number of classes.  Each (D, partition) is
-    walked once per size, with its first surjection in product order
+    pruned once per size, with its first surjection in product order
     (its restricted-growth labelling, read through each W's colors), and
     each closed core new to the size is solved under every W of the size.
     A core met again would yield only components already yielded, and
-    its solves would be memo hits that spend nothing.
+    its solves would be memo hits that spend nothing.  A (region, N[D])
+    already walked at the size is charged its second-set count in one
+    call, as that many single charges would be, and not walked again.
     """
     g = inst.g
     adj = g.adjacency_masks()
@@ -260,20 +240,29 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
             for colors in combinations(range(1, k + 1), kprime)
         ]
         solved = {0}  # closed cores solved at this size; an empty core needs no solve
+        walked: dict[tuple[int, int], int] = {}  # (region, N[D]) -> second sets charged
+        labellings = {s: list(_class_labellings(s, kprime)) for s in (kprime, kprime + 1)}
         for dmask in enumerate_connected_subsets(g, kprime, min(kprime + 1, g.n)):
             doms = tuple(iter_mask(dmask))
-            for hidx in _class_labellings(len(doms), kprime):
+            for hidx in labellings[len(doms)]:
                 classes = [0] * kprime
                 for d, c in zip(doms, hidx):
                     classes[c] |= 1 << d
-                v = _prune_common_mask(adj, full, classes)
-                if dmask & ~v:
-                    continue  # the region step needs D intact
-                v = _prune_non_modules_mask(g, v, dmask)  # keeps N[D]
+                common = _common_neighbors_mask(adj, classes)
+                if common & dmask:
+                    continue  # the prune breaks D; the region step needs it intact
+                v = _prune_non_modules_mask(g, full & ~common, dmask)  # keeps N[D]
                 closed_d = (dmask | neighborhood_mask(adj, dmask)) & v
+                charged = walked.get((v, closed_d))
+                if charged is not None:  # every core of this walk is solved
+                    if solver.spend(charged) < charged:
+                        return
+                    continue
+                charged = 0
                 for second, seed in _second_sets(adj, v, closed_d, kprime + 1):
                     if not solver.spend():
                         return
+                    charged += 1
                     core = _core_region_mask(adj, v, seed)
                     if core in solved:
                         continue
@@ -285,6 +274,7 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
                         )
                         for comp in masked_components(g, mask_from(u for u, _ in assignment)):
                             yield comp, prov
+                walked[(v, closed_d)] = charged
 
 
 def build_family(inst: Instance, budget: int | None = None) -> Family:
@@ -296,10 +286,11 @@ def build_family(inst: Instance, budget: int | None = None) -> Family:
     (one per second set D' with a new seed, plus the solver's own), and a
     build that runs out keeps the members found so far and reports
     exhaustive False.  For each size |W|, each (D, class partition) is
-    walked once, whatever W, and each closed region new to the size is
-    solved under every W of that size, so the unit of the budget is one
-    guess per (D, partition, D'); each member keeps the provenance of
-    the first guess that yields it.
+    pruned once, whatever W, each (pruned region, N[D]) is walked once,
+    and each closed region new to the size is solved under every W of
+    that size, so the unit of the budget is one guess per
+    (D, partition, D'), a repeated walk charged all at once; each member
+    keeps the provenance of the first guess that yields it.
     """
     witness = find_induced_p5(inst.g)
     if witness is not None:

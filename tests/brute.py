@@ -15,7 +15,6 @@ from p5hom.connected import ConnectedSolver, _conflict_mwis, _dominator_tuples
 from p5hom.family import (
     FamilyProvenance,
     _core_region_mask,
-    _prune_common_mask,
     _prune_non_modules_mask,
     _second_sets,
 )
@@ -338,7 +337,7 @@ def brute_guessed_members(inst: Instance, solver):
                 partition = frozenset(classes.values())
                 first = partition not in walked
                 walked.add(partition)
-                v1 = _prune_common_mask(adj, full, list(classes.values()))
+                v1 = brute_prune_common(adj, full, list(classes.values()))
                 v2 = _prune_non_modules_mask(g, v1, dmask)
                 if dmask & ~v2:
                     continue

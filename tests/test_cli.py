@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, output shape, determinism."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +95,17 @@ def test_force_connected_rejects_non_p5free(p5_file, capsys):
 def test_check_p5free_accepts(c5_file, capsys):
     assert main(["check-p5free", c5_file]) == 0
     assert "P5-free" in capsys.readouterr().out
+
+
+def test_python_m_p5hom_runs_the_cli(c5_file):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "p5hom", "check-p5free", c5_file],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "P5-free" in done.stdout
 
 
 def test_bad_input_is_exit_2(tmp_path):

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from p5hom.family import (
     build_family,
     _core_region_mask,
     _guessed_members,
-    _prune_common_mask,
+    _common_neighbors_mask,
     _prune_non_modules_mask,
     _second_sets,
 )
@@ -57,34 +58,43 @@ def closed_seed(g: Graph, verts, vmask: int) -> int:
 
 
 def test_prune_common_neighbors_frozen():
+    # the restart reference on frozen cases; where vmask is the whole
+    # graph, the family's rule reads the same answer off one intersection:
+    # D loses a vertex exactly when a common neighbor is in D, and
+    # otherwise the prune deletes the common neighbors
+    def check(g, class_masks, want, vmask=None):
+        adj = g.adjacency_masks()
+        full = g.full_mask
+        assert brute_prune_common(adj, full if vmask is None else vmask, class_masks) == want
+        if vmask is None:
+            dmask = mask_from(v for cm in class_masks for v in iter_mask(cm))
+            common = _common_neighbors_mask(adj, class_masks)
+            assert bool(common & dmask) == bool(dmask & ~want)
+            if not common & dmask:
+                assert want == full & ~common
+
     # vertex 3 and then 4 are adjacent to both classes and get deleted
     g = Graph(4, [(1, 2), (2, 3), (1, 3), (1, 4), (2, 4)])
-    got = _prune_common_mask(g.adjacency_masks(), g.full_mask, [mask_from([1]), mask_from([2])])
-    assert got == mask_from([1, 2])
+    check(g, [mask_from([1]), mask_from([2])], mask_from([1, 2]))
 
     # dominators themselves are deletable: with one class {1, 2}, vertex 1
     # is adjacent to a live class member and goes first
-    g = Graph(2, [(1, 2)])
-    got = _prune_common_mask(g.adjacency_masks(), g.full_mask, [mask_from([1, 2])])
-    assert got == mask_from([2])
+    check(Graph(2, [(1, 2)]), [mask_from([1, 2])], mask_from([2]))
 
     # nobody is adjacent to both classes: immediate fixpoint
     p4 = Graph.path(4)
-    got = _prune_common_mask(p4.adjacency_masks(), p4.full_mask, [mask_from([1]), mask_from([4])])
-    assert got == p4.full_mask
+    check(p4, [mask_from([1]), mask_from([4])], p4.full_mask)
 
-    # class member 1 goes first; the sweep goes on to delete 3, while 4,
+    # class member 1 goes first; the prune goes on to delete 3, while 4,
     # adjacent to both classes only through 1, now stays
     g = Graph(5, [(1, 2), (1, 4), (1, 5), (2, 3), (2, 5), (3, 5), (4, 5)])
-    got = _prune_common_mask(g.adjacency_masks(), g.full_mask, [mask_from([1, 2]), mask_from([5])])
-    assert got == mask_from([2, 4, 5])
+    check(g, [mask_from([1, 2]), mask_from([5])], mask_from([2, 4, 5]))
 
-    # class {4} has no member in vmask, so the sweep stops before it
-    # starts, although 3 is adjacent to both other classes
+    # class {4} has no member in vmask, so nothing is deleted, although 3
+    # is adjacent to both other classes
     g = Graph(4, [(1, 2), (1, 3), (2, 3), (3, 4)])
     vmask = mask_from([1, 2, 3])
-    got = _prune_common_mask(g.adjacency_masks(), vmask, [mask_from([1]), mask_from([2]), mask_from([4])])
-    assert got == vmask
+    check(g, [mask_from([1]), mask_from([2]), mask_from([4])], vmask, vmask)
 
 
 def test_prune_non_module_components_frozen():
@@ -320,20 +330,26 @@ def test_second_set_walk_matches_all_subsets(seed):
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10**9))
-def test_one_sweep_prune_matches_restart(seed):
+def test_common_prune_is_one_intersection(seed):
+    # on the whole graph, with classes partitioning a connected D, the
+    # restart prune keeps D intact exactly when no vertex of D is a common
+    # neighbor of the classes, and then deletes just the common neighbors
     g = random_p5free_instance(seed).g
     rng = random.Random(seed + 1)
     adj = list(g.adjacency_masks())
-    doms = [v for v in g.vertices if rng.random() < 0.4] or [1]
-    classes: dict[int, int] = {}
-    for d in doms:
-        c = rng.randint(1, 3)
-        classes[c] = classes.get(c, 0) | 1 << d
-    vmask = g.full_mask if rng.random() < 0.5 else mask_from(
-        v for v in g.vertices if rng.random() < 0.8)
-    class_masks = list(classes.values())
-    assert _prune_common_mask(adj, vmask, class_masks) == brute_prune_common(
-        adj, vmask, class_masks)
+    dmask = rng.choice(list(enumerate_connected_subsets(g, 1, 4)))
+    size = dmask.bit_count()
+    nclasses = rng.randint(1, size)
+    labels = list(range(nclasses)) + [rng.randrange(nclasses) for _ in range(size - nclasses)]
+    rng.shuffle(labels)
+    class_masks = [0] * nclasses
+    for d, c in zip(iter_mask(dmask), labels):
+        class_masks[c] |= 1 << d
+    common = _common_neighbors_mask(adj, class_masks)
+    got = brute_prune_common(adj, g.full_mask, class_masks)
+    assert (dmask & ~got == 0) == (common & dmask == 0)
+    if not common & dmask:
+        assert got == g.full_mask & ~common
 
 
 def random_graph(rng: random.Random, max_n: int = 9) -> Graph:
@@ -408,6 +424,54 @@ def test_guess_order_matches_full_walk(family, pattern_n, seed, budget):
     assert runs[0] == runs[1]
 
 
+def test_budget_runs_out_inside_a_repeated_walk(monkeypatch):
+    # on GEM under K3 most second sets of size 3 sit in walks whose pruned
+    # region and N[D] an earlier walk of the size already had, and such a
+    # walk is charged in one call; every budget, including those that run
+    # out inside that call, stops where the walk over every surjection does
+    g, k = GEM, 3
+    inst = Instance.build(g, PatternGraph.complete(k))
+    adj = g.adjacency_masks()
+    walks = set()  # (D, class partition) kept intact at size 3
+    region_walks = set()  # (pruned region, N[D]) at size 3
+    for dmask in enumerate_connected_subsets(g, k, k + 1):
+        doms = tuple(iter_mask(dmask))
+        for h in _surjections(doms, tuple(range(k))):
+            classes = [mask_from(d for d, c in zip(doms, h) if c == i) for i in range(k)]
+            v = brute_prune_non_modules(g, brute_prune_common(adj, g.full_mask, classes), dmask)
+            if not dmask & ~v:
+                walks.add((doms, frozenset(classes)))
+                region_walks.add((v, closed_seed(g, doms, v)))
+    assert len(region_walks) < len(walks)
+
+    repeats = []  # (asked, paid) of the family's charges for a repeated walk
+    spend = ConnectedSolver.spend
+
+    def counted_spend(self, *n):
+        paid = spend(self, *n)
+        # the family names the count only when it charges a repeated walk
+        if n and sys._getframe(1).f_code is _guessed_members.__code__:
+            repeats.append((n[0], paid))
+        return paid
+
+    monkeypatch.setattr(ConnectedSolver, "spend", counted_spend)
+    big = 10**9
+    solver = ConnectedSolver(inst, budget=big)
+    list(_guessed_members(inst, solver))
+    total = big - solver._left
+    for budget in range(total + 2):
+        runs = []
+        for walk in (_guessed_members, brute_guessed_members):
+            solver = ConnectedSolver(inst, budget=budget)
+            members: dict = {}
+            for mask, prov in walk(inst, solver):
+                members.setdefault(mask, prov)
+            runs.append((list(members.items()), solver.exhaustive, solver._left))
+        assert runs[0] == runs[1]
+        assert runs[0][1] == (budget >= total)
+    assert repeats and any(paid < n for n, paid in repeats)
+
+
 @pytest.mark.parametrize("g, k", [(Graph.cycle(5), 2), (GEM, 3)], ids=["C5-K2", "GEM-K3"])
 def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
     inst = Instance.build(g, PatternGraph.complete(k))
@@ -416,6 +480,8 @@ def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
     partitions = set()  # (W, D, class partition)
     walks = set()  # (|W|, D, class partition)
     regions = set()  # (W, nonempty closed core), by the restart references
+    walk_seconds = {}  # (|W|, D, class partition) kept intact -> second sets
+    region_walks = {}  # (|W|, pruned region, N[D]) -> second sets
     for size in range(2, min(k, g.n) + 1):
         for colors in itertools.combinations(range(1, k + 1), size):
             for dmask in enumerate_connected_subsets(g, size, min(size + 1, g.n)):
@@ -429,13 +495,17 @@ def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
                     v = brute_prune_non_modules(g, v, dmask)
                     if dmask & ~v:
                         continue
-                    for _, seed in brute_second_sets(adj, v, closed_seed(g, doms, v), size + 1):
+                    closed_d = closed_seed(g, doms, v)
+                    seconds = brute_second_sets(adj, v, closed_d, size + 1)
+                    walk_seconds[(size, doms, frozenset(classes.values()))] = len(seconds)
+                    region_walks[(size, v, closed_d)] = len(seconds)
+                    for _, seed in seconds:
                         core = brute_core_region(adj, v, seed)[1]
                         if core:
                             regions.add((colors, core))
 
     prunes = []
-    prune = family_module._prune_common_mask
+    prune = family_module._common_neighbors_mask
 
     def counted_prune(*args):
         prunes.append(args)
@@ -465,7 +535,7 @@ def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
             components[0] += len(masked_components(g, mask_from(v for v, _ in answer[1])))
         return answer
 
-    monkeypatch.setattr(family_module, "_prune_common_mask", counted_prune)
+    monkeypatch.setattr(family_module, "_common_neighbors_mask", counted_prune)
     monkeypatch.setattr(family_module, "_core_region_mask", counted_close)
     monkeypatch.setattr(ConnectedSolver, "solve_masked", counted_solve)
     solver = ConnectedSolver(inst)
@@ -480,9 +550,18 @@ def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
         assert 2 * len(prunes) == guesses
     else:
         assert len(walks) < len(partitions)
+    # one second-set walk per distinct (|W|, pruned region, N[D]): a walk
+    # met again is charged without closing its second sets; on GEM under
+    # K3 that saves closures over one walk per (|W|, D, class partition)
+    assert len(closures) == sum(region_walks.values()) <= sum(walk_seconds.values())
+    if k == 3:
+        assert len(closures) < sum(walk_seconds.values())
     # one solve per distinct (W, closed region): every list is full, so
-    # the lists restricted to W tell the W apart
-    assert len(top) == len(set(top)) < len(closures)
+    # the lists restricted to W tell the W apart; fewer solves than one
+    # walk per (|W|, D, class partition) closes regions, and at most one
+    # region new to its size per closure
+    assert len(top) == len(set(top)) < sum(walk_seconds.values())
+    assert len({(max(lists).bit_count(), vmask) for vmask, lists in top}) <= len(closures)
     assert len(top) <= len(regions)
     # each solve yields every component of its answer once; an answer may
     # have several (the greedy incumbent need not be connected)
