@@ -21,37 +21,50 @@ r-colored X_i vertices; the guess drives two list cleanups:
      order settles every such edge, since a part's lists shrink only
      after every lower part has read them.
 
-After guessing colors for D's members (each propagating pattern-adjacency
-onto its neighbors' lists), D is removed and each part recurses as an
-independent smaller instance; the color universe inside a part shrinks by
-the dominator's color, so the recursion depth is at most k.  Every
-assembled candidate is re-verified against the branch's own instance and
-dropped if infeasible: for non-complete patterns the part-wise recursion
-can propose cross-part conflicts, and verification is what keeps the
-output sound.  Each piece starts from a greedy coloring (heaviest vertex
-first, each taking the lowest list color that fits its colored
-neighbors), feasible by construction and possibly disconnected; the
-final answer is the best verified candidate, never worse than that
-start.
+The search colors D before it guesses the stand-ins.  For each
+dominator tuple it tries every coloring of D (adjacent dominators on
+pattern-adjacent colors) and propagates it onto N(D): a neighbor of a
+dominator keeps only the colors pattern-adjacent to the dominator's.
+Only then are the stand-ins guessed and the cleanups run, on the
+propagated lists of the vertices still live.  The cleanups never touch
+D's own lists, so the order is free, and it stays sound: in the branch
+that colors D as an optimum O colors it, propagation keeps every color
+that O uses, so O's r-colored X_i vertices still hold r and the right
+stand-in guess is still in the pool; rules 1 and 2 then keep O's colors
+for the same reason as before, and rule 2 only reads smaller lists, so
+it strips less.  Under a complete pattern every X_i vertex has lost
+d_i's color, so no stand-in for that color is guessed in X_i.
+
+D is then removed and each part recurses as an independent smaller
+instance; the color universe inside a part shrinks by the dominator's
+color, so the recursion depth is at most k.  Every assembled candidate
+is re-verified against the branch's own instance and dropped if
+infeasible: for non-complete patterns the part-wise recursion can
+propose cross-part conflicts, and verification is what keeps the output
+sound.  Each piece starts from a greedy coloring (heaviest vertex first,
+each taking the lowest list color that fits its colored neighbors),
+feasible by construction and possibly disconnected; the final answer is
+the best verified candidate, never worse than that start.
 
 The best answer so far is replaced only by a strictly heavier candidate,
 and weights are nonnegative, so a branch that no candidate heavier than
 the best weight so far can come from cannot change the answer.  Such a
-branch is skipped at four points.  The whole piece, a dominator tuple
-(by N[D]) and a cleaned state (by the vertices it keeps) are bounded by
-a clique cover: the vertices are split greedily into host cliques, and
-each clique counts only its omega heaviest vertices, since an answer
-colors at most omega vertices of a clique.  A dominator coloring is
-bounded by the plain weight of D plus the part vertices with nonempty
-lists, tightened part by part as each part's answer comes back.  The
-answer, ties included, is the one the search without these skips
-would return from the same greedy start.
+branch is skipped at five points.  The whole piece, a dominator tuple
+(by N[D]), a dominator coloring (by N[D] minus the vertices its
+propagation empties) and a cleaned state (by the vertices it keeps) are
+bounded by a clique cover: the vertices are split greedily into host
+cliques, and each clique counts only its omega heaviest vertices, since
+an answer colors at most omega vertices of a clique.  A cleaned state's
+parts then recurse one at a time under the plain weight of D plus the
+parts' kept vertices, each part's term becoming its answer as it comes
+back.  The answer, ties included, is the one the search without these
+skips would return from the same greedy start.
 
 All recursion operates on (vertex mask, list-mask vector) views over the
 original graph, memoized in one table so that a family build can share
 work across thousands of overlapping sub-instances.  An optional budget
-bounds the guesses of the whole run: dominator tuples, cleanup states
-and dominator colorings draw on one counter, shared with the family
+bounds the guesses of the whole run: dominator tuples, dominator
+colorings and cleanup states draw on one counter, shared with the family
 build's second sets when the family drives the solver.  The solver is
 built from an Instance and scales its weights once to integers
 (mwis.scale_weights), so no sum inside the search is a Fraction.
@@ -62,7 +75,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .graph import (
     NotP5FreeError,
@@ -147,7 +160,7 @@ def _cross_part_cleanup(
                 lu &= ~lists[v]
             lists[u] = lu
             if not lu:
-                kept ^= 1 << u
+                kept &= ~(1 << u)
     return kept
 
 
@@ -215,14 +228,15 @@ class ConnectedSolver:
     solve_masked answers sub-instances given as (vertex mask, list-mask
     vector); results are memoized across calls, so a family build can
     reuse everything.  budget, when set, is the number of guesses the
-    solver's whole life may make, charged through spend: one per
-    dominator tuple, one per cleanup state kept, one per dominator
+    solver's whole life may make, charged through spend in this order:
+    one per dominator tuple, then for the tuple one per dominator
+    coloring, each followed by one per cleanup state kept for that
     coloring, and whatever the caller charges (the family build: one per
     second set with a new seed).  A guess the budget cannot pay for is
     skipped and clears the exhaustive flag.  A negative budget raises
-    ValueError.  A dominator tuple skipped by the clique-cover bound costs
-    its one guess and nothing more; a piece whose greedy start already
-    meets the bound costs none.
+    ValueError.  A dominator tuple or a dominator coloring skipped by the
+    clique-cover bound costs its one guess and nothing more; a piece
+    whose greedy start already meets the bound costs none.
 
     Inside the solver weights are inst.wt scaled to integers by
     mwis.scale_weights; solve_masked returns weights in these units, and
@@ -318,7 +332,7 @@ class ConnectedSolver:
         clique-cover bound is at most the incumbent's weight, no candidate
         can replace it and the piece returns it at once; otherwise a
         branch whose bound is at most the best weight so far is skipped
-        (see _branch and _branch_colors).  Skipping such a branch leaves
+        (see _branch).  Skipping such a branch leaves
         every later comparison as it was, so the answer, ties included,
         is the one the search without skips would return from the same
         start.
@@ -339,7 +353,7 @@ class ConnectedSolver:
         for doms in _dominator_tuples(self._adj, vmask, omega):
             if not self.spend():
                 return best
-            best = self._branch(vmask, lists, doms, universe, omega, best)
+            best = self._branch(vmask, lists, doms, omega, best)
         return best
 
     def clique_number(self, colors: int) -> int:
@@ -438,22 +452,68 @@ class ConnectedSolver:
 
     # -- one dominator guess --------------------------------------------------
 
-    def _branch(self, vmask, lists, doms, universe, omega, best):
+    def _branch(self, vmask, lists, doms, omega, best):
         """best, or a heavier verified candidate of the dominator tuple.
 
         Every candidate colors a subset of N[D] inside vmask, so the tuple
-        is skipped before its cleanup states are built (and charged) when
-        the clique-cover bound of that mask is at most best; a cleaned
-        state likewise when the bound of its kept mask is.
+        is skipped when the clique-cover bound of that mask is at most
+        best.  Each coloring of D is charged and propagated onto N(D); it
+        is skipped when the bound of N[D] minus the vertices it emptied is
+        at most best, before its cleanup states are built (and charged)
+        from the propagated lists of the parts' live vertices.  A cleaned
+        state is skipped when the bound of its kept mask is at most best;
+        otherwise its parts recurse one at a time under D's weight plus
+        the plain weight of every part's kept vertices, each part's term
+        becoming its answer as it comes back.  The state stops once that
+        falls to best, and a state that finishes weighs exactly its bound.
         """
         parts, used = self.carve(vmask, doms)
         if self.cover_bound(used, omega) <= best[0]:
             return best
+        adj = self._adj
+        hadj = self._hadj
         dmask = mask_from(doms)
-        for st, kept in sorted(self.cleaned_states(lists, parts, used, universe)):
-            if self.cover_bound(kept, omega) > best[0]:
-                best = self._branch_colors(st, kept, doms, dmask, parts, lists, best)
+        dom_w = self._weigh(dmask)
+        for colors in self._colorings(doms, lists):
+            mod = list(lists)
+            live = used
+            for d, c in zip(doms, colors):
+                hmask = hadj[c]
+                for v in iter_mask(adj[d] & live & ~dmask):
+                    mod[v] &= hmask
+                    if not mod[v]:
+                        live ^= 1 << v
+            if self.cover_bound(live, omega) <= best[0]:
+                continue
+            states = self.cleaned_states(tuple(mod), [x & live for x in parts], live)
+            for st, kept in sorted(states):
+                if self.cover_bound(kept, omega) <= best[0]:
+                    continue
+                pieces = [x & kept for x in parts if x & kept]
+                caps = [self._weigh(pm) for pm in pieces]
+                bound = dom_w + sum(caps)  # above best: the cover bound is at most this
+                coloring = dict(zip(doms, colors))
+                for pm, cap in zip(pieces, caps):
+                    w, asg = self.solve_masked(pm, st)
+                    bound += w - cap
+                    if bound <= best[0]:
+                        break
+                    coloring.update(asg)
+                else:
+                    if self._verify_candidate(coloring, lists):
+                        best = (bound, tuple(sorted(coloring.items())))
         return best
+
+    def _colorings(self, doms: Sequence[int], lists: Sequence[int]) -> Iterator[tuple[int, ...]]:
+        """The colorings of D from its lists that put every edge of D on a
+        pattern edge, in lexicographic order; each is charged one guess,
+        and one the budget cannot pay for is skipped."""
+        adj = self._adj
+        hadj = self._hadj
+        edges = [(i, j) for j, b in enumerate(doms) for i in range(j) if adj[doms[i]] >> b & 1]
+        for colors in product(*[list(iter_mask(lists[d])) for d in doms]):
+            if all(hadj[colors[i]] >> colors[j] & 1 for i, j in edges) and self.spend():
+                yield colors
 
     def _weigh(self, mask: int) -> int:
         wt = self._wt
@@ -483,22 +543,22 @@ class ConnectedSolver:
         lists: tuple[int, ...],
         parts: Sequence[int],
         used: int,
-        universe: int,
     ) -> set[tuple[tuple[int, ...], int]]:
         """Every (list-mask vector, kept mask) the guesses and cleanups reach.
 
-        For each part pair (i, j) with i < j and color r in universe, the
-        guess is an independent set of at most two X_i vertices whose lists
-        hold r, or no vertex; X_j neighbors of the guess keep only colors
-        pattern-adjacent to r.  Guesses with the same X_j neighborhood are
-        one effect.  Each resulting state then runs the cross-part cleanup,
-        and kept is used minus the part vertices it emptied.  Every state
-        kept is charged to the budget.  Under a budget with g guesses
-        left, the growth is cut to its g + 1 lexicographically smallest
-        states after every slot, and of the states left at the end the
-        budget keeps those it can pay for, smallest first.  A state cut
-        early takes its descendants with it, so the states kept need not
-        be the smallest that the uncut growth would reach.
+        For each part pair (i, j) with i < j and color r of a list in X_i,
+        the guess is an independent set of at most two X_i vertices whose
+        lists hold r, or no vertex; X_j neighbors of the guess keep only
+        colors pattern-adjacent to r.  Guesses with the same X_j
+        neighborhood are one effect.  Each resulting state then runs the
+        cross-part cleanup, and kept is used minus the part vertices it
+        emptied.  Every state kept is charged to the budget.  Under a
+        budget with g guesses left, the growth is cut to its g + 1
+        lexicographically smallest states after every slot, and of the
+        states left at the end the budget keeps those it can pay for,
+        smallest first.  A state cut early takes its descendants with it,
+        so the states kept need not be the smallest that the uncut growth
+        would reach.
         """
         adj = self._adj
         hadj = self._hadj
@@ -506,29 +566,25 @@ class ConnectedSolver:
         # cleanup slots: (color, distinct neighborhoods-to-clean inside X_j)
         slots: list[tuple[int, list[int]]] = []
         p = len(parts)
-        for i in range(p):
+        for i in range(p - 1):
             xi = parts[i]
-            if not xi:
-                continue
+            colors = 0
+            for v in iter_mask(xi):
+                colors |= lists[v]
+            # per color of X_i, the neighborhood of every guessable set
+            guesses = []
+            for r in iter_mask(colors):
+                pool = [v for v in iter_mask(xi) if lists[v] >> r & 1]
+                nbhs = [adj[v] for v in pool]
+                nbhs += [adj[v] | adj[u] for v, u in combinations(pool, 2) if not adj[v] >> u & 1]
+                guesses.append((r, nbhs))
             for j in range(i + 1, p):
                 xj = parts[j]
                 if not xj:
                     continue
-                for r in iter_mask(universe):
-                    pool = [
-                        v for v in iter_mask(xi) if lists[v] >> r & 1
-                    ]
-                    effects = {0}
-                    for v in pool:
-                        e = adj[v] & xj
-                        if e:
-                            effects.add(e)
-                    for v, u in combinations(pool, 2):
-                        if adj[v] >> u & 1:
-                            continue
-                        e = (adj[v] | adj[u]) & xj
-                        if e:
-                            effects.add(e)
+                for r, nbhs in guesses:
+                    effects = {e & xj for e in nbhs}
+                    effects.add(0)
                     if len(effects) > 1:
                         slots.append((r, sorted(effects)))
 
@@ -561,71 +617,6 @@ class ConnectedSolver:
             kept = _cross_part_cleanup(adj, mod, parts, used)
             cleaned.add((tuple(mod), kept))
         return cleaned
-
-    # -- one cleaned state: color the dominators, recurse per part -------------
-
-    def _branch_colors(self, lists, kept, doms, dmask, parts, entry_lists, best):
-        """best, or a heavier verified candidate of the cleaned state.
-
-        A dominator coloring is charged, then skipped when D's weight plus
-        the part vertices whose lists it leaves nonempty weighs at most
-        best.  Each part's term of that bound becomes the part's answer as
-        it comes back, and the coloring stops once the bound falls to
-        best; a coloring that finishes weighs exactly its bound.
-        """
-        adj = self._adj
-        hadj = self._hadj
-        p = len(doms)
-        assign = [0] * p
-        pieces = [x & kept for x in parts if x & kept]
-        piece_w = [self._weigh(pm) for pm in pieces]
-        dom_w = self._weigh(dmask)
-
-        def color_rec(idx: int):
-            if idx == p:
-                if self.spend():
-                    yield tuple(assign)
-                return
-            d = doms[idx]
-            for r in iter_mask(lists[d]):
-                ok = True
-                for jdx in range(idx):
-                    if adj[d] >> doms[jdx] & 1 and not hadj[r] >> assign[jdx] & 1:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                assign[idx] = r
-                yield from color_rec(idx + 1)
-
-        for colors in color_rec(0):
-            mod = list(lists)
-            emptied = 0
-            for idx in range(p):
-                hmask = hadj[colors[idx]]
-                for v in iter_mask(adj[doms[idx]] & kept & ~dmask):
-                    lv = mod[v] & hmask
-                    mod[v] = lv
-                    if not lv:
-                        emptied |= 1 << v
-            caps = piece_w
-            if emptied:
-                caps = [w - self._weigh(pm & emptied) for pm, w in zip(pieces, piece_w)]
-            bound = dom_w + sum(caps)
-            if bound <= best[0]:
-                continue
-            mod = tuple(mod)
-            coloring = dict(zip(doms, colors))
-            for pm, cap in zip(pieces, caps):
-                w, asg = self.solve_masked(pm, mod)
-                bound += w - cap
-                if bound <= best[0]:
-                    break
-                coloring.update(asg)
-            else:
-                if self._verify_candidate(coloring, entry_lists):
-                    best = (bound, tuple(sorted(coloring.items())))
-        return best
 
     def _verify_candidate(self, coloring, entry_lists) -> bool:
         adj = self._adj

@@ -63,7 +63,6 @@ from .graph import (
     iter_mask,
     mask_from,
     masked_components,
-    neighborhood_mask,
     set_from_mask,
 )
 from .pattern import Instance
@@ -98,8 +97,10 @@ class Family:
     exhaustive: bool
 
 
-def _common_neighbors_mask(adj: Sequence[int], class_masks: Sequence[int]) -> int:
-    """The vertices adjacent to a member of every color class.
+def _common_neighbors_mask(rows: Sequence[int], labels: Sequence[int]) -> int:
+    """The vertices adjacent to a member of every color class, given the
+    neighborhood rows[i] and the class labels[i] of each vertex of D, the
+    classes numbered 0 up to their count.
 
     The common-neighbor prune deletes, smallest first and rescanning
     after each deletion, every vertex adjacent to a live member of every
@@ -108,15 +109,19 @@ def _common_neighbors_mask(adj: Sequence[int], class_masks: Sequence[int]) -> in
     deletes exactly this mask; the caller drops a guess whose D loses a
     vertex, so the mask is all it needs.
     """
+    nbrs = [0] * (max(labels) + 1)
+    for row, c in zip(rows, labels):
+        nbrs[c] |= row
     common = -1
-    for cm in class_masks:
-        common &= neighborhood_mask(adj, cm)
+    for nb in nbrs:
+        common &= nb
     return common
 
 
-def _prune_non_modules_mask(g: Graph, vmask: int, dmask: int) -> int:
+def _prune_non_modules_mask(g: Graph, vmask: int, closed: int) -> int:
     """Delete every component of the graph minus N[D] that is not a module
-    of the graph.
+    of the graph; closed is N[D], and what it holds outside vmask does not
+    matter.
 
     One round suffices: the components are pairwise non-adjacent, so
     deleting some of them changes neither N[D] nor the outside
@@ -124,10 +129,8 @@ def _prune_non_modules_mask(g: Graph, vmask: int, dmask: int) -> int:
     module.
     """
     adj = g.adjacency_masks()
-    nd = dmask & vmask
-    nd |= neighborhood_mask(adj, nd)
     bad = 0
-    for comp in masked_components(g, vmask & ~nd):
+    for comp in masked_components(g, vmask & ~closed):
         first = comp & -comp
         ref = adj[first.bit_length() - 1] & vmask & ~comp
         for v in iter_mask(comp ^ first):
@@ -244,15 +247,16 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
         labellings = {s: list(_class_labellings(s, kprime)) for s in (kprime, kprime + 1)}
         for dmask in enumerate_connected_subsets(g, kprime, min(kprime + 1, g.n)):
             doms = tuple(iter_mask(dmask))
+            rows = [adj[d] for d in doms]
+            closed = dmask
+            for row in rows:
+                closed |= row
             for hidx in labellings[len(doms)]:
-                classes = [0] * kprime
-                for d, c in zip(doms, hidx):
-                    classes[c] |= 1 << d
-                common = _common_neighbors_mask(adj, classes)
+                common = _common_neighbors_mask(rows, hidx)
                 if common & dmask:
                     continue  # the prune breaks D; the region step needs it intact
-                v = _prune_non_modules_mask(g, full & ~common, dmask)  # keeps N[D]
-                closed_d = (dmask | neighborhood_mask(adj, dmask)) & v
+                v = _prune_non_modules_mask(g, full & ~common, closed)  # keeps N[D]
+                closed_d = closed & v
                 charged = walked.get((v, closed_d))
                 if charged is not None:  # every core of this walk is solved
                     if solver.spend(charged) < charged:

@@ -1,8 +1,9 @@
 """Exhaustive reference implementations for the test suite.
 
 Everything here enumerates without pruning so it stays independent of the
-branch-and-bound / guessing machinery under test.  Usable only at desk
-scale.
+branch-and-bound / guessing machinery under test, except
+ColorsLastConnectedSolver, the reference for the order of the connected
+search's guesses, which keeps its bounds.  Usable only at desk scale.
 """
 
 from __future__ import annotations
@@ -338,13 +339,13 @@ def brute_guessed_members(inst: Instance, solver):
                 first = partition not in walked
                 walked.add(partition)
                 v1 = brute_prune_common(adj, full, list(classes.values()))
-                v2 = _prune_non_modules_mask(g, v1, dmask)
+                closed = dmask
+                for d in doms:
+                    closed |= adj[d]
+                v2 = _prune_non_modules_mask(g, v1, closed)
                 if dmask & ~v2:
                     continue
-                closed_d = dmask
-                for d in doms:
-                    closed_d |= adj[d]
-                closed_d &= v2
+                closed_d = closed & v2
                 for second, seed in _second_sets(adj, v2, closed_d, size + 1):
                     if first and not solver.spend():
                         return
@@ -395,17 +396,17 @@ def brute_clique_number(h: PatternGraph, colors: int) -> int:
 
 class UnprunedConnectedSolver(ConnectedSolver):
     """The connected search with no weight bound: every dominator tuple,
-    cleaned state and dominator coloring is searched in full and every
+    dominator coloring and cleaned state is searched in full and every
     assembled candidate is compared with the best so far.  The starting
-    answer (the greedy incumbent) and the tuples (_dominator_tuples with
-    omega the pattern's clique number on the live colors) are the
-    solver's own: this is the reference for the bounds, not for the
-    incumbent or the tuple set."""
+    answer (the greedy incumbent), the tuples (_dominator_tuples with
+    omega the pattern's clique number on the live colors) and the order
+    (each coloring of D propagated onto N(D) before its cleanup states)
+    are the solver's own: this is the reference for the bounds, not for
+    the incumbent, the tuple set or the order."""
 
     def _solve_piece(
         self, vmask: int, lists: tuple[int, ...]
     ) -> tuple[int, tuple[tuple[int, int], ...]]:
-        wt = self._wt
         universe = 0
         all_singletons = True
         for v in iter_mask(vmask):
@@ -414,64 +415,91 @@ class UnprunedConnectedSolver(ConnectedSolver):
             if lv & (lv - 1):
                 all_singletons = False
         if all_singletons:
-            return _conflict_mwis(self._adj, vmask, lists, self._hadj, wt)
+            return _conflict_mwis(self._adj, vmask, lists, self._hadj, self._wt)
         best_w, best_asg = self.incumbent(vmask, lists)
         for doms in _dominator_tuples(self._adj, vmask, self.clique_number(universe)):
             if not self.spend():
                 return best_w, best_asg
-            for w, asg in self._branch(vmask, lists, doms, universe):
+            for w, asg in self._candidates(vmask, lists, doms):
                 if w > best_w:
                     best_w = w
                     best_asg = asg
         return best_w, best_asg
 
-    def _branch(self, vmask, lists, doms, universe):
-        parts, used = self.carve(vmask, doms)
-        dmask = mask_from(doms)
-        for st, kept in sorted(self.cleaned_states(lists, parts, used, universe)):
-            yield from self._branch_colors(st, kept, doms, dmask, parts, lists)
-
-    def _branch_colors(self, lists, kept, doms, dmask, parts, entry_lists):
+    def _candidates(self, vmask, lists, doms):
         adj = self._adj
         hadj = self._hadj
         wt = self._wt
-        p = len(doms)
-        assign = [0] * p
-
-        def color_rec(idx: int):
-            if idx == p:
-                if self.spend():
-                    yield tuple(assign)
-                return
-            d = doms[idx]
-            for r in iter_mask(lists[d]):
-                ok = True
-                for jdx in range(idx):
-                    if adj[d] >> doms[jdx] & 1 and not hadj[r] >> assign[jdx] & 1:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                assign[idx] = r
-                yield from color_rec(idx + 1)
-
-        for colors in color_rec(0):
+        parts, used = self.carve(vmask, doms)
+        dmask = mask_from(doms)
+        for colors in self._colorings(doms, lists):
             mod = list(lists)
+            for d, c in zip(doms, colors):
+                for v in iter_mask(adj[d] & used & ~dmask):
+                    mod[v] &= hadj[c]
+            live = used & ~mask_from(v for v in iter_mask(used & ~dmask) if not mod[v])
+            states = self.cleaned_states(tuple(mod), [x & live for x in parts], live)
+            for st, kept in sorted(states):
+                total = sum(wt[d] for d in doms)
+                coloring = dict(zip(doms, colors))
+                for x in parts:
+                    if x & kept:
+                        w, asg = self.solve_masked(x & kept, st)
+                        total += w
+                        coloring.update(asg)
+                if self._verify_candidate(coloring, lists):
+                    yield total, tuple(sorted(coloring.items()))
+
+
+class ColorsLastConnectedSolver(ConnectedSolver):
+    """The connected search with its two guess loops the other way round,
+    bounds included: every cleaned state of a dominator tuple is built
+    from the entry lists and charged, and only then is every coloring of
+    D tried on each state, charged, propagated onto the state's kept
+    vertices and bounded by D's weight plus the part vertices it leaves
+    with a nonempty list.  Its weights equal the solver's; its ties may
+    fall to another assignment."""
+
+    def _branch(self, vmask, lists, doms, omega, best):
+        parts, used = self.carve(vmask, doms)
+        if self.cover_bound(used, omega) <= best[0]:
+            return best
+        dmask = mask_from(doms)
+        for st, kept in sorted(self.cleaned_states(lists, parts, used)):
+            if self.cover_bound(kept, omega) > best[0]:
+                best = self._branch_colors(st, kept, doms, dmask, parts, lists, best)
+        return best
+
+    def _branch_colors(self, lists, kept, doms, dmask, parts, entry_lists, best):
+        adj = self._adj
+        hadj = self._hadj
+        p = len(doms)
+        pieces = [x & kept for x in parts if x & kept]
+        piece_w = [self._weigh(pm) for pm in pieces]
+        dom_w = self._weigh(dmask)
+        for colors in self._colorings(doms, lists):
+            mod = list(lists)
+            emptied = 0
             for idx in range(p):
                 hmask = hadj[colors[idx]]
                 for v in iter_mask(adj[doms[idx]] & kept & ~dmask):
-                    mod[v] &= hmask
-            total = 0
-            coloring: dict[int, int] = {}
-            for idx in range(p):
-                total += wt[doms[idx]]
-                coloring[doms[idx]] = colors[idx]
-            for x in parts:
-                pm = x & kept
-                if not pm:
-                    continue
-                w, asg = self.solve_masked(pm, tuple(mod))
-                total += w
+                    lv = mod[v] & hmask
+                    mod[v] = lv
+                    if not lv:
+                        emptied |= 1 << v
+            caps = [w - self._weigh(pm & emptied) for pm, w in zip(pieces, piece_w)]
+            bound = dom_w + sum(caps)
+            if bound <= best[0]:
+                continue
+            mod = tuple(mod)
+            coloring = dict(zip(doms, colors))
+            for pm, cap in zip(pieces, caps):
+                w, asg = self.solve_masked(pm, mod)
+                bound += w - cap
+                if bound <= best[0]:
+                    break
                 coloring.update(asg)
-            if self._verify_candidate(coloring, entry_lists):
-                yield total, tuple(sorted(coloring.items()))
+            else:
+                if self._verify_candidate(coloring, entry_lists):
+                    best = (bound, tuple(sorted(coloring.items())))
+        return best

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import p5hom.connected as connected_module
@@ -34,6 +34,7 @@ from p5hom.oracle import oracle_solve
 from p5hom.pattern import Instance, PatternGraph, Solution, verify_solution
 
 from brute import (
+    ColorsLastConnectedSolver,
     UnprunedConnectedSolver,
     brute_clique_number,
     brute_cross_part_cleanup,
@@ -94,7 +95,7 @@ def gem_cleaned_states(h: PatternGraph) -> list:
     in the order the branch visits them; lists covers kept only."""
     solver, inst = solver_for(GEM, h)
     parts, used = solver.carve(GEM.full_mask, (1, 4))
-    cleaned = solver.cleaned_states(inst.lists_masks, parts, used, h.full_mask)
+    cleaned = solver.cleaned_states(inst.lists_masks, parts, used)
     return [
         (set_from_mask(kept), {v: set_from_mask(st[v]) for v in iter_mask(kept)})
         for st, kept in sorted(cleaned)
@@ -373,6 +374,18 @@ def test_one_pass_cross_part_cleanup_matches_fixpoint(seed):
     assert one == fix
 
 
+def test_cross_part_cleanup_keeps_emptied_vertices_out():
+    # GEM with D = (1, 4): X_1 = {2, 5}, X_2 = {3}.  Vertex 5 enters with
+    # an empty list and outside used, as propagating a dominator coloring
+    # leaves it; it must stay out.  Vertex 2 loses its one color to 3.
+    adj = GEM.adjacency_masks()
+    lists = [0, 0b110, 0b010, 0b010, 0b110, 0]
+    parts = [mask_from([2, 5]), mask_from([3])]
+    kept = _cross_part_cleanup(adj, lists, parts, mask_from([1, 2, 3, 4]))
+    assert kept == mask_from([1, 3, 4])
+    assert lists == [0, 0b110, 0, 0b010, 0b110, 0]
+
+
 def drawn_instance(graphs: str, pattern: str, n: int, seed: int, rng: random.Random) -> Instance:
     """A seeded P5-free instance of the family under pattern ("complete:K"
     or "path:K"), its list density drawn from rng, weights 0..6."""
@@ -390,17 +403,9 @@ def drawn_instance(graphs: str, pattern: str, n: int, seed: int, rng: random.Ran
     ))
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    st.sampled_from(FAMILIES),
-    st.sampled_from(["complete:2", "complete:3", "path:3"]),
-    st.integers(4, 8),
-    st.integers(0, 10**9),
-    st.sampled_from(["fractions", "zeros", "all-zero"]),
-)
-def test_weight_bound_matches_unpruned_search(graphs, pattern, n, seed, weights):
-    # skipping every branch that cannot beat the best answer so far keeps
-    # the answer, ties included, and every family member and provenance
+def weighted_instance(graphs, pattern, n, seed, weights) -> Instance:
+    """drawn_instance with its weights kept ("fractions"), each zeroed
+    with probability 1/2 ("zeros") or all zeroed ("all-zero")."""
     rng = random.Random(seed)
     inst = drawn_instance(graphs, pattern, n, seed, rng)
     if weights == "all-zero":
@@ -409,7 +414,29 @@ def test_weight_bound_matches_unpruned_search(graphs, pattern, n, seed, weights)
         wt = {v: w if rng.random() < 0.5 else Fraction(0) for v, w in inst.wt.items()}
     else:
         wt = inst.wt
-    inst = Instance(inst.g, inst.h, wt, inst.lists)
+    return Instance(inst.g, inst.h, wt, inst.lists)
+
+
+# a tie that the two dominator orders break differently (see
+# test_dominator_order_tie_frozen)
+TIE = ("random-p5free", "complete:3", 5, 5, "fractions")
+
+WEIGHTED_DRAWS = (
+    st.sampled_from(FAMILIES),
+    st.sampled_from(["complete:2", "complete:3", "path:3"]),
+    st.integers(4, 8),
+    st.integers(0, 10**9),
+    st.sampled_from(["fractions", "zeros", "all-zero"]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(*WEIGHTED_DRAWS)
+@example(*TIE)
+def test_weight_bound_matches_unpruned_search(graphs, pattern, n, seed, weights):
+    # skipping every branch that cannot beat the best answer so far keeps
+    # the answer, ties included, and every family member and provenance
+    inst = weighted_instance(graphs, pattern, n, seed, weights)
     answers = []
     members = []
     for cls in (ConnectedSolver, UnprunedConnectedSolver):
@@ -419,6 +446,71 @@ def test_weight_bound_matches_unpruned_search(graphs, pattern, n, seed, weights)
         members.append(list(family._guessed_members(inst, solver)))
     assert answers[0] == answers[1]
     assert members[0] == members[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(*WEIGHTED_DRAWS)
+@example(*TIE)
+def test_colors_first_weight_matches_colors_last(graphs, pattern, n, seed, weights):
+    # coloring D before the cleanup guesses keeps the weight of the order
+    # that built every cleaned state first; a tie may fall elsewhere
+    inst = weighted_instance(graphs, pattern, n, seed, weights)
+    first = ConnectedSolver(inst).solve_masked(inst.g.full_mask, inst.lists_masks)
+    last = ColorsLastConnectedSolver(inst).solve_masked(inst.g.full_mask, inst.lists_masks)
+    assert first[0] == last[0]
+
+
+def test_dominator_order_tie_frozen():
+    # both orders reach weight 11 and break the tie differently
+    inst = weighted_instance(*TIE)
+    answers = [cls(inst).solve_masked(inst.g.full_mask, inst.lists_masks)
+               for cls in (ConnectedSolver, ColorsLastConnectedSolver)]
+    assert answers == [
+        (11, ((1, 2), (2, 3), (3, 1), (4, 3), (5, 1))),
+        (11, ((1, 3), (2, 2), (3, 1), (4, 2), (5, 1))),
+    ]
+
+
+def test_colors_first_strips_dominator_colors_and_builds_fewer_states(monkeypatch):
+    # under K3 each coloring of D reaches the cleanups with d_i's color
+    # gone from every X_i list, so no cleaned state leaves it there; the
+    # colors-last order builds every state of a tuple before coloring D,
+    # and so builds more states for the same weight
+    inst = generate(GenSpec(family="split", n=9, k=3, seed=1,
+                            list_density=Fraction(7, 10), weight_range=(0, 6)))
+    coloring: list[int] = []
+    checked = [0]
+    built = [0]
+    colorings = ConnectedSolver._colorings
+    cleaned_states = ConnectedSolver.cleaned_states
+
+    def spy_colorings(self, doms, lists):
+        for colors in colorings(self, doms, lists):
+            coloring[:] = colors
+            yield colors
+
+    def spy_cleaned_states(self, lists, parts, used):
+        states = cleaned_states(self, lists, parts, used)
+        built[0] += len(states)
+        if type(self) is ConnectedSolver:
+            for st, _ in states:
+                for x, c in zip(parts, coloring, strict=True):
+                    for v in iter_mask(x):
+                        assert not st[v] >> c & 1
+                        checked[0] += 1
+        return states
+
+    monkeypatch.setattr(ConnectedSolver, "_colorings", spy_colorings)
+    monkeypatch.setattr(ConnectedSolver, "cleaned_states", spy_cleaned_states)
+    weights = []
+    counts = []
+    for cls in (ConnectedSolver, ColorsLastConnectedSolver):
+        built[0] = 0
+        weights.append(cls(inst).solve_masked(inst.g.full_mask, inst.lists_masks)[0])
+        counts.append(built[0])
+    assert checked[0] > 0
+    assert weights[0] == weights[1]
+    assert 0 < counts[0] < counts[1]
 
 
 def count_solves(solver: ConnectedSolver) -> list[int]:

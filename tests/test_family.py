@@ -57,6 +57,17 @@ def closed_seed(g: Graph, verts, vmask: int) -> int:
     return seed & vmask
 
 
+def common_neighbors(adj, class_masks) -> int:
+    """_common_neighbors_mask on the rows of D, the union of the classes,
+    each vertex labelled with its class."""
+    rows, labels = [], []
+    for c, cm in enumerate(class_masks):
+        for d in iter_mask(cm):
+            rows.append(adj[d])
+            labels.append(c)
+    return _common_neighbors_mask(rows, labels)
+
+
 def test_prune_common_neighbors_frozen():
     # the restart reference on frozen cases; where vmask is the whole
     # graph, the family's rule reads the same answer off one intersection:
@@ -68,7 +79,7 @@ def test_prune_common_neighbors_frozen():
         assert brute_prune_common(adj, full if vmask is None else vmask, class_masks) == want
         if vmask is None:
             dmask = mask_from(v for cm in class_masks for v in iter_mask(cm))
-            common = _common_neighbors_mask(adj, class_masks)
+            common = common_neighbors(adj, class_masks)
             assert bool(common & dmask) == bool(dmask & ~want)
             if not common & dmask:
                 assert want == full & ~common
@@ -101,26 +112,29 @@ def test_prune_non_module_components_frozen():
     # G - N[{1}] on the 4-path is the edge {3, 4}, whose ends see different
     # outside neighborhoods, so it goes
     p4 = Graph.path(4)
-    assert _prune_non_modules_mask(p4, p4.full_mask, mask_from([1])) == mask_from([1, 2])
+    assert _prune_non_modules_mask(
+        p4, p4.full_mask, closed_seed(p4, [1], p4.full_mask)) == mask_from([1, 2])
 
     # star: the leftover leaves are single vertices, always modules
     star = Graph(4, [(1, 2), (1, 3), (1, 4)])
-    assert _prune_non_modules_mask(star, star.full_mask, mask_from([2])) == star.full_mask
+    assert _prune_non_modules_mask(
+        star, star.full_mask, closed_seed(star, [2], star.full_mask)) == star.full_mask
 
     # G - N[{5}] is the edge {1, 2}, and both ends see {3, 4} outside it:
     # a module, kept; without vertex 2 the single vertex 1 is kept too
     g = Graph(5, [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 5), (4, 5)])
-    assert _prune_non_modules_mask(g, g.full_mask, mask_from([5])) == g.full_mask
+    assert _prune_non_modules_mask(g, g.full_mask, closed_seed(g, [5], g.full_mask)) == g.full_mask
     vmask = mask_from([1, 3, 4, 5])
-    assert _prune_non_modules_mask(g, vmask, mask_from([5])) == vmask
+    assert _prune_non_modules_mask(g, vmask, closed_seed(g, [5], vmask)) == vmask
 
     # without the edge 2-4, vertex 1 sees {3, 4} and vertex 2 sees {3}:
     # not a module, deleted; the module test reads the current graph, so
     # once 4 is gone both ends see {3} and the edge stays
     g = Graph(5, [(1, 2), (1, 3), (2, 3), (1, 4), (3, 5), (4, 5)])
-    assert _prune_non_modules_mask(g, g.full_mask, mask_from([5])) == mask_from([3, 4, 5])
+    assert _prune_non_modules_mask(
+        g, g.full_mask, closed_seed(g, [5], g.full_mask)) == mask_from([3, 4, 5])
     vmask = mask_from([1, 2, 3, 5])
-    assert _prune_non_modules_mask(g, vmask, mask_from([5])) == vmask
+    assert _prune_non_modules_mask(g, vmask, closed_seed(g, [5], vmask)) == vmask
 
 
 def test_core_region_frozen():
@@ -345,7 +359,7 @@ def test_common_prune_is_one_intersection(seed):
     class_masks = [0] * nclasses
     for d, c in zip(iter_mask(dmask), labels):
         class_masks[c] |= 1 << d
-    common = _common_neighbors_mask(adj, class_masks)
+    common = common_neighbors(adj, class_masks)
     got = brute_prune_common(adj, g.full_mask, class_masks)
     assert (dmask & ~got == 0) == (common & dmask == 0)
     if not common & dmask:
@@ -384,7 +398,8 @@ def test_one_round_module_prune_matches_repeat(seed):
     vmask = g.full_mask if rng.random() < 0.5 else mask_from(
         v for v in g.vertices if rng.random() < 0.8)
     dmask = mask_from(v for v in g.vertices if rng.random() < 0.25) or mask_from([1])
-    assert _prune_non_modules_mask(g, vmask, dmask) == brute_prune_non_modules(g, vmask, dmask)
+    closed = closed_seed(g, set_from_mask(dmask & vmask), vmask)
+    assert _prune_non_modules_mask(g, vmask, closed) == brute_prune_non_modules(g, vmask, dmask)
 
 
 @settings(max_examples=80, deadline=None)
