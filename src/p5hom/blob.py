@@ -18,10 +18,11 @@ stage is exact on arbitrary graphs).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .family import Family, build_family
-from .graph import Graph, mask_from, neighborhood_mask
-from .mwis import WeightedGraph, solve_mwis
+from .graph import Graph, iter_mask, mask_from, neighborhood_mask
+from .mwis import WeightedGraph, scale_weights, solve_mwis
 from .pattern import Instance, Solution, exists_list_hom, verify_solution
 from .connected import SolveResult
 
@@ -49,7 +50,13 @@ def build_blob_graph(inst: Instance, fam: Family) -> BlobGraph:
         for j in range(i + 1, m):
             if ri & masks[j]:
                 edges.append((i + 1, j + 1))
-    weights = {i: inst.weight_of(s) for i, s in enumerate(members, start=1)}
+    scale, ints = scale_weights(inst.wt)
+    weights = {}
+    for i, mask in enumerate(masks, start=1):
+        total = 0
+        for v in iter_mask(mask):
+            total += ints[v]
+        weights[i] = Fraction(total, scale)
     return BlobGraph(Graph(m, edges), weights, members)
 
 

@@ -181,7 +181,7 @@ def _dominator_tuples(
     from N(a) & N(b) otherwise; a larger clique by extending a smaller
     one with its common neighborhood above its last vertex.
     """
-    verts = list(iter_mask(vmask))
+    verts = iter_mask(vmask)
     nbr = [0] * len(adj)
     for v in verts:
         nbr[v] = adj[v] & vmask
@@ -227,8 +227,12 @@ class ConnectedSolver:
 
     solve_masked answers sub-instances given as (vertex mask, list-mask
     vector); results are memoized across calls, so a family build can
-    reuse everything.  budget, when set, is the number of guesses the
-    solver's whole life may make, charged through spend in this order:
+    reuse everything.  The memo key is the nonempty lists of the mask's
+    vertices in vertex order followed by the mask of those (live)
+    vertices: no answer reads a list outside them, so vectors that differ
+    only there share one entry.  budget, when set, is the number of
+    guesses the solver's whole life may make, charged through spend in
+    this order:
     one per dominator tuple, then for the tuple one per dominator
     coloring, each followed by one per cleanup state kept for that
     coloring, and whatever the caller charges (the family build: one per
@@ -261,8 +265,8 @@ class ConnectedSolver:
             raise ValueError(f"budget must be nonnegative, got {budget}")
         self._left = budget
         self.exhaustive = True
-        # keyed on the list vector alone: the live vertices are exactly
-        # those with a nonempty list in it
+        # (*the live lists, the live mask) -> answer; the mask fixes whose
+        # lists they are
         self._memo: dict[tuple[int, ...], tuple[int, tuple[tuple[int, int], ...]]] = {}
 
     # -- public entry ------------------------------------------------------
@@ -282,16 +286,20 @@ class ConnectedSolver:
         self, vmask: int, lists: Sequence[int]
     ) -> tuple[int, tuple[tuple[int, int], ...]]:
         """Best verified (weight, sorted (vertex, color) pairs) found; the
-        weight is in scaled integer units (divide by scale)."""
+        weight is in scaled integer units (divide by scale).  Only the
+        vertices of vmask with a nonempty list take part, and only their
+        lists are read."""
         live = 0
+        live_lists = []
         for v in iter_mask(vmask):
-            if lists[v]:
+            lv = lists[v]
+            if lv:
                 live |= 1 << v
+                live_lists.append(lv)
         if not live:
             return 0, ()
-        n = self._g.n
-        norm = tuple(lists[v] if live >> v & 1 else 0 for v in range(n + 1))
-        hit = self._memo.get(norm)
+        key = (*live_lists, live)
+        hit = self._memo.get(key)
         if hit is not None:
             return hit
         comps = masked_components(self._g, live)
@@ -299,19 +307,19 @@ class ConnectedSolver:
             total = 0
             asg: list[tuple[int, int]] = []
             for comp in comps:
-                w, a = self.solve_masked(comp, norm)
+                w, a = self.solve_masked(comp, lists)
                 total += w
                 asg.extend(a)
             result = (total, tuple(sorted(asg)))
         else:
-            result = self._solve_piece(live, norm)
-        self._memo[norm] = result
+            result = self._solve_piece(live, lists)
+        self._memo[key] = result
         return result
 
     # -- one connected sub-instance -----------------------------------------
 
     def _solve_piece(
-        self, vmask: int, lists: tuple[int, ...]
+        self, vmask: int, lists: Sequence[int]
     ) -> tuple[int, tuple[tuple[int, int], ...]]:
         """Best verified answer on one connected live vmask.
 
@@ -511,7 +519,7 @@ class ConnectedSolver:
         adj = self._adj
         hadj = self._hadj
         edges = [(i, j) for j, b in enumerate(doms) for i in range(j) if adj[doms[i]] >> b & 1]
-        for colors in product(*[list(iter_mask(lists[d])) for d in doms]):
+        for colors in product(*[iter_mask(lists[d]) for d in doms]):
             if all(hadj[colors[i]] >> colors[j] & 1 for i, j in edges) and self.spend():
                 yield colors
 
@@ -556,9 +564,10 @@ class ConnectedSolver:
         budget with g guesses left, the growth is cut to its g + 1
         lexicographically smallest states after every slot, and of the
         states left at the end the budget keeps those it can pay for,
-        smallest first.  A state cut early takes its descendants with it,
-        so the states kept need not be the smallest that the uncut growth
-        would reach.
+        smallest first; the entries outside the parts are the caller's,
+        equal in every state, so the order is that of the part lists.  A
+        state cut early takes its descendants with it, so the states kept
+        need not be the smallest that the uncut growth would reach.
         """
         adj = self._adj
         hadj = self._hadj

@@ -172,7 +172,7 @@ def _second_sets(adj: Sequence[int], vmask: int, seed: int, max_size: int):
     closed = [0] * len(adj)
     for v in iter_mask(vmask):
         closed[v] = (adj[v] | 1 << v) & vmask
-    verts = list(iter_mask(vmask))
+    verts = iter_mask(vmask)
     seen = {seed}
     yield (), seed
     frontier = [((), seed, 0)]
@@ -246,7 +246,7 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
         walked: dict[tuple[int, int], int] = {}  # (region, N[D]) -> second sets charged
         labellings = {s: list(_class_labellings(s, kprime)) for s in (kprime, kprime + 1)}
         for dmask in enumerate_connected_subsets(g, kprime, min(kprime + 1, g.n)):
-            doms = tuple(iter_mask(dmask))
+            doms = iter_mask(dmask)
             rows = [adj[d] for d in doms]
             closed = dmask
             for row in rows:
@@ -307,7 +307,7 @@ def build_family(inst: Instance, budget: int | None = None) -> Family:
     for mask, prov in _guessed_members(inst, solver):
         members.setdefault(mask, prov)
 
-    ordered = sorted(members, key=lambda m: (m.bit_count(), tuple(iter_mask(m))))
+    ordered = sorted(members, key=lambda m: (m.bit_count(), iter_mask(m)))
     member_sets = tuple(set_from_mask(m) for m in ordered)
     provenance = {set_from_mask(m): members[m] for m in ordered}
     return Family(member_sets, provenance, solver.exhaustive)

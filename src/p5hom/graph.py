@@ -4,10 +4,12 @@ Vertices are the integers 1..n.  A vertex set travels in one of two
 interchangeable forms: a frozenset of ids at API boundaries, or an int
 bitmask with bit v set for vertex v inside the solvers (bit 0 is never
 used).  The helpers the solvers call (neighborhoods, components,
-connected subsets) take and return masks only.  All solver stages
-only ever delete vertices, never single edges, so "the current graph" is
-always the original graph induced on a mask and vertex ids stay stable
-through the whole pipeline, down to the final coloring of each member.
+connected subsets) take and return masks only, and iter_mask turns a
+mask into its ascending vertex tuple, memoized in one module-level table
+of at most 2^16 masks.  All solver stages only ever delete vertices,
+never single edges, so "the current graph" is always the original graph
+induced on a mask and vertex ids stay stable through the whole
+pipeline, down to the final coloring of each member.
 
 Graph is the one graph type of the package: the pattern H is a Graph on
 colors 1..k (pattern.PatternGraph) and the blob graph a weighted one
@@ -39,12 +41,35 @@ def mask_from(vertices: Iterable[int]) -> int:
     return m
 
 
-def iter_mask(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of mask in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+_BITS: dict[int, tuple[int, ...]] = {}
+_BITS_CAP = 1 << 16
+
+
+def iter_mask(mask: int) -> tuple[int, ...]:
+    """The set bit positions of mask, ascending, as a tuple.
+
+    The solvers walk the same small masks millions of times, so each
+    tuple is built once and then served from a module-level table of at
+    most _BITS_CAP masks (2^16); past that, tuples of new masks are
+    built on every call and not stored.  Raises ValueError on a
+    negative mask, whose set bits never run out.
+    """
+    try:
+        return _BITS[mask]
+    except KeyError:
+        pass
+    if mask < 0:
+        raise ValueError(f"mask must be nonnegative, got {mask}")
+    bits = []
+    rest = mask
+    while rest:
+        low = rest & -rest
+        bits.append(low.bit_length() - 1)
+        rest ^= low
+    out = tuple(bits)
+    if len(_BITS) < _BITS_CAP:
+        _BITS[mask] = out
+    return out
 
 
 def set_from_mask(mask: int) -> frozenset[int]:
@@ -243,6 +268,6 @@ def enumerate_connected_subsets(g: Graph, lo: int, hi: int) -> Iterator[int]:
     for v in g.vertices:
         above = -1 << (v + 1)
         grow(1 << v, 1, adj[v] & above, adj[v], above)
-    found.sort(key=lambda m: tuple(iter_mask(m)))
+    found.sort(key=iter_mask)
     yield from found
 

@@ -46,6 +46,20 @@ def test_blob_graph_structure():
         assert blob.graph.has_edge(i, j) == expect
 
 
+def test_blob_weights_exact_with_mixed_denominators():
+    # member weights are summed on the instance's integer scale and come
+    # back as the exact Fraction sum of their vertices' weights
+    g = Graph(4, [(1, 2), (2, 3), (3, 4)])
+    wt = {1: Fraction(1, 3), 2: Fraction(5, 4), 3: Fraction(0), 4: Fraction(7, 6)}
+    inst = Instance.build(g, PatternGraph.complete(2), wt=wt)
+    members = tuple(map(frozenset, ([1], [1, 2], [2, 4], [3], [1, 2, 3, 4])))
+    blob = build_blob_graph(inst, Family(members, {}, True))
+    assert blob.weights == {1: Fraction(1, 3), 2: Fraction(19, 12), 3: Fraction(29, 12),
+                            4: Fraction(0), 5: Fraction(11, 4)}
+    for i, member in enumerate(members, start=1):
+        assert blob.weights[i] == inst.weight_of(member)
+
+
 def test_blob_graph_frozen_shapes():
     # two nonadjacent singleton members: edgeless blob
     g = Graph(2, [])

@@ -634,3 +634,45 @@ def test_trimmed_tuples_under_path_patterns(graphs, pattern, n, seed):
         assert sum(adj[a] >> b & 1 for a, b in itertools.combinations(t, 2)) < 3
     assert solver.solve_masked(inst.g.full_mask, lists) == ColorCountSolver(
         inst).solve_masked(inst.g.full_mask, lists)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(FAMILIES),
+    st.sampled_from(["complete:2", "complete:3", "path:3"]),
+    st.integers(4, 8),
+    st.integers(0, 10**9),
+)
+def test_shared_solver_matches_fresh_solvers(graphs, pattern, n, seed):
+    # one solver answering many (vmask, lists) pairs through its memo
+    # gives every pair the answer of a fresh solver: lists that differ only
+    # outside vmask are one memo entry, and the same list sequence on
+    # another vertex mask is another
+    rng = random.Random(seed)
+    inst = drawn_instance(graphs, pattern, n, seed, rng)
+    verts = list(inst.g.vertices)
+    k = inst.h.k
+    shared = ConnectedSolver(inst)
+
+    def check(vmask, lists):
+        answer = shared.solve_masked(vmask, lists)
+        assert answer == ConnectedSolver(inst).solve_masked(vmask, lists)
+        return answer
+
+    for _ in range(4):
+        vmask = mask_from(v for v in verts if rng.random() < 0.7)
+        lists = [0] + [rng.getrandbits(k) << 1 for _ in verts]
+        answer = check(vmask, lists)
+        # other lists outside vmask: a memo hit with the same answer
+        outside = [lv if vmask >> v & 1 else rng.getrandbits(k) << 1
+                   for v, lv in enumerate(lists)]
+        entries = len(shared._memo)
+        assert check(vmask, outside) == answer
+        assert len(shared._memo) == entries
+        # the live lists, in order, moved onto other vertices
+        live = [v for v in iter_mask(vmask) if lists[v]]
+        moved = sorted(rng.sample(verts, len(live)))
+        shifted = [0] * len(lists)
+        for v, u in zip(live, moved):
+            shifted[u] = lists[v]
+        check(mask_from(moved), shifted)

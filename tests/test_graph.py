@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from p5hom import graph
 from p5hom.graph import (
     Graph,
     enumerate_connected_subsets,
@@ -43,6 +44,36 @@ def test_mask_helpers_roundtrip():
     assert list(iter_mask(0b101010)) == [1, 3, 5]
     assert set_from_mask(0) == frozenset()
     assert set_from_mask(mask_from([2, 7])) == frozenset({2, 7})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, (1 << 200) - 1))
+def test_iter_mask_matches_bit_list(mask):
+    bits = iter_mask(mask)
+    assert type(bits) is tuple
+    assert bits == tuple(i for i in range(200) if mask >> i & 1)
+    assert iter_mask(mask) == bits
+
+
+def test_iter_mask_rejects_negative_masks():
+    # a negative mask has infinitely many set bits; the error comes on
+    # the call itself, before anything iterates
+    for mask in (-1, -2, -(1 << 70)):
+        with pytest.raises(ValueError):
+            iter_mask(mask)
+
+
+def test_iter_mask_table_is_capped(monkeypatch):
+    # past the cap, new masks are answered but not stored
+    monkeypatch.setattr(graph, "_BITS", {})
+    cap = graph._BITS_CAP
+    high = 1 << 300
+    for i in range(cap + 50):
+        assert iter_mask(high | i) == tuple(b for b in range(20) if i >> b & 1) + (300,)
+    assert len(graph._BITS) == cap
+    assert high | (cap + 49) not in graph._BITS
+    assert iter_mask(0b1011 << 100) == (100, 101, 103)
+    assert len(graph._BITS) == cap
 
 
 def test_graph_basics():
