@@ -11,7 +11,6 @@ import argparse
 import hashlib
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -169,10 +168,9 @@ def _cmd_check_p5free(args) -> int:
 
 # -- difftest ----------------------------------------------------------------
 
-def _difftest_trial(args_tuple):
-    """One trial: generate, run both solvers, compare.  Returns a record
-    (picklable) merged deterministically by trial index."""
-    seed, index, max_n, pattern, k, list_density = args_tuple
+def _difftest_trial(seed, index, max_n, pattern, k, list_density):
+    """One trial: generate, run both solvers, compare.  Returns the
+    failure messages and the finding file's text, or None."""
     spec = trial_spec(seed * 1000003 + index, seed * 7919 + index, index, max_n,
                       pattern, k, list_density)
     inst = generate(spec)
@@ -209,7 +207,7 @@ def _difftest_trial(args_tuple):
             + "".join("# " + ln + "\n" for ln in
                       serialize_solution(oracle).splitlines())
         )
-    return index, failures, finding
+    return failures, finding
 
 
 def _cmd_difftest(args) -> int:
@@ -218,27 +216,17 @@ def _cmd_difftest(args) -> int:
         print(f"bad --pattern {args.pattern!r}; expected complete:K or path:K, K >= 1",
               file=sys.stderr)
         return 2
-    for flag, value, least in (("--trials", args.trials, 1), ("--max-n", args.max_n, 2),
-                               ("--parallel", args.parallel, 1)):
+    for flag, value, least in (("--trials", args.trials, 1), ("--max-n", args.max_n, 2)):
         if value < least:
             print(f"bad {flag} {value}; expected at least {least}", file=sys.stderr)
             return 2
     k = int(karg)
     list_density = Fraction(args.list_density)
-    jobs = [
-        (args.seed, i, args.max_n, name, k, list_density)
-        for i in range(args.trials)
-    ]
-    if args.parallel > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            records = list(pool.map(_difftest_trial, jobs))
-    else:
-        records = [_difftest_trial(j) for j in jobs]
-    records.sort(key=lambda r: r[0])
     bad = 0
     findings = 0
     findings_dir = Path(args.findings_dir)
-    for index, failures, finding in records:
+    for index in range(args.trials):
+        failures, finding = _difftest_trial(args.seed, index, args.max_n, name, k, list_density)
         for msg in failures:
             print(f"trial {index}: {msg}")
             bad += 1
@@ -309,7 +297,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     p.add_argument("--pattern", required=True, help="complete:K or path:K")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--parallel", type=int, default=1)
     p.add_argument("--list-density", default="0.7", dest="list_density")
     p.add_argument("--findings-dir", default="findings", dest="findings_dir")
     p.set_defaults(fn=_cmd_difftest)

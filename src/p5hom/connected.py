@@ -16,10 +16,11 @@ r-colored X_i vertices; the guess drives two list cleanups:
 
   1. every X_j vertex adjacent to the guessed set keeps only colors
      pattern-adjacent to r;
-  2. any edge between different parts with overlapping lists loses the
-     shared colors on the lower-indexed side; one pass over the parts in
-     order settles every such edge, since a part's lists shrink only
-     after every lower part has read them.
+  2. across every edge between different parts, the lower-indexed
+     endpoint keeps only the colors pattern-adjacent to every color left
+     on the other; one pass over the parts in order settles every such
+     edge, since a part's lists shrink only after every lower part has
+     read them.
 
 The search colors D before it guesses the stand-ins.  For each
 dominator tuple it tries every coloring of D (adjacent dominators on
@@ -30,21 +31,25 @@ propagated lists of the vertices still live.  The cleanups never touch
 D's own lists, so the order is free, and it stays sound: in the branch
 that colors D as an optimum O colors it, propagation keeps every color
 that O uses, so O's r-colored X_i vertices still hold r and the right
-stand-in guess is still in the pool; rules 1 and 2 then keep O's colors
-for the same reason as before, and rule 2 only reads smaller lists, so
-it strips less.  Under a complete pattern every X_i vertex has lost
-d_i's color, so no stand-in for that color is guessed in X_i.
+stand-in guess is still in the pool.  Rule 1 then keeps O's colors, and
+so does rule 2: in that branch rule 1 has already cut every later-part
+neighbor of an O-colored X_i vertex to the colors pattern-adjacent to
+that vertex's color, and rule 2 only reads lists that small or smaller.
+Under a complete pattern every X_i vertex has lost d_i's color, so no
+stand-in for that color is guessed in X_i.
 
 D is then removed and each part recurses as an independent smaller
 instance; the color universe inside a part shrinks by the dominator's
 color, so the recursion depth is at most k.  Every assembled candidate
-is re-verified against the branch's own instance and dropped if
-infeasible: for non-complete patterns the part-wise recursion can
-propose cross-part conflicts, and verification is what keeps the output
-sound.  Each piece starts from a greedy coloring (heaviest vertex first,
-each taking the lowest list color that fits its colored neighbors),
-feasible by construction and possibly disconnected; the final answer is
-the best verified candidate, never worse than that start.
+is feasible by construction, since every edge of it is covered: D-D
+edges by D's coloring, D-part edges by the propagation, in-part edges
+by the recursion and part-crossing edges by rule 2.  Each candidate is
+still checked against the branch's entry lists; a failure would be an
+internal inconsistency and raises RuntimeError.  Each piece starts from
+a greedy coloring (heaviest vertex first, each taking the lowest list
+color that fits its colored neighbors), feasible by construction and
+possibly disconnected; the final answer is the best candidate, never
+worse than that start.
 
 The best answer so far is replaced only by a strictly heavier candidate,
 and weights are nonnegative, so a branch that no candidate heavier than
@@ -135,18 +140,20 @@ def _conflict_mwis(
 
 def _cross_part_cleanup(
     adj: Sequence[int],
+    hadj: Sequence[int],
     lists: list[int],
     part_masks: Sequence[int],
     used: int,
 ) -> int:
-    """Second cleanup, in place: strip from the lower part's endpoint every
-    color shared across a part-crossing edge.
+    """Second cleanup, in place: across every part-crossing edge, the lower
+    part's endpoint keeps only the colors pattern-adjacent to every color
+    left on the higher part's endpoint.
 
     One pass over the parts in order suffices: a part's lists change only
     while that part is processed, after every lower part has read them,
-    and lists only shrink, so afterwards every part-crossing edge has
-    disjoint lists.  Returns used (the dominators plus their parts) minus
-    the part vertices left with an empty list, which the branch deletes.
+    and lists only shrink.  Returns used (the dominators plus their parts)
+    minus the part vertices left with an empty list, which the branch
+    deletes.
     """
     later = 0
     for x in part_masks:
@@ -157,7 +164,8 @@ def _cross_part_cleanup(
         for u in iter_mask(x):
             lu = lists[u]
             for v in iter_mask(adj[u] & later):
-                lu &= ~lists[v]
+                for c in iter_mask(lists[v]):
+                    lu &= hadj[c]
             lists[u] = lu
             if not lu:
                 kept &= ~(1 << u)
@@ -508,8 +516,8 @@ class ConnectedSolver:
                         break
                     coloring.update(asg)
                 else:
-                    if self._verify_candidate(coloring, lists):
-                        best = (bound, tuple(sorted(coloring.items())))
+                    self._verify_candidate(coloring, lists)
+                    best = (bound, tuple(sorted(coloring.items())))
         return best
 
     def _colorings(self, doms: Sequence[int], lists: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -623,11 +631,13 @@ class ConnectedSolver:
         cleaned: set[tuple[tuple[int, ...], int]] = set()
         for st in states:
             mod = list(st)
-            kept = _cross_part_cleanup(adj, mod, parts, used)
+            kept = _cross_part_cleanup(adj, hadj, mod, parts, used)
             cleaned.add((tuple(mod), kept))
         return cleaned
 
-    def _verify_candidate(self, coloring, entry_lists) -> bool:
+    def _verify_candidate(self, coloring, entry_lists) -> None:
+        """RuntimeError unless coloring keeps to the entry lists and puts
+        every host edge inside it on a pattern edge."""
         adj = self._adj
         hadj = self._hadj
         cmask = 0
@@ -635,11 +645,10 @@ class ConnectedSolver:
             cmask |= 1 << v
         for v, c in coloring.items():
             if not entry_lists[v] >> c & 1:
-                return False
+                raise RuntimeError(f"internal error: candidate color {c} off the list of {v}")
             for u in iter_mask(adj[v] & cmask & (-1 << (v + 1))):
                 if not hadj[c] >> coloring[u] & 1:
-                    return False
-        return True
+                    raise RuntimeError(f"internal error: candidate edge {v}-{u} off the pattern")
 
 
 def solve_connected_case(inst: Instance, budget: int | None = None) -> SolveResult:
@@ -648,8 +657,8 @@ def solve_connected_case(inst: Instance, budget: int | None = None) -> SolveResu
     Raises NotP5FreeError (with a witness path) if inst's graph has an
     induced P5: the dominator tuples rest on P5-freeness.  The output is
     always feasible for inst (verified); when some maximum-weight
-    solution of inst is connected and the pattern is complete, it is
-    optimal at the scales the test suite probes.
+    solution of inst is connected, it is optimal at the scales the test
+    suite probes.
     """
     witness = find_induced_p5(inst.g)
     if witness is not None:

@@ -191,26 +191,21 @@ def _second_sets(adj: Sequence[int], vmask: int, seed: int, max_size: int):
         frontier = grown_sets
 
 
-def _class_labellings(size: int, kprime: int, head: tuple[int, ...] = ()):
-    """One labelling of size positions per partition of them into kprime
-    classes: the restricted-growth strings (each label at most one past
-    the largest before it), in lexicographic order, extending head.
+def _class_labellings(size: int, kprime: int) -> list[tuple[int, ...]]:
+    """One labelling of size (kprime or kprime + 1) positions per partition
+    of them into kprime classes: the restricted-growth strings (each label
+    at most one past the largest before it), in lexicographic order.  At
+    kprime + 1 one class has two positions: the string counts to b,
+    repeats a label a < b, then counts on from b.
 
     The first surjection onto range(kprime) in product order with a given
     class partition numbers the classes by first position, so this is
     that surjection, and the partitions come in the order of their first
     surjections.
     """
-    rest = size - len(head)
-    if not rest:
-        yield head
-        return
-    top = max(head, default=-1) + 1  # classes opened so far
-    if kprime - top > rest:
-        return
-    labels = (top,) if kprime - top == rest else range(min(top + 1, kprime))
-    for c in labels:
-        yield from _class_labellings(size, kprime, head + (c,))
+    if size == kprime:
+        return [tuple(range(kprime))]
+    return [(*range(b), a, *range(b, kprime)) for b in range(1, kprime + 1) for a in range(b)]
 
 
 def _guessed_members(inst: Instance, solver: ConnectedSolver):
@@ -244,7 +239,7 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
         ]
         solved = {0}  # closed cores solved at this size; an empty core needs no solve
         walked: dict[tuple[int, int], int] = {}  # (region, N[D]) -> second sets charged
-        labellings = {s: list(_class_labellings(s, kprime)) for s in (kprime, kprime + 1)}
+        labellings = {s: _class_labellings(s, kprime) for s in (kprime, kprime + 1)}
         for dmask in enumerate_connected_subsets(g, kprime, min(kprime + 1, g.n)):
             doms = iter_mask(dmask)
             rows = [adj[d] for d in doms]

@@ -197,8 +197,10 @@ def verify_solution(inst: Instance, sol: Solution) -> SolutionViolation | None:
     hk = inst.h.k
     for v in sorted(sol.chosen):
         c = sol.coloring[v]
-        if not (isinstance(c, int) and 1 <= c <= hk):
-            return SolutionViolation("list", f"vertex {v}: color {c!r} outside 1..{hk}")
+        if isinstance(c, bool) or not isinstance(c, int):
+            return SolutionViolation("list", f"vertex {v}: color {c!r} is not an int")
+        if not 1 <= c <= hk:
+            return SolutionViolation("list", f"vertex {v}: color {c} outside 1..{hk}")
         if c not in inst.lists[v]:
             return SolutionViolation("list", f"vertex {v}: color {c} not in its list")
     cmask = 0

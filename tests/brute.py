@@ -227,38 +227,25 @@ def brute_prune_common(adj: list[int], vmask: int, class_masks: list[int]) -> in
         vmask ^= 1 << victim
 
 
-def brute_cross_part_cleanup(adj: list[int], lists: list[int],
+def brute_cross_part_cleanup(adj: list[int], hadj: list[int], lists: list[int],
                              part_masks: list[int], used: int) -> int:
     """The cross-part cleanup run to a fixpoint: visit the part pairs
     (i, j) with i < j in lexicographic order, strip from each X_i vertex
-    the colors it shares with an X_j neighbor, and repeat while any list
-    changed.  Works in place; returns used minus the emptied part
-    vertices."""
+    every color c such that some color of an X_j neighbor's list is not
+    pattern-adjacent to c, and repeat while any list changed.  Works in
+    place; returns used minus the emptied part vertices."""
     p = len(part_masks)
     changed = True
     while changed:
         changed = False
         for i in range(p):
-            xi = part_masks[i]
-            if not xi:
-                continue
             for j in range(i + 1, p):
-                xj = part_masks[j]
-                if not xj:
-                    continue
-                for u in iter_mask(xi):
-                    lu = lists[u]
-                    if not lu:
-                        continue
-                    for v in iter_mask(adj[u] & xj):
-                        shared = lu & lists[v]
-                        if shared:
-                            lu &= ~shared
-                            if not lu:
-                                break
-                    if lu != lists[u]:
-                        lists[u] = lu
-                        changed = True
+                for u in iter_mask(part_masks[i]):
+                    for v in iter_mask(adj[u] & part_masks[j]):
+                        for c in iter_mask(lists[u]):
+                            if lists[v] & ~hadj[c]:
+                                lists[u] &= ~(1 << c)
+                                changed = True
     kept = used
     for x in part_masks:
         for v in iter_mask(x):
@@ -312,6 +299,22 @@ def _surjections(doms: tuple[int, ...], colors: tuple[int, ...]):
     for combo in itertools.product(colors, repeat=len(doms)):
         if set(combo) == want:
             yield combo
+
+
+def brute_class_labellings(size: int, kprime: int, head: tuple[int, ...] = ()):
+    """The restricted-growth strings of length size with exactly kprime
+    labels (each label at most one past the largest before it) that
+    extend head, in lexicographic order, built one position at a time."""
+    rest = size - len(head)
+    if not rest:
+        yield head
+        return
+    top = max(head, default=-1) + 1  # classes opened so far
+    if kprime - top > rest:
+        return
+    labels = (top,) if kprime - top == rest else range(min(top + 1, kprime))
+    for c in labels:
+        yield from brute_class_labellings(size, kprime, head + (c,))
 
 
 def brute_guessed_members(inst: Instance, solver):
@@ -447,8 +450,8 @@ class UnprunedConnectedSolver(ConnectedSolver):
                         w, asg = self.solve_masked(x & kept, st)
                         total += w
                         coloring.update(asg)
-                if self._verify_candidate(coloring, lists):
-                    yield total, tuple(sorted(coloring.items()))
+                self._verify_candidate(coloring, lists)
+                yield total, tuple(sorted(coloring.items()))
 
 
 class ColorsLastConnectedSolver(ConnectedSolver):
@@ -500,6 +503,6 @@ class ColorsLastConnectedSolver(ConnectedSolver):
                     break
                 coloring.update(asg)
             else:
-                if self._verify_candidate(coloring, entry_lists):
-                    best = (bound, tuple(sorted(coloring.items())))
+                self._verify_candidate(coloring, entry_lists)
+                best = (bound, tuple(sorted(coloring.items())))
         return best

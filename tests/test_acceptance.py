@@ -103,23 +103,20 @@ def test_criterion_2_soundness_every_pattern(tmp_path_factory):
                     f"trial {i} {label}: weight {sol.weight} exceeds oracle {orc.weight}")
             elif sol.weight < orc.weight:
                 # the full pipeline must be exact under every pattern
-                # drawn here; the bare connected stage only for complete
-                # patterns where some optimum induces a connected subgraph
+                # drawn here; the bare connected stage wherever some
+                # optimum induces a connected subgraph
                 if label == "pipeline":
                     failures.append(
                         f"trial {i} pipeline: gap {sol.weight} < {orc.weight}")
-                elif inst.h.is_complete and brute_has_connected_optimum(
-                        inst, orc.weight):
+                elif brute_has_connected_optimum(inst, orc.weight):
                     failures.append(
-                        f"trial {i} {label}: complete-pattern gap "
+                        f"trial {i} {label}: gap with a connected optimum "
                         f"{sol.weight} < {orc.weight}")
                 else:
-                    reason = ("non-complete pattern gap" if not inst.h.is_complete
-                              else "no connected optimum exists")
                     gaps += 1
                     path = findings_dir / f"acceptance_crit2_trial_{i:04d}_{label}.txt"
                     path.write_text(
-                        f"# {reason}: {label} "
+                        f"# no connected optimum exists: {label} "
                         f"{sol.weight} < oracle {orc.weight}\n"
                         + serialize_instance(inst),
                         encoding="utf-8",

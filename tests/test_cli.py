@@ -178,19 +178,6 @@ def test_difftest_passes_and_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "fnd").exists()
 
 
-def test_difftest_parallel_matches_serial(tmp_path, capsys):
-    # the process pool merges its records by trial index, so the printed
-    # lines are those of the serial run
-    outputs = []
-    for parallel in ("1", "2"):
-        rc = main(["difftest", "--trials", "6", "--max-n", "6",
-                   "--pattern", "path:3", "--seed", "4", "--parallel", parallel,
-                   "--findings-dir", str(tmp_path / "fnd")])
-        outputs.append((rc, capsys.readouterr().out))
-    assert outputs[0] == outputs[1]
-    assert "trials=6 failures=0" in outputs[0][1]
-
-
 def test_difftest_bad_pattern(capsys):
     assert main(["difftest", "--trials", "1", "--max-n", "4",
                  "--pattern", "wheel:9", "--seed", "0"]) == 2
@@ -203,7 +190,6 @@ def test_difftest_bad_pattern(capsys):
     ("--trials", "0"),
     ("--max-n", "0"),
     ("--max-n", "1"),
-    ("--parallel", "0"),
 ])
 def test_difftest_bad_arguments(flag, value, capsys):
     # a run that could not test anything is refused, not reported clean

@@ -301,6 +301,45 @@ def test_sound_on_any_pattern(seed):
     assert sol.weight <= oracle_solve(inst).weight
 
 
+# non-complete patterns as (k, explicit edge tuple over 1..k)
+EDGE_PATTERNS = {
+    "P3": (3, ((1, 2), (2, 3))),
+    "P4": (4, ((1, 2), (2, 3), (3, 4))),
+    "C4": (4, ((1, 2), (2, 3), (3, 4), (1, 4))),
+    "C5": (5, ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5))),
+    "K1,3": (4, ((1, 2), (1, 3), (1, 4))),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FAMILIES), st.sampled_from(sorted(EDGE_PATTERNS)),
+       st.integers(2, 9), st.integers(0, 10**6), st.integers(4, 10))
+def test_exact_on_non_complete_patterns_when_an_optimum_is_connected(
+        graphs, pattern, n, seed, tenths):
+    # every candidate passes its check (a failed one raises), and the
+    # answer is the optimum whenever some optimum induces a connected
+    # subgraph, under non-complete patterns too
+    k, edges = EDGE_PATTERNS[pattern]
+    inst = generate(GenSpec(
+        family=graphs,
+        n=n,
+        k=k,
+        seed=seed,
+        density=TRIAL_DENSITIES[graphs][seed % 3],
+        pattern=edges,
+        list_density=Fraction(tenths, 10),
+        weight_range=(0, 6),
+        max_tries=500,
+    ))
+    sol = solve_connected_case(inst).solution
+    opt = oracle_solve(inst).weight
+    assert verify_solution(inst, sol) is None
+    if brute_has_connected_optimum(inst, opt):
+        assert sol.weight == opt
+    else:
+        assert sol.weight <= opt
+
+
 def random_graph(rng: random.Random, n: int) -> Graph:
     p = rng.choice((0.2, 0.4, 0.6, 0.8))
     return Graph(n, [(u, v) for u, v in itertools.combinations(range(1, n + 1), 2)
@@ -369,8 +408,9 @@ def test_one_pass_cross_part_cleanup_matches_fixpoint(seed):
     one = list(inst.lists_masks)
     fix = list(inst.lists_masks)
     adj = g.adjacency_masks()
-    assert _cross_part_cleanup(adj, one, parts, used) == brute_cross_part_cleanup(
-        adj, fix, parts, used)
+    hadj = inst.h.adjacency_masks()
+    assert _cross_part_cleanup(adj, hadj, one, parts, used) == brute_cross_part_cleanup(
+        adj, hadj, fix, parts, used)
     assert one == fix
 
 
@@ -379,11 +419,27 @@ def test_cross_part_cleanup_keeps_emptied_vertices_out():
     # an empty list and outside used, as propagating a dominator coloring
     # leaves it; it must stay out.  Vertex 2 loses its one color to 3.
     adj = GEM.adjacency_masks()
+    hadj = PatternGraph.complete(2).adjacency_masks()
     lists = [0, 0b110, 0b010, 0b010, 0b110, 0]
     parts = [mask_from([2, 5]), mask_from([3])]
-    kept = _cross_part_cleanup(adj, lists, parts, mask_from([1, 2, 3, 4]))
+    kept = _cross_part_cleanup(adj, hadj, lists, parts, mask_from([1, 2, 3, 4]))
     assert kept == mask_from([1, 3, 4])
     assert lists == [0, 0b110, 0, 0b010, 0b110, 0]
+
+
+def test_cross_part_cleanup_follows_pattern_adjacency():
+    # path pattern 1-2-3 on GEM with D = (1, 4): X_1 = {2, 5}, X_2 = {3}.
+    # Vertex 3 keeps {3}; its X_1 neighbors keep only colors adjacent to
+    # 3, so 2 and 5 go from {1, 2} to {2}.  Stripping only the shared
+    # colors, right under K_k only, would leave {1, 2} and allow the
+    # non-edge (1, 3).
+    adj = GEM.adjacency_masks()
+    hadj = PatternGraph.path(3).adjacency_masks()
+    lists = [0, 0b1110, 0b0110, 0b1000, 0b1110, 0b0110]
+    parts = [mask_from([2, 5]), mask_from([3])]
+    kept = _cross_part_cleanup(adj, hadj, lists, parts, mask_from([1, 2, 3, 4, 5]))
+    assert kept == mask_from([1, 2, 3, 4, 5])
+    assert lists == [0, 0b1110, 0b0100, 0b1000, 0b1110, 0b0100]
 
 
 def drawn_instance(graphs: str, pattern: str, n: int, seed: int, rng: random.Random) -> Instance:

@@ -17,6 +17,7 @@ from p5hom.family import (
     FamilyProvenance,
     NotP5FreeError,
     build_family,
+    _class_labellings,
     _core_region_mask,
     _guessed_members,
     _common_neighbors_mask,
@@ -37,6 +38,7 @@ from p5hom.textio import serialize_solution
 
 from brute import (
     _surjections,
+    brute_class_labellings,
     brute_core_region,
     brute_guessed_members,
     brute_has_induced_p5,
@@ -400,6 +402,14 @@ def test_one_round_module_prune_matches_repeat(seed):
     dmask = mask_from(v for v in g.vertices if rng.random() < 0.25) or mask_from([1])
     closed = closed_seed(g, set_from_mask(dmask & vmask), vmask)
     assert _prune_non_modules_mask(g, vmask, closed) == brute_prune_non_modules(g, vmask, dmask)
+
+
+@pytest.mark.parametrize("kprime", range(1, 9))
+def test_class_labellings_closed_form(kprime):
+    # the identity for |D| = |W|, and for |D| = |W| + 1 the strings that
+    # repeat one earlier label: the restricted-growth strings, in order
+    for size in (kprime, kprime + 1):
+        assert _class_labellings(size, kprime) == list(brute_class_labellings(size, kprime))
 
 
 @settings(max_examples=80, deadline=None)

@@ -137,6 +137,11 @@ def test_verify_solution_flags_each_kind():
     v = verify_solution(inst, Solution(frozenset({3}), {3: 2}, Fraction(1)))
     assert v is not None and v.kind == "list"
 
+    # True would pass as color 1; Instance rejects bool list colors too
+    for bad in (True, 1.0, "1"):
+        v = verify_solution(inst, Solution(frozenset({1, 2}), {1: bad, 2: 2}, Fraction(2)))
+        assert v is not None and v.kind == "list"
+
     v = verify_solution(inst, Solution(frozenset({1, 2}), {1: 1, 2: 1}, Fraction(2)))
     assert v is not None and v.kind == "edge"
 
