@@ -258,6 +258,12 @@ class ConnectedSolver:
     solver also keeps the vertices in one weight-descending order (ties
     by id) for the greedy start and the bound, the pattern's clique
     number per color mask, and the bound per (mask, omega).
+
+    One more cache holds a result that depends on its key alone: the
+    components of each vertex mask (components, the one split used by
+    solve_masked, the family's module prune and the family's split of
+    answers into members).  It changes no guess charge, as a split is
+    never charged.
     """
 
     def __init__(self, inst: Instance, budget: int | None = None) -> None:
@@ -276,6 +282,7 @@ class ConnectedSolver:
         # (*the live lists, the live mask) -> answer; the mask fixes whose
         # lists they are
         self._memo: dict[tuple[int, ...], tuple[int, tuple[tuple[int, int], ...]]] = {}
+        self._components: dict[int, tuple[int, ...]] = {}  # vertex mask -> its components
 
     # -- public entry ------------------------------------------------------
 
@@ -310,7 +317,7 @@ class ConnectedSolver:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        comps = masked_components(self._g, live)
+        comps = self.components(live)
         if len(comps) > 1:
             total = 0
             asg: list[tuple[int, int]] = []
@@ -323,6 +330,20 @@ class ConnectedSolver:
             result = self._solve_piece(live, lists)
         self._memo[key] = result
         return result
+
+    def components(self, mask: int) -> tuple[int, ...]:
+        """The connected components of the graph induced on mask, as masks
+        ordered by smallest vertex (graph.masked_components).
+
+        The split depends on the mask alone, since the graph is the
+        solver's for its whole life, so each mask is split once per solver
+        and served as the same tuple after that; a tuple, so that no
+        caller can change what the next one gets.
+        """
+        comps = self._components.get(mask)
+        if comps is None:
+            comps = self._components[mask] = tuple(masked_components(self._g, mask))
+        return comps
 
     # -- one connected sub-instance -----------------------------------------
 

@@ -43,6 +43,20 @@ and a closure deletion removes a vertex from the region and the graph
 at once, so the vertices outside the region never change.  A second
 round of either would find nothing.
 
+Three kinds of work that guesses repeat are done once per build.  The
+module prune is a pure function of the region left by the
+common-neighbor prune (fixed by that prune's mask) and N[D]: it reads
+nothing else of the guess.  So a per-build dict maps each (common
+mask, N[D]) to the pruned region and N[D] in it, and the prune runs once
+per distinct key, whatever the size, D or partition that meets it.  The
+components of a vertex mask depend on the mask alone, the graph being
+fixed, so the family splits through the solver's cache
+(ConnectedSolver.components), the same split the solver's own solves
+use.  And a member's provenance is that of the first guess yielding it,
+so each component is yielded once, at that guess, and only then gets a
+FamilyProvenance; a later answer holding it adds nothing to the family.
+None of the three changes a solve, a charge or their order.
+
 Every step, the dominator enumeration included, works on vertex masks
 over the original graph, so members come out in original vertex ids
 directly; they become frozensets only in the returned Family.
@@ -50,19 +64,17 @@ directly; they become frozensets only in the returned Family.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
 from .connected import ConnectedSolver
 from .graph import (
-    Graph,
     NotP5FreeError,
     enumerate_connected_subsets,
     find_induced_p5,
     iter_mask,
     mask_from,
-    masked_components,
     set_from_mask,
 )
 from .pattern import Instance
@@ -118,19 +130,21 @@ def _common_neighbors_mask(rows: Sequence[int], labels: Sequence[int]) -> int:
     return common
 
 
-def _prune_non_modules_mask(g: Graph, vmask: int, closed: int) -> int:
+def _prune_non_modules_mask(
+    adj: Sequence[int], components: Callable[[int], Sequence[int]], vmask: int, closed: int
+) -> int:
     """Delete every component of the graph minus N[D] that is not a module
-    of the graph; closed is N[D], and what it holds outside vmask does not
-    matter.
+    of the graph; adj holds the neighborhood masks, components splits a
+    vertex mask into its components, closed is N[D], and what it holds
+    outside vmask does not matter.
 
     One round suffices: the components are pairwise non-adjacent, so
     deleting some of them changes neither N[D] nor the outside
     neighborhood of any other component, and every survivor stays a
     module.
     """
-    adj = g.adjacency_masks()
     bad = 0
-    for comp in masked_components(g, vmask & ~closed):
+    for comp in components(vmask & ~closed):
         first = comp & -comp
         ref = adj[first.bit_length() - 1] & vmask & ~comp
         for v in iter_mask(comp ^ first):
@@ -227,11 +241,22 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
     its solves would be memo hits that spend nothing.  A (region, N[D])
     already walked at the size is charged its second-set count in one
     call, as that many single charges would be, and not walked again.
+
+    Two caches span the whole call, all sizes included.  regions maps
+    (common-neighbor mask, N[D]) to (pruned region, N[D] in it): the
+    module prune reads only the graph less the common neighbors and N[D],
+    so its result is a pure function of that key.  yielded holds the
+    components yielded so far: a component is yielded, with a provenance
+    built for it, at the first guess whose answer holds it, which is the
+    provenance the family keeps, and never again.  Answers are split by
+    solver.components, a pure function of the answer's vertex mask.
     """
     g = inst.g
     adj = g.adjacency_masks()
     full = g.full_mask
     k = inst.h.k
+    regions: dict[tuple[int, int], tuple[int, int]] = {}  # (common, N[D]) -> (region, N[D] in it)
+    yielded: set[int] = set()  # components yielded so far
     for kprime in range(2, min(k, g.n) + 1):
         wsets = [
             (colors, tuple(lv & mask_from(colors) for lv in inst.lists_masks))
@@ -250,13 +275,16 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
                 common = _common_neighbors_mask(rows, hidx)
                 if common & dmask:
                     continue  # the prune breaks D; the region step needs it intact
-                v = _prune_non_modules_mask(g, full & ~common, closed)  # keeps N[D]
-                closed_d = closed & v
-                charged = walked.get((v, closed_d))
+                region = regions.get((common, closed))
+                if region is None:  # the module prune keeps N[D]
+                    v = _prune_non_modules_mask(adj, solver.components, full & ~common, closed)
+                    region = regions[common, closed] = (v, closed & v)
+                charged = walked.get(region)
                 if charged is not None:  # every core of this walk is solved
                     if solver.spend(charged) < charged:
                         return
                     continue
+                v, closed_d = region
                 charged = 0
                 for second, seed in _second_sets(adj, v, closed_d, kprime + 1):
                     if not solver.spend():
@@ -268,12 +296,17 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
                     solved.add(core)
                     for colors, lists_w in wsets:
                         _, assignment = solver.solve_masked(core, lists_w)
-                        prov = FamilyProvenance(
-                            colors, doms, tuple(colors[c] for c in hidx), second
-                        )
-                        for comp in masked_components(g, mask_from(u for u, _ in assignment)):
+                        prov = None
+                        for comp in solver.components(mask_from(u for u, _ in assignment)):
+                            if comp in yielded:
+                                continue
+                            yielded.add(comp)
+                            if prov is None:
+                                prov = FamilyProvenance(
+                                    colors, doms, tuple(colors[c] for c in hidx), second
+                                )
                             yield comp, prov
-                walked[(v, closed_d)] = charged
+                walked[region] = charged
 
 
 def build_family(inst: Instance, budget: int | None = None) -> Family:

@@ -17,12 +17,17 @@ serialize byte-identically and round-trip through the parser.
 
 Solution files:
 
-    weight <p/q>
+    weight <w>       integer or p/q, as WT
     vertex <id> <color>
+
+A weight is ASCII digits, optionally signed with '-' and optionally
+followed by '/' and more digits; exponents, decimal points, underscores
+and other digits are rejected.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .pattern import Instance, PatternGraph, Solution
@@ -57,6 +62,21 @@ def _int(tok: str, line_no: int, what: str) -> int:
         return int(tok)
     except ValueError:
         raise ParseError(line_no, f"{what} must be an integer, got {tok!r}") from None
+
+
+_WEIGHT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def _weight(tok: str, line_no: int) -> Fraction:
+    """An ASCII integer n or fraction n/d, nothing else: Fraction alone
+    would also take 1e3, 1.5 and 1_0."""
+    if _WEIGHT.fullmatch(tok) is None:
+        raise ParseError(line_no, f"bad weight {tok!r}; expected an integer or p/q")
+    num, _, den = tok.partition("/")
+    try:
+        return Fraction(int(num), int(den or 1))
+    except (ValueError, ZeroDivisionError):  # too many digits for int, or d = 0
+        raise ParseError(line_no, f"bad weight {tok!r}") from None
 
 
 def parse_instance(text: str) -> Instance:
@@ -124,10 +144,7 @@ def parse_instance(text: str) -> Instance:
                 u = _int(toks[1], line_no, "vertex")
                 if not 1 <= u <= n:
                     raise ParseError(line_no, f"vertex {u} out of range 1..{n}")
-                try:
-                    w = Fraction(toks[2])
-                except (ValueError, ZeroDivisionError):
-                    raise ParseError(line_no, f"bad weight {toks[2]!r}") from None
+                w = _weight(toks[2], line_no)
                 if w < 0:
                     raise ParseError(line_no, f"negative weight {w} at vertex {u}")
                 wt[u] = w
@@ -182,10 +199,7 @@ def parse_solution(text: str) -> Solution:
                 raise ParseError(line_no, "duplicate weight line")
             if len(toks) != 2:
                 raise ParseError(line_no, "weight takes one argument")
-            try:
-                weight = Fraction(toks[1])
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(line_no, f"bad weight {toks[1]!r}") from None
+            weight = _weight(toks[1], line_no)
         elif key == "vertex":
             if len(toks) != 3:
                 raise ParseError(line_no, "vertex takes two arguments")

@@ -345,7 +345,7 @@ def brute_guessed_members(inst: Instance, solver):
                 closed = dmask
                 for d in doms:
                     closed |= adj[d]
-                v2 = _prune_non_modules_mask(g, v1, closed)
+                v2 = _prune_non_modules_mask(adj, solver.components, v1, closed)
                 if dmask & ~v2:
                     continue
                 closed_d = closed & v2

@@ -108,7 +108,7 @@ def test_python_m_p5hom_runs_the_cli(c5_file):
     assert "P5-free" in done.stdout
 
 
-def test_bad_input_is_exit_2(tmp_path):
+def test_bad_input_is_exit_2(tmp_path, c5_file):
     bad = tmp_path / "bad.txt"
     bad.write_text("G 3\nH 2\n")
     assert main(["solve", str(bad)]) == 2
@@ -118,6 +118,13 @@ def test_bad_input_is_exit_2(tmp_path):
     bare_list = tmp_path / "bare_list.txt"  # a LIST line with no vertex
     bare_list.write_text("H 2\nG 2\nLIST\n")
     assert main(["solve", str(bare_list)]) == 2
+    for weight in ("1e3", "1.5", "1_0"):  # only n or n/d
+        odd = tmp_path / "odd_weight.txt"
+        odd.write_text(f"H 2\nG 2\nWT 1 {weight}\n")
+        assert main(["solve", str(odd)]) == 2
+        odd_sol = tmp_path / "odd_sol.txt"
+        odd_sol.write_text(f"weight {weight}\nvertex 1 1\n")
+        assert main(["verify", c5_file, str(odd_sol)]) == 2
 
 
 def test_verify_roundtrip(c5_file, tmp_path, capsys):

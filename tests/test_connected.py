@@ -527,6 +527,24 @@ def test_dominator_order_tie_frozen():
     ]
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**9))
+def test_components_cache_matches_masked_components(seed):
+    # on any graph, P5-free or not, the solver's split of a mask is the
+    # tuple of masked_components, and a repeated mask gets the same tuple
+    rng = random.Random(seed)
+    n = rng.randint(1, 10)
+    density = rng.choice([0.15, 0.3, 0.5])
+    g = Graph(n, [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < density])
+    solver = ConnectedSolver(Instance.build(g, PatternGraph.complete(2)))
+    masks = [mask_from(v for v in g.vertices if rng.random() < 0.6) for _ in range(4)]
+    for mask in masks + masks[::-1]:
+        comps = solver.components(mask)
+        assert type(comps) is tuple
+        assert comps == tuple(masked_components(g, mask))
+        assert solver.components(mask) is comps
+
+
 def test_colors_first_strips_dominator_colors_and_builds_fewer_states(monkeypatch):
     # under K3 each coloring of D reaches the cleanups with d_i's color
     # gone from every X_i list, so no cleaned state leaves it there; the

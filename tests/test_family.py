@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import p5hom.connected as connected_module
 import p5hom.family as family_module
 from p5hom.blob import solve_full
 from p5hom.connected import ConnectedSolver, solve_connected_case
@@ -48,6 +49,12 @@ from brute import (
 )
 
 GEM = Graph(5, [(1, 2), (2, 3), (3, 4), (5, 1), (5, 2), (5, 3), (5, 4)])
+
+
+def module_prune(g: Graph, vmask: int, closed: int) -> int:
+    """The family's module prune on g, split by a solver's components."""
+    split = ConnectedSolver(Instance.build(g, PatternGraph.complete(1))).components
+    return _prune_non_modules_mask(g.adjacency_masks(), split, vmask, closed)
 
 
 def closed_seed(g: Graph, verts, vmask: int) -> int:
@@ -114,29 +121,29 @@ def test_prune_non_module_components_frozen():
     # G - N[{1}] on the 4-path is the edge {3, 4}, whose ends see different
     # outside neighborhoods, so it goes
     p4 = Graph.path(4)
-    assert _prune_non_modules_mask(
+    assert module_prune(
         p4, p4.full_mask, closed_seed(p4, [1], p4.full_mask)) == mask_from([1, 2])
 
     # star: the leftover leaves are single vertices, always modules
     star = Graph(4, [(1, 2), (1, 3), (1, 4)])
-    assert _prune_non_modules_mask(
+    assert module_prune(
         star, star.full_mask, closed_seed(star, [2], star.full_mask)) == star.full_mask
 
     # G - N[{5}] is the edge {1, 2}, and both ends see {3, 4} outside it:
     # a module, kept; without vertex 2 the single vertex 1 is kept too
     g = Graph(5, [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 5), (4, 5)])
-    assert _prune_non_modules_mask(g, g.full_mask, closed_seed(g, [5], g.full_mask)) == g.full_mask
+    assert module_prune(g, g.full_mask, closed_seed(g, [5], g.full_mask)) == g.full_mask
     vmask = mask_from([1, 3, 4, 5])
-    assert _prune_non_modules_mask(g, vmask, closed_seed(g, [5], vmask)) == vmask
+    assert module_prune(g, vmask, closed_seed(g, [5], vmask)) == vmask
 
     # without the edge 2-4, vertex 1 sees {3, 4} and vertex 2 sees {3}:
     # not a module, deleted; the module test reads the current graph, so
     # once 4 is gone both ends see {3} and the edge stays
     g = Graph(5, [(1, 2), (1, 3), (2, 3), (1, 4), (3, 5), (4, 5)])
-    assert _prune_non_modules_mask(
+    assert module_prune(
         g, g.full_mask, closed_seed(g, [5], g.full_mask)) == mask_from([3, 4, 5])
     vmask = mask_from([1, 2, 3, 5])
-    assert _prune_non_modules_mask(g, vmask, closed_seed(g, [5], vmask)) == vmask
+    assert module_prune(g, vmask, closed_seed(g, [5], vmask)) == vmask
 
 
 def test_core_region_frozen():
@@ -401,7 +408,7 @@ def test_one_round_module_prune_matches_repeat(seed):
         v for v in g.vertices if rng.random() < 0.8)
     dmask = mask_from(v for v in g.vertices if rng.random() < 0.25) or mask_from([1])
     closed = closed_seed(g, set_from_mask(dmask & vmask), vmask)
-    assert _prune_non_modules_mask(g, vmask, closed) == brute_prune_non_modules(g, vmask, dmask)
+    assert module_prune(g, vmask, closed) == brute_prune_non_modules(g, vmask, dmask)
 
 
 @pytest.mark.parametrize("kprime", range(1, 9))
@@ -507,6 +514,7 @@ def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
     regions = set()  # (W, nonempty closed core), by the restart references
     walk_seconds = {}  # (|W|, D, class partition) kept intact -> second sets
     region_walks = {}  # (|W|, pruned region, N[D]) -> second sets
+    module_keys = set()  # (region after the common prune, N[D]) with D intact
     for size in range(2, min(k, g.n) + 1):
         for colors in itertools.combinations(range(1, k + 1), size):
             for dmask in enumerate_connected_subsets(g, size, min(size + 1, g.n)):
@@ -517,9 +525,10 @@ def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
                     partitions.add((colors, doms, frozenset(classes.values())))
                     walks.add((size, doms, frozenset(classes.values())))
                     v = brute_prune_common(adj, g.full_mask, [mask_from(c) for c in classes.values()])
-                    v = brute_prune_non_modules(g, v, dmask)
                     if dmask & ~v:
                         continue
+                    module_keys.add((v, closed_seed(g, doms, g.full_mask)))
+                    v = brute_prune_non_modules(g, v, dmask)
                     closed_d = closed_seed(g, doms, v)
                     seconds = brute_second_sets(adj, v, closed_d, size + 1)
                     walk_seconds[(size, doms, frozenset(classes.values()))] = len(seconds)
@@ -543,8 +552,22 @@ def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
         closures.append(args)
         return close(*args)
 
+    module_prunes = []
+    prune_modules = family_module._prune_non_modules_mask
+
+    def counted_module_prune(adj, components, vmask, closed):
+        module_prunes.append((vmask, closed))
+        return prune_modules(adj, components, vmask, closed)
+
+    splits = []
+    split = connected_module.masked_components
+
+    def counted_split(graph, mask):
+        splits.append(mask)
+        return split(graph, mask)
+
     top = []
-    components = [0]  # of the top-level answers
+    components = set()  # of the top-level answers
     depth = [0]
     solve = ConnectedSolver.solve_masked
 
@@ -557,10 +580,12 @@ def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
         finally:
             depth[0] -= 1
         if not depth[0]:
-            components[0] += len(masked_components(g, mask_from(v for v, _ in answer[1])))
+            components.update(masked_components(g, mask_from(v for v, _ in answer[1])))
         return answer
 
     monkeypatch.setattr(family_module, "_common_neighbors_mask", counted_prune)
+    monkeypatch.setattr(family_module, "_prune_non_modules_mask", counted_module_prune)
+    monkeypatch.setattr(connected_module, "masked_components", counted_split)
     monkeypatch.setattr(family_module, "_core_region_mask", counted_close)
     monkeypatch.setattr(ConnectedSolver, "solve_masked", counted_solve)
     solver = ConnectedSolver(inst)
@@ -575,6 +600,13 @@ def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
         assert 2 * len(prunes) == guesses
     else:
         assert len(walks) < len(partitions)
+    # one module prune per distinct (region after the common prune, N[D]):
+    # its result depends on nothing else, so a key met again reuses it
+    assert len(module_prunes) == len(set(module_prunes))
+    assert set(module_prunes) == module_keys
+    assert len(module_prunes) < len(prunes)
+    # one split per distinct vertex mask in the solver's whole life
+    assert len(splits) == len(set(splits))
     # one second-set walk per distinct (|W|, pruned region, N[D]): a walk
     # met again is charged without closing its second sets; on GEM under
     # K3 that saves closures over one walk per (|W|, D, class partition)
@@ -588,6 +620,9 @@ def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
     assert len(top) == len(set(top)) < sum(walk_seconds.values())
     assert len({(max(lists).bit_count(), vmask) for vmask, lists in top}) <= len(closures)
     assert len(top) <= len(regions)
-    # each solve yields every component of its answer once; an answer may
-    # have several (the greedy incumbent need not be connected)
-    assert len(yielded) == components[0]
+    # each component of an answer is yielded once, at the first solve
+    # whose answer has it; an answer may have several (the greedy
+    # incumbent need not be connected)
+    masks = [mask for mask, _ in yielded]
+    assert len(masks) == len(set(masks))
+    assert set(masks) == components

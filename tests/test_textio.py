@@ -83,6 +83,12 @@ def test_duplicate_edges_tolerated():
     ("H 2\nG 2\nHEDGE 1 2\n", "HEDGE"),
     ("H 2\nG 2\nWT 1 -3\n", "negative"),
     ("H 2\nG 2\nWT 1 1/0\n", "weight"),
+    ("H 2\nG 2\nWT 1 1e3\n", "bad weight"),
+    ("H 2\nG 2\nWT 1 1.5\n", "bad weight"),
+    ("H 2\nG 2\nWT 1 1_0\n", "bad weight"),
+    ("H 2\nG 2\nWT 1 +1\n", "bad weight"),
+    ("H 2\nG 2\nWT 1 1/-2\n", "bad weight"),
+    ("H 2\nG 2\nWT 1 \u0661\n", "bad weight"),
     ("H 2\nG 2\nLIST 1 5\n", "range"),
     ("H 2\nG 2\nWT 3 1\n", "range"),
     ("H x\nG 2\n", "integer"),
@@ -111,6 +117,9 @@ def test_solution_roundtrip():
 def test_solution_parse_errors():
     with pytest.raises(ParseError):
         parse_solution("vertex 1 1\n")  # no weight line
+    for weight in ("1e3", "1.5", "1_0", "1/0"):
+        with pytest.raises(ParseError, match="bad weight"):
+            parse_solution(f"weight {weight}\nvertex 1 1\n")
     with pytest.raises(ParseError):
         parse_solution("weight 1/1\nweight 2/1\n")
     with pytest.raises(ParseError):
