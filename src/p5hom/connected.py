@@ -4,12 +4,19 @@ The search guesses a small dominating set D inside the optimum, splits
 the remaining vertices into the neighborhood parts X_1..X_|D| carved out
 by D's members in order, and deletes everything D does not dominate.
 Every connected P5-free graph has a dominating clique or a dominating
-induced P3 (Bacsó and Tuza, 1990; Camby and Schaudt, 2016).  A clique
-inside an H-colorable set takes pairwise distinct, pairwise adjacent
-colors, H being loopless, so it has at most omega vertices, omega being
-the clique number of H on the colors of the live lists.  D therefore
-ranges over those cliques and the induced P3s only: one of them
-dominates a connected optimum.  The search then guesses,
+induced P3 (Bacsó and Tuza, 1990; Camby and Schaudt, 2016), and one
+that has no induced C5 either has a dominating clique (Bacsó and Tuza,
+1990; Cozzens and Kelleher, 1990).  A clique inside an H-colorable set
+takes pairwise distinct, pairwise adjacent colors, H being loopless, so
+it has at most omega vertices, omega being the clique number of H on
+the colors of the live lists.  D therefore ranges over those cliques
+and the induced P3s only: one of them dominates a connected optimum.
+The solver checks its host graph for an induced C5 once, and when there
+is none it walks the cliques alone: every piece it searches is an
+induced subgraph of that host, so a connected optimum of a piece has
+neither an induced P5 nor an induced C5, and a clique of it dominates
+it.  Cographs and split graphs never have an induced C5.  The search
+then guesses,
 for every part pair (i, j) with i < j and every color r, a set of at
 most two independent vertices of X_i standing in for the optimum's
 r-colored X_i vertices; the guess drives two list cleanups:
@@ -70,7 +77,8 @@ original graph, memoized in one table so that a family build can share
 work across thousands of overlapping sub-instances.  An optional budget
 bounds the guesses of the whole run: dominator tuples, dominator
 colorings and cleanup states draw on one counter, shared with the family
-build's second sets when the family drives the solver.  The solver is
+build's second sets when the family drives the solver; on a host with no
+induced C5 no P3 is walked, so none is charged.  The solver is
 built from an Instance and scales its weights once to integers
 (mwis.scale_weights), so no sum inside the search is a Fraction.
 """
@@ -84,6 +92,7 @@ from itertools import combinations, product
 
 from .graph import (
     NotP5FreeError,
+    find_induced_c5,
     find_induced_p5,
     iter_mask,
     mask_from,
@@ -173,12 +182,14 @@ def _cross_part_cleanup(
 
 
 def _dominator_tuples(
-    adj: Sequence[int], vmask: int, omega: int
+    adj: Sequence[int], vmask: int, omega: int, p3s: bool = True
 ) -> Iterator[tuple[int, ...]]:
     """The dominator tuples of the live piece vmask: its cliques of 1..omega
-    vertices and, at size 3, its induced P3s.  The solver passes the
-    clique number of the pattern on the live colors as omega, so under a
-    bipartite pattern (a path, say) no triangle is walked.
+    vertices and, at size 3 when p3s is set, its induced P3s.  The solver
+    passes the clique number of the pattern on the live colors as omega,
+    so under a bipartite pattern (a path, say) no triangle is walked, and
+    clears p3s when its host graph has no induced C5, so on such a host
+    only cliques are walked.
 
     Tuples are ascending and come by size, then lexicographically, which
     is the order of combinations(sorted vmask, size) with every other
@@ -186,8 +197,9 @@ def _dominator_tuples(
     testing a combination: an edge (a, b) from N(a) above a; a 3-tuple
     from each pair a < b, its third vertex above b taken from N(a) | N(b)
     when a ~ b (less N(a) & N(b), the triangles, when omega < 3) and
-    from N(a) & N(b) otherwise; a larger clique by extending a smaller
-    one with its common neighborhood above its last vertex.
+    from N(a) & N(b) otherwise, or, without p3s, from N(a) & N(b) for an
+    edge (a, b) only; a larger clique by extending a smaller one with its
+    common neighborhood above its last vertex.
     """
     verts = iter_mask(vmask)
     nbr = [0] * len(adj)
@@ -199,23 +211,25 @@ def _dominator_tuples(
         for a in verts:
             for b in iter_mask(nbr[a] & (-1 << (a + 1))):
                 yield (a, b)
+    if omega < 3 and not p3s:
+        return
     # triangles with their common neighborhood above the last vertex,
     # kept only to grow the cliques of 4..omega vertices
     cliques: list[tuple[tuple[int, ...], int]] = []
     for i, a in enumerate(verts):
         na = nbr[a]
-        for b in verts[i + 1:]:
+        for b in verts[i + 1:] if p3s else iter_mask(na & (-1 << (a + 1))):
             nb = nbr[b]
             above = -1 << (b + 1)
             if na >> b & 1:
                 common = na & nb & above
-                third = (na | nb) & above
+                third = (na | nb) & above if p3s else common
                 if omega < 3:
                     third &= ~common
                 elif omega > 3:
                     for c in iter_mask(common):
                         cliques.append(((a, b, c), common & nbr[c] & (-1 << (c + 1))))
-            else:
+            else:  # an induced P3 a-c-b; walked only with p3s
                 third = na & nb & above
             for c in iter_mask(third):
                 yield (a, b, c)
@@ -250,6 +264,14 @@ class ConnectedSolver:
     clique-cover bound costs its one guess and nothing more; a piece
     whose greedy start already meets the bound costs none.
 
+    The dominator tuples are the cliques of the piece and, only when the
+    host graph has an induced C5 (graph.find_induced_c5, run once here),
+    its induced P3s.  Every piece is an induced subgraph of the host, so
+    on a C5-free host a connected optimum of a piece is (P5, C5)-free and
+    has a dominating clique (Bacsó and Tuza, 1990; Cozzens and Kelleher,
+    1990), of at most omega vertices as it is H-colorable: the P3s are
+    not needed, and a budget pays for none of them.
+
     Inside the solver weights are inst.wt scaled to integers by
     mwis.scale_weights; solve_masked returns weights in these units, and
     weight / scale is the exact one.  An Instance holds no negative
@@ -283,6 +305,7 @@ class ConnectedSolver:
         # lists they are
         self._memo: dict[tuple[int, ...], tuple[int, tuple[tuple[int, int], ...]]] = {}
         self._components: dict[int, tuple[int, ...]] = {}  # vertex mask -> its components
+        self._p3s = find_induced_c5(inst.g) is not None  # only such a host needs P3s
 
     # -- public entry ------------------------------------------------------
 
@@ -354,10 +377,12 @@ class ConnectedSolver:
 
         The dominator tuples are those of _dominator_tuples, with omega
         the clique number of the pattern on the colors of the live lists:
-        the cliques of at most omega vertices and the induced P3s.  A
-        connected optimum induces a connected P5-free graph, which has a
-        dominating clique or a dominating induced P3 (Bacsó and Tuza;
-        Camby and Schaudt), and its cliques take pairwise distinct,
+        the cliques of at most omega vertices and, when the host has an
+        induced C5, the induced P3s.  A connected optimum induces a
+        connected P5-free graph, which has a dominating clique or a
+        dominating induced P3 (Bacsó and Tuza; Camby and Schaudt), and a
+        dominating clique when it also has no induced C5 (Bacsó and Tuza;
+        Cozzens and Kelleher); its cliques take pairwise distinct,
         pairwise adjacent colors, so one of these tuples dominates it.
         When no optimum of the piece is connected, no tuple need dominate
         one, and the answer (still verified) may fall short, though never
@@ -387,7 +412,7 @@ class ConnectedSolver:
         omega = self.clique_number(universe)
         if self.cover_bound(vmask, omega) <= best[0]:
             return best
-        for doms in _dominator_tuples(self._adj, vmask, omega):
+        for doms in _dominator_tuples(self._adj, vmask, omega, self._p3s):
             if not self.spend():
                 return best
             best = self._branch(vmask, lists, doms, omega, best)

@@ -23,10 +23,14 @@ partition also fixes |W|, its number of classes.  The family is a union
 over every guess, so the loops may run in any order: for each size |W|,
 each (D, partition) is pruned once, its first surjection in product
 order standing for all of them, and W runs innermost.  Each D' is one
-guess charged to the budget, and each closed region new to the size is
-solved under every W of that size.  A region met again would yield only
-members already held, and its solves would be memo hits.  A member's
-provenance is the first guess in this order that yields it.
+guess charged to the budget, and each closed region is solved under
+every W of that size, piece by piece.  A piece is a component of the
+region's vertices whose W-list is not empty, which is what the solver
+itself would split the region into, and each W keeps the set of pieces
+it has solved: a piece met again would yield only members already held,
+and its solve would be a memo hit that charges nothing, so it is not
+handed to the solver again.  A member's provenance is the first guess
+in this order that yields it.
 
 The common-neighbor prune is one intersection: its candidates change
 only when a vertex of D goes, which drops the guess, so a guess whose D
@@ -236,13 +240,19 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
     also fixes |W| as its number of classes.  Each (D, partition) is
     pruned once per size, with its first surjection in product order
     (its restricted-growth labelling, read through each W's colors), and
-    each closed core new to the size is solved under every W of the size.
-    A core met again would yield only components already yielded, and
-    its solves would be memo hits that spend nothing.  A (region, N[D])
-    already walked at the size is charged its second-set count in one
-    call, as that many single charges would be, and not walked again.
+    each closed core is solved under every W of the size, one piece at a
+    time: its pieces are the components of the core's vertices with a
+    nonempty W-list, and only a piece new to the W goes to solve_masked.
+    The solve of the whole core would split it into the same pieces, so
+    the answer's components are those of the union of the new pieces'
+    answers plus components already yielded; a piece met again would
+    yield only those and be a memo hit that spends nothing.  A (region,
+    N[D]) already walked at the size is charged its second-set count in
+    one call, as that many single charges would be, and not walked
+    again.
 
-    Two caches span the whole call, all sizes included.  regions maps
+    Besides the per-W piece sets, two caches span the whole call, all
+    sizes included.  regions maps
     (common-neighbor mask, N[D]) to (pruned region, N[D] in it): the
     module prune reads only the graph less the common neighbors and N[D],
     so its result is a pure function of that key.  yielded holds the
@@ -258,11 +268,11 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
     regions: dict[tuple[int, int], tuple[int, int]] = {}  # (common, N[D]) -> (region, N[D] in it)
     yielded: set[int] = set()  # components yielded so far
     for kprime in range(2, min(k, g.n) + 1):
-        wsets = [
-            (colors, tuple(lv & mask_from(colors) for lv in inst.lists_masks))
-            for colors in combinations(range(1, k + 1), kprime)
-        ]
-        solved = {0}  # closed cores solved at this size; an empty core needs no solve
+        wsets = []  # (W, lists restricted to W, vertices with a W-list, pieces solved)
+        for colors in combinations(range(1, k + 1), kprime):
+            lists_w = tuple(lv & mask_from(colors) for lv in inst.lists_masks)
+            live_w = mask_from(v for v, lv in enumerate(lists_w) if lv)
+            wsets.append((colors, lists_w, live_w, set()))
         walked: dict[tuple[int, int], int] = {}  # (region, N[D]) -> second sets charged
         labellings = {s: _class_labellings(s, kprime) for s in (kprime, kprime + 1)}
         for dmask in enumerate_connected_subsets(g, kprime, min(kprime + 1, g.n)):
@@ -291,13 +301,15 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
                         return
                     charged += 1
                     core = _core_region_mask(adj, v, seed)
-                    if core in solved:
-                        continue
-                    solved.add(core)
-                    for colors, lists_w in wsets:
-                        _, assignment = solver.solve_masked(core, lists_w)
+                    for colors, lists_w, live_w, pieces in wsets:
+                        chosen = 0
+                        for piece in solver.components(core & live_w):
+                            if piece not in pieces:
+                                pieces.add(piece)
+                                for u, _ in solver.solve_masked(piece, lists_w)[1]:
+                                    chosen |= 1 << u
                         prov = None
-                        for comp in solver.components(mask_from(u for u, _ in assignment)):
+                        for comp in solver.components(chosen):
                             if comp in yielded:
                                 continue
                             yielded.add(comp)
@@ -319,7 +331,7 @@ def build_family(inst: Instance, budget: int | None = None) -> Family:
     build that runs out keeps the members found so far and reports
     exhaustive False.  For each size |W|, each (D, class partition) is
     pruned once, whatever W, each (pruned region, N[D]) is walked once,
-    and each closed region new to the size is solved under every W of
+    and each piece of a closed region is solved once under each W of
     that size, so the unit of the budget is one guess per
     (D, partition, D'), a repeated walk charged all at once; each member
     keeps the provenance of the first guess that yields it.

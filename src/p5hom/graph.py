@@ -24,6 +24,7 @@ __all__ = [
     "Graph",
     "NotP5FreeError",
     "enumerate_connected_subsets",
+    "find_induced_c5",
     "find_induced_p5",
     "iter_mask",
     "mask_from",
@@ -210,13 +211,14 @@ class NotP5FreeError(Exception):
         self.witness = witness
 
 
-def find_induced_p5(g: Graph) -> tuple[int, int, int, int, int] | None:
-    """First induced 5-vertex path, as an ordered tuple, or None.
+def _extend_induced_p3(g: Graph, closed: bool) -> tuple[int, int, int, int, int] | None:
+    """First (a, b, c, d, e) with b-c-d an induced path, a adjacent to b
+    but to neither c nor d, e adjacent to d but to neither b nor c, and
+    a, e adjacent exactly when closed; or None.
 
-    Walks every induced path on 3 vertices b-c-d and asks whether it
-    extends on both ends: an endpoint a adjacent to b but to neither c
-    nor d, and an endpoint e adjacent to d but to none of a, b, c.
-    Deterministic: all loops ascend, so the answer is stable.
+    That is an induced P5 a-b-c-d-e when closed is False and an induced
+    C5 when it is True.  Deterministic: all loops ascend, and e is the
+    lowest that fits, so the answer is stable.
     """
     adj = g._adj
     for c in g.vertices:
@@ -234,11 +236,34 @@ def find_induced_p5(g: Graph) -> tuple[int, int, int, int, int] | None:
                 if not e_base:
                     continue
                 for a in iter_mask(a_cands):
-                    rest = e_base & ~(adj[a] | (1 << a))
+                    rest = e_base & adj[a] if closed else e_base & ~(adj[a] | (1 << a))
                     if rest:
                         e = (rest & -rest).bit_length() - 1
                         return (a, b, c, d, e)
     return None
+
+
+def find_induced_p5(g: Graph) -> tuple[int, int, int, int, int] | None:
+    """First induced 5-vertex path, as an ordered tuple, or None.
+
+    Walks every induced path on 3 vertices b-c-d and asks whether it
+    extends on both ends: an endpoint a adjacent to b but to neither c
+    nor d, and an endpoint e adjacent to d but to none of a, b, c.
+    Deterministic: all loops ascend, so the answer is stable.
+    """
+    return _extend_induced_p3(g, closed=False)
+
+
+def find_induced_c5(g: Graph) -> tuple[int, int, int, int, int] | None:
+    """First induced 5-cycle a-b-c-d-e-a, as an ordered tuple, or None.
+
+    The same walk as find_induced_p5, over every induced path b-c-d, but
+    the two ends must meet: e is adjacent to d and a, and to neither b
+    nor c.  Deterministic: all loops ascend, so the answer is stable.
+    Cographs and split graphs never have one: a C5 holds an induced P4,
+    and a clique or an independent set holds at most two of its vertices.
+    """
+    return _extend_induced_p3(g, closed=True)
 
 
 def enumerate_connected_subsets(g: Graph, lo: int, hi: int) -> Iterator[int]:

@@ -20,9 +20,10 @@ Solution files:
     weight <w>       integer or p/q, as WT
     vertex <id> <color>
 
-A weight is ASCII digits, optionally signed with '-' and optionally
-followed by '/' and more digits; exponents, decimal points, underscores
-and other digits are rejected.
+Counts, vertices and colors are ASCII digits, optionally signed with
+'-'.  A weight is the same, optionally followed by '/' and more digits.
+Exponents, decimal points, underscores, '+' and other scripts' digits
+are rejected.
 """
 
 from __future__ import annotations
@@ -58,10 +59,16 @@ def _tokens(text: str):
 
 
 def _int(tok: str, line_no: int, what: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(line_no, f"{what} must be an integer, got {tok!r}") from None
+    """An ASCII integer, -?[0-9]+, nothing else: int alone would also take
+    1_0, +2 and other scripts' digits.  Two string tests, not a regex:
+    every count, vertex and color of a file comes through here."""
+    digits = tok[1:] if tok[:1] == "-" else tok
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(tok)
+        except ValueError:  # too many digits for int
+            pass
+    raise ParseError(line_no, f"{what} must be an integer, got {tok!r}")
 
 
 _WEIGHT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")

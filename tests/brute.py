@@ -132,6 +132,24 @@ def brute_has_induced_p5(g: Graph) -> bool:
     return False
 
 
+def brute_has_induced_c5(g: Graph) -> bool:
+    """Check every 5-vertex subset for an induced cycle.
+
+    A 5-vertex graph is a cycle iff it has exactly 5 edges and every
+    vertex has degree 2: a 2-regular graph is a union of cycles of at
+    least 3 vertices each, and 5 vertices hold only one.
+    """
+    for combo in itertools.combinations(g.vertices, 5):
+        deg = dict.fromkeys(combo, 0)
+        for u, v in itertools.combinations(combo, 2):
+            if g.has_edge(u, v):
+                deg[u] += 1
+                deg[v] += 1
+        if all(d == 2 for d in deg.values()):
+            return True
+    return False
+
+
 def brute_connected_subsets(g: Graph, lo: int, hi: int) -> set[frozenset[int]]:
     """All connected vertex subsets with lo <= size <= hi, by filtering
     every subset."""
@@ -370,17 +388,18 @@ def brute_guessed_members(inst: Instance, solver):
 
 
 def brute_dominator_tuples(
-    adj: list[int], vmask: int, omega: int
+    adj: list[int], vmask: int, omega: int, p3s: bool = True
 ) -> list[tuple[int, ...]]:
     """Every ascending vertex tuple of vmask that is a clique of at most
-    omega vertices or an induced P3, by size, then lexicographically."""
+    omega vertices or, when p3s is set, an induced P3, by size, then
+    lexicographically."""
     verts = list(iter_mask(vmask))
     out = []
     for size in range(1, max(omega, 3) + 1):
         for t in combinations(verts, size):
             edges = sum(1 for u, v in combinations(t, 2) if adj[u] >> v & 1)
             if (size <= omega and edges == size * (size - 1) // 2
-                    or size == 3 and edges == 2):
+                    or p3s and size == 3 and edges == 2):
                 out.append(t)
     return out
 
@@ -402,7 +421,8 @@ class UnprunedConnectedSolver(ConnectedSolver):
     dominator coloring and cleaned state is searched in full and every
     assembled candidate is compared with the best so far.  The starting
     answer (the greedy incumbent), the tuples (_dominator_tuples with
-    omega the pattern's clique number on the live colors) and the order
+    omega the pattern's clique number on the live colors, and P3s only on
+    a host with an induced C5) and the order
     (each coloring of D propagated onto N(D) before its cleanup states)
     are the solver's own: this is the reference for the bounds, not for
     the incumbent, the tuple set or the order."""
@@ -420,7 +440,8 @@ class UnprunedConnectedSolver(ConnectedSolver):
         if all_singletons:
             return _conflict_mwis(self._adj, vmask, lists, self._hadj, self._wt)
         best_w, best_asg = self.incumbent(vmask, lists)
-        for doms in _dominator_tuples(self._adj, vmask, self.clique_number(universe)):
+        omega = self.clique_number(universe)
+        for doms in _dominator_tuples(self._adj, vmask, omega, self._p3s):
             if not self.spend():
                 return best_w, best_asg
             for w, asg in self._candidates(vmask, lists, doms):
@@ -452,6 +473,16 @@ class UnprunedConnectedSolver(ConnectedSolver):
                         coloring.update(asg)
                 self._verify_candidate(coloring, lists)
                 yield total, tuple(sorted(coloring.items()))
+
+
+class P3ConnectedSolver(ConnectedSolver):
+    """The connected search that walks the induced P3s among its dominator
+    tuples on every host, C5-free or not: the reference for the solver's
+    cliques-only tuples on C5-free hosts."""
+
+    def __init__(self, inst: Instance, budget: int | None = None) -> None:
+        super().__init__(inst, budget)
+        self._p3s = True
 
 
 class ColorsLastConnectedSolver(ConnectedSolver):

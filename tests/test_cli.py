@@ -125,6 +125,14 @@ def test_bad_input_is_exit_2(tmp_path, c5_file):
         odd_sol = tmp_path / "odd_sol.txt"
         odd_sol.write_text(f"weight {weight}\nvertex 1 1\n")
         assert main(["verify", c5_file, str(odd_sol)]) == 2
+    # counts, vertices and colors are ASCII integers too
+    odd = tmp_path / "odd_int.txt"
+    odd.write_text("H 1_0\nG \u0663\nGEDGE \u0661 +2\nLIST 1 0_1\n", encoding="utf-8")
+    assert main(["solve", str(odd)]) == 2
+    for line in ("vertex \u0661 1_0", "vertex 1 +1"):
+        odd_sol = tmp_path / "odd_int_sol.txt"
+        odd_sol.write_text(f"weight 1\n{line}\n", encoding="utf-8")
+        assert main(["verify", c5_file, str(odd_sol)]) == 2
 
 
 def test_verify_roundtrip(c5_file, tmp_path, capsys):

@@ -22,6 +22,7 @@ from p5hom.generators import FAMILIES, TRIAL_DENSITIES, GenSpec, generate
 from p5hom.graph import (
     Graph,
     NotP5FreeError,
+    find_induced_c5,
     find_induced_p5,
     iter_mask,
     mask_from,
@@ -35,6 +36,7 @@ from p5hom.pattern import Instance, PatternGraph, Solution, verify_solution
 
 from brute import (
     ColorsLastConnectedSolver,
+    P3ConnectedSolver,
     UnprunedConnectedSolver,
     brute_clique_number,
     brute_cross_part_cleanup,
@@ -347,22 +349,22 @@ def random_graph(rng: random.Random, n: int) -> Graph:
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 10**9), st.integers(1, 6))
-def test_dominator_tuples_match_filter(seed, omega):
+@given(st.integers(0, 10**9), st.integers(1, 6), st.booleans())
+def test_dominator_tuples_match_filter(seed, omega, p3s):
     # the mask-built tuples are exactly the cliques of at most omega
-    # vertices and the induced P3s, in combinations order
+    # vertices and, with p3s, the induced P3s, in combinations order
     rng = random.Random(seed)
     g = random_graph(rng, rng.randint(1, 10))
     vmask = mask_from(v for v in g.vertices if rng.random() < 0.85)
     adj = list(g.adjacency_masks())
-    assert list(_dominator_tuples(adj, vmask, omega)) == brute_dominator_tuples(
-        adj, vmask, omega)
+    assert list(_dominator_tuples(adj, vmask, omega, p3s)) == brute_dominator_tuples(
+        adj, vmask, omega, p3s)
 
 
-def dominating_tuples(g: Graph, omega: int) -> list[tuple[int, ...]]:
+def dominating_tuples(g: Graph, omega: int, p3s: bool = True) -> list[tuple[int, ...]]:
     """The dominator tuples of the whole of g that dominate g."""
     adj = g.adjacency_masks()
-    return [t for t in _dominator_tuples(adj, g.full_mask, omega)
+    return [t for t in _dominator_tuples(adj, g.full_mask, omega, p3s)
             if neighborhood_mask(adj, mask_from(t)) | mask_from(t) == g.full_mask]
 
 
@@ -370,7 +372,8 @@ def dominating_tuples(g: Graph, omega: int) -> list[tuple[int, ...]]:
 @given(st.integers(0, 10**9))
 def test_some_dominator_tuple_dominates(seed):
     # every connected P5-free graph has a dominating clique or induced
-    # P3, and its cliques have at most omega(G) vertices
+    # P3, and a dominating clique when it has no induced C5 either (the
+    # solver's rule), and its cliques have at most omega(G) vertices
     rng = random.Random(seed)
     n = rng.randint(1, 9)
     while True:
@@ -381,7 +384,7 @@ def test_some_dominator_tuple_dominates(seed):
     omega = max(size for size in range(1, n + 1)
                 for t in itertools.combinations(g.vertices, size)
                 if all(g.has_edge(u, v) for u, v in itertools.combinations(t, 2)))
-    assert dominating_tuples(g, omega)
+    assert dominating_tuples(g, omega, p3s=find_induced_c5(g) is not None)
 
 
 def test_c5_is_dominated_only_by_induced_p3s():
@@ -389,6 +392,48 @@ def test_c5_is_dominated_only_by_induced_p3s():
     # of its five induced P3s dominates it
     assert dominating_tuples(Graph.cycle(5), 2) == [
         (1, 2, 3), (1, 2, 5), (1, 4, 5), (2, 3, 4), (3, 4, 5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(FAMILIES),
+    st.sampled_from(["complete:2", "complete:3", "complete:4", "path:3", "path:4"]),
+    st.integers(4, 9),
+    st.integers(0, 10**9),
+)
+def test_cliques_only_on_c5_free_hosts_match_p3_walk(graphs, pattern, n, seed):
+    # on a host with no induced C5 the solver walks no induced P3, and its
+    # uncapped answer and family yields are those of the walk that also
+    # tries every P3: weight, assignment, ties and order included
+    inst = drawn_instance(graphs, pattern, n, seed, random.Random(seed))
+    assume(find_induced_c5(inst.g) is None)
+    runs = []
+    for cls in (ConnectedSolver, P3ConnectedSolver):
+        solver = cls(inst)
+        answer = solver.solve_masked(inst.g.full_mask, inst.lists_masks)
+        solver = cls(inst)
+        runs.append((answer, list(family._guessed_members(inst, solver)), solver._p3s))
+    assert runs[0][:2] == runs[1][:2]
+    assert (runs[0][2], runs[1][2]) == (False, True)
+
+
+def test_c5_host_keeps_its_p3s():
+    # host C5, pattern K3: the optimum colors the whole cycle, only an
+    # induced P3 dominates it, and dropping the P3s loses it
+    inst = Instance(
+        Graph.cycle(5),
+        PatternGraph.complete(3),
+        {v: Fraction(w) for v, w in zip(range(1, 6), (4, 6, 4, 5, 4))},
+        {1: frozenset({1, 2, 3}), 2: frozenset({2, 3}), 3: frozenset({2}),
+         4: frozenset({1, 2}), 5: frozenset({3})},
+    )
+    assert oracle_solve(inst).weight == 23
+    assert solve_connected_case(inst).solution.weight == 23
+    assert solve_full(inst).solution.weight == 23
+    solver = ConnectedSolver(inst)
+    assert solver._p3s
+    solver._p3s = False
+    assert solver.solve_masked(inst.g.full_mask, inst.lists_masks)[0] == 19
 
 
 @settings(max_examples=80, deadline=None)

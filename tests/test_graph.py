@@ -1,16 +1,20 @@
-"""Graph core: construction, masks, components, P5 detection, enumeration."""
+"""Graph core: construction, masks, components, P5 and C5 detection,
+enumeration."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p5hom import graph
+from p5hom.generators import GenSpec, generate
 from p5hom.graph import (
     Graph,
     enumerate_connected_subsets,
+    find_induced_c5,
     find_induced_p5,
     iter_mask,
     mask_from,
@@ -19,7 +23,7 @@ from p5hom.graph import (
     set_from_mask,
 )
 
-from brute import brute_connected_subsets, brute_has_induced_p5
+from brute import brute_connected_subsets, brute_has_induced_c5, brute_has_induced_p5
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -165,6 +169,76 @@ def test_find_induced_p5_matches_brute(g):
         assert g.has_edge(c, d) and g.has_edge(d, e)
         assert not g.has_edge(a, c) and not g.has_edge(a, d) and not g.has_edge(a, e)
         assert not g.has_edge(b, d) and not g.has_edge(b, e) and not g.has_edge(c, e)
+
+
+def assert_induced_c5(g: Graph, witness) -> None:
+    """witness lists five vertices in cycle order, and the graph has
+    exactly the cycle's five edges among them."""
+    assert len(set(witness)) == 5
+    cycle = {frozenset((witness[i], witness[(i + 1) % 5])) for i in range(5)}
+    for u, v in itertools.combinations(witness, 2):
+        assert g.has_edge(u, v) == (frozenset((u, v)) in cycle)
+
+
+def test_find_induced_c5_frozen_cases():
+    assert find_induced_c5(Graph.cycle(5)) == (3, 2, 1, 5, 4)
+    assert find_induced_c5(Graph.path(5)) is None
+    assert find_induced_c5(Graph.complete(6)) is None
+    assert find_induced_c5(Graph.cycle(6)) is None
+    gem = Graph(5, [(1, 2), (2, 3), (3, 4), (5, 1), (5, 2), (5, 3), (5, 4)])
+    assert find_induced_c5(gem) is None
+    # a C5 with a chord is no induced C5; a sixth vertex on all five
+    # leaves the C5 induced
+    assert find_induced_c5(Graph(5, Graph.cycle(5).edges() + [(1, 3)])) is None
+    wheel = Graph(6, Graph.cycle(5).edges() + [(v, 6) for v in range(1, 6)])
+    assert find_induced_c5(wheel) == (3, 2, 1, 5, 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 10**6), st.floats(0.1, 0.9),
+       st.booleans())
+def test_find_induced_c5_matches_brute(n, seed, p, p5free):
+    # random graphs, P5-free ones among them
+    rng = random.Random(seed)
+    g = random_graph(rng, n, p)
+    while p5free and find_induced_p5(g) is not None:
+        g = random_graph(rng, n, p)
+    got = find_induced_c5(g)
+    assert (got is not None) == brute_has_induced_c5(g)
+    if got is not None:
+        assert_induced_c5(g, got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=5, max_size=5), st.integers(0, 10**6))
+def test_find_induced_c5_in_blown_up_c5(sizes, seed):
+    # each C5 vertex becomes an independent set, joined to the sets of
+    # its two cycle neighbors, under a random labelling: still P5-free,
+    # and every induced C5 takes one vertex of each set in cycle order
+    rng = random.Random(seed)
+    n = sum(sizes)
+    labels = rng.sample(range(1, n + 1), n)
+    classes = []
+    for size in sizes:
+        classes.append(labels[:size])
+        labels = labels[size:]
+    g = Graph(n, [(u, v) for i in range(5) for u in classes[i] for v in classes[(i + 1) % 5]])
+    assert find_induced_p5(g) is None
+    got = find_induced_c5(g)
+    assert got is not None
+    assert_induced_c5(g, got)
+    where = [next(i for i, cl in enumerate(classes) if v in cl) for v in got]
+    assert sorted(where) == [0, 1, 2, 3, 4]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["cograph", "split"]), st.integers(1, 40),
+       st.integers(0, 10**6), st.sampled_from([1, 3, 5, 7, 9]))
+def test_cographs_and_split_graphs_have_no_induced_c5(family, n, seed, tenths):
+    g = generate(GenSpec(family=family, n=n, k=1, seed=seed, density=Fraction(tenths, 10))).g
+    assert find_induced_c5(g) is None
+    if n <= 9:
+        assert not brute_has_induced_c5(g)
 
 
 @settings(max_examples=40, deadline=None)

@@ -92,6 +92,13 @@ def test_duplicate_edges_tolerated():
     ("H 2\nG 2\nLIST 1 5\n", "range"),
     ("H 2\nG 2\nWT 3 1\n", "range"),
     ("H x\nG 2\n", "integer"),
+    ("H 1_0\nG 2\n", "color count must be an integer"),
+    ("H 2\nG \u0663\n", "vertex count must be an integer"),
+    ("H 2\nG 3\nGEDGE \u0661 +2\n", "vertex must be an integer"),
+    ("H 2\nG 3\nGEDGE 1 +2\n", "vertex must be an integer"),
+    ("H 2\nHEDGE 1 2.0\nG 3\n", "color must be an integer"),
+    ("H 2\nG 3\nLIST 1 0_1\n", "color must be an integer"),
+    ("H 2\nG 3\nWT 1e0 1\n", "vertex must be an integer"),
     ("H 2\nG 2\nBOGUS 1\n", "BOGUS"),
     ("H 2\nG 2\nLIST\n", "LIST takes a vertex"),
 ])
@@ -120,6 +127,9 @@ def test_solution_parse_errors():
     for weight in ("1e3", "1.5", "1_0", "1/0"):
         with pytest.raises(ParseError, match="bad weight"):
             parse_solution(f"weight {weight}\nvertex 1 1\n")
+    for line in ("vertex \u0661 1", "vertex 1 1_0", "vertex +1 1", "vertex 1 \uff11"):
+        with pytest.raises(ParseError, match="must be an integer"):
+            parse_solution(f"weight 1\n{line}\n")
     with pytest.raises(ParseError):
         parse_solution("weight 1/1\nweight 2/1\n")
     with pytest.raises(ParseError):
