@@ -283,9 +283,8 @@ class ConnectedSolver:
 
     One more cache holds a result that depends on its key alone: the
     components of each vertex mask (components, the one split used by
-    solve_masked, the family's module prune and the family's split of
-    answers into members).  It changes no guess charge, as a split is
-    never charged.
+    solve_masked and the family's splits of closed regions and answers).
+    It changes no guess charge, as a split is never charged.
     """
 
     def __init__(self, inst: Instance, budget: int | None = None) -> None:

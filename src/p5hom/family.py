@@ -8,16 +8,28 @@ nonempty color subset W with at least two colors (lists restricted to W;
 one-color components are already covered by the singletons), the builder
 guesses a connected dominator set D of |W| or |W|+1 vertices and a
 surjective coloring h of D onto W, prunes vertices adjacent to every
-color class, prunes components of G - N[D] that are not modules, guesses
-an irredundant second set D' of at most |W|+1 vertices (each vertex of
-D', taken in order, grows the seed N[D u D']; any other D' repeats a
-seed already guessed), closes N[D u D'] downward by deleting every seed
-vertex with a neighbor outside the seed, and hands the closed region to
-the connected-case solver.  The connected components of every answer
-enter the family.
+color class, guesses an irredundant second set D' of at most |W|+1
+vertices (each vertex of D', taken in order, grows the seed N[D u D'];
+any other D' repeats a seed already guessed), closes N[D u D'] downward
+by deleting every seed vertex with a neighbor outside the seed, and
+hands the closed region to the connected-case solver.  The connected
+components of every answer enter the family.
+
+The paper also prunes the components of G - N[D] that are not modules.
+On a P5-free host that prune deletes nothing, so the region of a guess
+is the graph minus the common neighbors of D's classes.  Let C be such a
+component and x a vertex of the region outside C that sees part of C.
+Then x is in N(D), as C is a component of G - N[D], and x is not a
+common neighbor, so it is not adjacent to all of D: it has a neighbor
+d1 and a non-neighbor d2 in D, and since D is connected they can be
+taken adjacent.  If x saw some of C but not all of it, the connected C
+would have an edge c1c2 with x adjacent to c1 only, and c2-c1-x-d1-d2
+would be an induced P5.  So every component is already a module.
+build_family checks that the host is P5-free, and every D walked is
+connected.
 
 Lists are restricted to W, not to h, and only the solves read them, so
-both prunes, the second-set walk and every closure depend on the guess
+the prune, the second-set walk and every closure depend on the guess
 (W, D, h) only through D and the partition of D into color classes; the
 partition also fixes |W|, its number of classes.  The family is a union
 over every guess, so the loops may run in any order: for each size |W|,
@@ -36,30 +48,16 @@ The common-neighbor prune is one intersection: its candidates change
 only when a vertex of D goes, which drops the guess, so a guess whose D
 meets the common neighbors of its classes is dropped and any other loses
 exactly those.  The second-set walk and its closed cores depend only on
-the pruned region and N[D] in it; a pair met again at the same size is
-charged its first walk's second sets in one call and walked no more,
+that common-neighbor mask and N[D]; a pair met again at the same size
+is charged its first walk's second sets in one call and walked no more,
 since that walk solved every core it closes.
 
-The module prune and the closure are single passes.  The components of
-G - N[D] are pairwise non-adjacent, so deleting the non-modules leaves
-N[D] and every other component's outside neighborhood as they were;
-and a closure deletion removes a vertex from the region and the graph
-at once, so the vertices outside the region never change.  A second
-round of either would find nothing.
-
-Three kinds of work that guesses repeat are done once per build.  The
-module prune is a pure function of the region left by the
-common-neighbor prune (fixed by that prune's mask) and N[D]: it reads
-nothing else of the guess.  So a per-build dict maps each (common
-mask, N[D]) to the pruned region and N[D] in it, and the prune runs once
-per distinct key, whatever the size, D or partition that meets it.  The
-components of a vertex mask depend on the mask alone, the graph being
-fixed, so the family splits through the solver's cache
+The components of a vertex mask depend on the mask alone, the graph
+being fixed, so the family splits answers through the solver's cache
 (ConnectedSolver.components), the same split the solver's own solves
-use.  And a member's provenance is that of the first guess yielding it,
-so each component is yielded once, at that guess, and only then gets a
+use.  A member's provenance is that of the first guess yielding it, so
+each component is yielded once, at that guess, and only then gets a
 FamilyProvenance; a later answer holding it adds nothing to the family.
-None of the three changes a solve, a charge or their order.
 
 Every step, the dominator enumeration included, works on vertex masks
 over the original graph, so members come out in original vertex ids
@@ -68,7 +66,7 @@ directly; they become frozensets only in the returned Family.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -79,6 +77,7 @@ from .graph import (
     find_induced_p5,
     iter_mask,
     mask_from,
+    neighborhood_mask,
     set_from_mask,
 )
 from .pattern import Instance
@@ -134,46 +133,17 @@ def _common_neighbors_mask(rows: Sequence[int], labels: Sequence[int]) -> int:
     return common
 
 
-def _prune_non_modules_mask(
-    adj: Sequence[int], components: Callable[[int], Sequence[int]], vmask: int, closed: int
-) -> int:
-    """Delete every component of the graph minus N[D] that is not a module
-    of the graph; adj holds the neighborhood masks, components splits a
-    vertex mask into its components, closed is N[D], and what it holds
-    outside vmask does not matter.
-
-    One round suffices: the components are pairwise non-adjacent, so
-    deleting some of them changes neither N[D] nor the outside
-    neighborhood of any other component, and every survivor stays a
-    module.
-    """
-    bad = 0
-    for comp in components(vmask & ~closed):
-        first = comp & -comp
-        ref = adj[first.bit_length() - 1] & vmask & ~comp
-        for v in iter_mask(comp ^ first):
-            if adj[v] & vmask & ~comp != ref:
-                bad |= comp
-                break
-    return vmask & ~bad
-
-
 def _core_region_mask(adj: Sequence[int], vmask: int, seed: int) -> int:
-    """Close the seed region downward: delete (from the graph and the
-    region) every region vertex with a neighbor outside, and return what
-    is left of the region.
+    """The closed core of a seed region: the seed minus the neighborhood
+    of the rest of the region, vmask being the graph.
 
-    One pass suffices: a deletion removes the vertex from both the region
-    and the graph, so the vertices outside the region never change, and
-    the result equals that of deleting the smallest such vertex and
-    rescanning until none is left.
+    Closing the seed downward, deleting (from the graph and the region)
+    each region vertex with a neighbor outside, removes a vertex from the
+    region and the graph at once, so the vertices outside the region
+    never change: what is left is this one expression, and it equals
+    deleting the smallest such vertex and rescanning until none is left.
     """
-    core = seed & vmask
-    outside = vmask & ~core
-    for v in iter_mask(core):
-        if adj[v] & outside:
-            core ^= 1 << v
-    return core
+    return seed & vmask & ~neighborhood_mask(adj, vmask & ~seed)
 
 
 def _second_sets(adj: Sequence[int], vmask: int, seed: int, max_size: int):
@@ -234,8 +204,13 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
     guess, charged to the solver's budget before its region is closed;
     the walk stops when the budget cannot pay for one.
 
+    The host must be P5-free (build_family checks it): only then is the
+    region of a guess the graph minus the common neighbors of D's
+    classes, the paper's module prune deleting nothing more (see the
+    module docstring).
+
     Lists are restricted to W, not to h, and only the solves read them,
-    so the prunes, the second sets and their closed cores depend on
+    so the prune, the second sets and their closed cores depend on
     (W, D, h) only through D and the class partition of D under h, which
     also fixes |W| as its number of classes.  Each (D, partition) is
     pruned once per size, with its first surjection in product order
@@ -246,26 +221,22 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
     The solve of the whole core would split it into the same pieces, so
     the answer's components are those of the union of the new pieces'
     answers plus components already yielded; a piece met again would
-    yield only those and be a memo hit that spends nothing.  A (region,
-    N[D]) already walked at the size is charged its second-set count in
-    one call, as that many single charges would be, and not walked
-    again.
+    yield only those and be a memo hit that spends nothing.  A
+    (common-neighbor mask, N[D]) already walked at the size is charged
+    its second-set count in one call, as that many single charges would
+    be, and not walked again.
 
-    Besides the per-W piece sets, two caches span the whole call, all
-    sizes included.  regions maps
-    (common-neighbor mask, N[D]) to (pruned region, N[D] in it): the
-    module prune reads only the graph less the common neighbors and N[D],
-    so its result is a pure function of that key.  yielded holds the
-    components yielded so far: a component is yielded, with a provenance
-    built for it, at the first guess whose answer holds it, which is the
-    provenance the family keeps, and never again.  Answers are split by
-    solver.components, a pure function of the answer's vertex mask.
+    Besides the per-W piece sets, one cache spans the whole call, all
+    sizes included: yielded holds the components yielded so far.  A
+    component is yielded, with a provenance built for it, at the first
+    guess whose answer holds it, which is the provenance the family
+    keeps, and never again.  Answers are split by solver.components, a
+    pure function of the answer's vertex mask.
     """
     g = inst.g
     adj = g.adjacency_masks()
     full = g.full_mask
     k = inst.h.k
-    regions: dict[tuple[int, int], tuple[int, int]] = {}  # (common, N[D]) -> (region, N[D] in it)
     yielded: set[int] = set()  # components yielded so far
     for kprime in range(2, min(k, g.n) + 1):
         wsets = []  # (W, lists restricted to W, vertices with a W-list, pieces solved)
@@ -273,30 +244,24 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
             lists_w = tuple(lv & mask_from(colors) for lv in inst.lists_masks)
             live_w = mask_from(v for v, lv in enumerate(lists_w) if lv)
             wsets.append((colors, lists_w, live_w, set()))
-        walked: dict[tuple[int, int], int] = {}  # (region, N[D]) -> second sets charged
+        walked: dict[tuple[int, int], int] = {}  # (common, N[D]) -> second sets charged
         labellings = {s: _class_labellings(s, kprime) for s in (kprime, kprime + 1)}
         for dmask in enumerate_connected_subsets(g, kprime, min(kprime + 1, g.n)):
             doms = iter_mask(dmask)
             rows = [adj[d] for d in doms]
-            closed = dmask
-            for row in rows:
-                closed |= row
+            closed = dmask | neighborhood_mask(adj, dmask)
             for hidx in labellings[len(doms)]:
                 common = _common_neighbors_mask(rows, hidx)
                 if common & dmask:
                     continue  # the prune breaks D; the region step needs it intact
-                region = regions.get((common, closed))
-                if region is None:  # the module prune keeps N[D]
-                    v = _prune_non_modules_mask(adj, solver.components, full & ~common, closed)
-                    region = regions[common, closed] = (v, closed & v)
-                charged = walked.get(region)
+                charged = walked.get((common, closed))
                 if charged is not None:  # every core of this walk is solved
                     if solver.spend(charged) < charged:
                         return
                     continue
-                v, closed_d = region
+                v = full & ~common
                 charged = 0
-                for second, seed in _second_sets(adj, v, closed_d, kprime + 1):
+                for second, seed in _second_sets(adj, v, closed & v, kprime + 1):
                     if not solver.spend():
                         return
                     charged += 1
@@ -318,7 +283,7 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
                                     colors, doms, tuple(colors[c] for c in hidx), second
                                 )
                             yield comp, prov
-                walked[region] = charged
+                walked[common, closed] = charged
 
 
 def build_family(inst: Instance, budget: int | None = None) -> Family:
@@ -330,9 +295,9 @@ def build_family(inst: Instance, budget: int | None = None) -> Family:
     (one per second set D' with a new seed, plus the solver's own), and a
     build that runs out keeps the members found so far and reports
     exhaustive False.  For each size |W|, each (D, class partition) is
-    pruned once, whatever W, each (pruned region, N[D]) is walked once,
-    and each piece of a closed region is solved once under each W of
-    that size, so the unit of the budget is one guess per
+    pruned once, whatever W, each (common-neighbor mask, N[D]) is walked
+    once, and each piece of a closed region is solved once under each W
+    of that size, so the unit of the budget is one guess per
     (D, partition, D'), a repeated walk charged all at once; each member
     keeps the provenance of the first guess that yields it.
     """

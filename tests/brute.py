@@ -16,7 +16,6 @@ from p5hom.connected import ConnectedSolver, _conflict_mwis, _dominator_tuples
 from p5hom.family import (
     FamilyProvenance,
     _core_region_mask,
-    _prune_non_modules_mask,
     _second_sets,
 )
 from p5hom.graph import (
@@ -336,8 +335,10 @@ def brute_class_labellings(size: int, kprime: int, head: tuple[int, ...] = ()):
 
 
 def brute_guessed_members(inst: Instance, solver):
-    """The family's guess loop with every surjection walked in full and
-    every closed region handed to the solver under every color set:
+    """The family's guess loop with the paper's two prunes (common
+    neighbors, then non-module components, each to its fixpoint), every
+    surjection walked in full and every closed region handed to the
+    solver under every color set:
     (component mask, provenance) for every answer component, in the
     order size, dominators D, surjection onto color indices, second set
     D', color set W.  One guess is charged per second set with a new
@@ -363,7 +364,7 @@ def brute_guessed_members(inst: Instance, solver):
                 closed = dmask
                 for d in doms:
                     closed |= adj[d]
-                v2 = _prune_non_modules_mask(adj, solver.components, v1, closed)
+                v2 = brute_prune_non_modules(g, v1, dmask)
                 if dmask & ~v2:
                     continue
                 closed_d = closed & v2

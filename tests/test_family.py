@@ -22,7 +22,6 @@ from p5hom.family import (
     _core_region_mask,
     _guessed_members,
     _common_neighbors_mask,
-    _prune_non_modules_mask,
     _second_sets,
 )
 from p5hom.generators import FAMILIES, TRIAL_DENSITIES, GenSpec, generate
@@ -49,12 +48,6 @@ from brute import (
 )
 
 GEM = Graph(5, [(1, 2), (2, 3), (3, 4), (5, 1), (5, 2), (5, 3), (5, 4)])
-
-
-def module_prune(g: Graph, vmask: int, closed: int) -> int:
-    """The family's module prune on g, split by a solver's components."""
-    split = ConnectedSolver(Instance.build(g, PatternGraph.complete(1))).components
-    return _prune_non_modules_mask(g.adjacency_masks(), split, vmask, closed)
 
 
 def closed_seed(g: Graph, verts, vmask: int) -> int:
@@ -121,29 +114,66 @@ def test_prune_non_module_components_frozen():
     # G - N[{1}] on the 4-path is the edge {3, 4}, whose ends see different
     # outside neighborhoods, so it goes
     p4 = Graph.path(4)
-    assert module_prune(
-        p4, p4.full_mask, closed_seed(p4, [1], p4.full_mask)) == mask_from([1, 2])
+    assert brute_prune_non_modules(p4, p4.full_mask, mask_from([1])) == mask_from([1, 2])
 
     # star: the leftover leaves are single vertices, always modules
     star = Graph(4, [(1, 2), (1, 3), (1, 4)])
-    assert module_prune(
-        star, star.full_mask, closed_seed(star, [2], star.full_mask)) == star.full_mask
+    assert brute_prune_non_modules(star, star.full_mask, mask_from([2])) == star.full_mask
 
     # G - N[{5}] is the edge {1, 2}, and both ends see {3, 4} outside it:
     # a module, kept; without vertex 2 the single vertex 1 is kept too
     g = Graph(5, [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 5), (4, 5)])
-    assert module_prune(g, g.full_mask, closed_seed(g, [5], g.full_mask)) == g.full_mask
+    assert brute_prune_non_modules(g, g.full_mask, mask_from([5])) == g.full_mask
     vmask = mask_from([1, 3, 4, 5])
-    assert module_prune(g, vmask, closed_seed(g, [5], vmask)) == vmask
+    assert brute_prune_non_modules(g, vmask, mask_from([5])) == vmask
 
     # without the edge 2-4, vertex 1 sees {3, 4} and vertex 2 sees {3}:
     # not a module, deleted; the module test reads the current graph, so
     # once 4 is gone both ends see {3} and the edge stays
     g = Graph(5, [(1, 2), (1, 3), (2, 3), (1, 4), (3, 5), (4, 5)])
-    assert module_prune(
-        g, g.full_mask, closed_seed(g, [5], g.full_mask)) == mask_from([3, 4, 5])
+    assert brute_prune_non_modules(g, g.full_mask, mask_from([5])) == mask_from([3, 4, 5])
     vmask = mask_from([1, 2, 3, 5])
-    assert module_prune(g, vmask, closed_seed(g, [5], vmask)) == vmask
+    assert brute_prune_non_modules(g, vmask, mask_from([5])) == vmask
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FAMILIES), st.integers(4, 9), st.integers(0, 10**9))
+def test_module_prune_deletes_nothing_after_common_prune(family, n, seed):
+    # the lemma behind the family's region full & ~common: on a P5-free
+    # host, with D connected and the common neighbors of its classes gone,
+    # every component C of G - N[D] is a module.  A vertex x left in N(D)
+    # is not adjacent to all of D, so it has a neighbor d1 and a
+    # non-neighbor d2 in D, adjacent as D is connected; if x saw c1 but
+    # not c2 of an edge of C, c2-c1-x-d1-d2 would be an induced P5
+    g = generate(GenSpec(
+        family=family,
+        n=n,
+        k=2,
+        seed=seed,
+        density=TRIAL_DENSITIES[family][seed % 3],
+        max_tries=500,
+    )).g
+    adj = g.adjacency_masks()
+    for dmask in enumerate_connected_subsets(g, 2, 4):
+        rows = [adj[d] for d in iter_mask(dmask)]
+        for kprime in (2, 3):
+            for labels in brute_class_labellings(len(rows), kprime):
+                common = _common_neighbors_mask(rows, labels)
+                if not common & dmask:
+                    region = g.full_mask & ~common
+                    assert brute_prune_non_modules(g, region, dmask) == region
+
+
+def test_module_prune_deletes_without_the_lemma():
+    # negative controls: on P5 itself (not P5-free) with D = {1, 2}, whose
+    # classes have no common neighbor, the component {4, 5} is not a
+    # module; on P4 with D = {1} and the common prune skipped, vertex 2
+    # (adjacent to all of D) stays and the component {3, 4} is not a module
+    p5 = Graph.path(5)
+    assert _common_neighbors_mask([p5.adjacency_mask(1), p5.adjacency_mask(2)], [0, 1]) == 0
+    assert brute_prune_non_modules(p5, p5.full_mask, mask_from([1, 2])) == mask_from([1, 2, 3])
+    p4 = Graph.path(4)
+    assert brute_prune_non_modules(p4, p4.full_mask, mask_from([1])) == mask_from([1, 2])
 
 
 def test_core_region_frozen():
@@ -399,18 +429,6 @@ def test_one_pass_core_region_matches_restart(seed):
     assert _core_region_mask(adj, vmask, seed_mask) == brute_core_region(adj, vmask, seed_mask)[1]
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 10**9))
-def test_one_round_module_prune_matches_repeat(seed):
-    rng = random.Random(seed)
-    g = random_graph(rng)
-    vmask = g.full_mask if rng.random() < 0.5 else mask_from(
-        v for v in g.vertices if rng.random() < 0.8)
-    dmask = mask_from(v for v in g.vertices if rng.random() < 0.25) or mask_from([1])
-    closed = closed_seed(g, set_from_mask(dmask & vmask), vmask)
-    assert module_prune(g, vmask, closed) == brute_prune_non_modules(g, vmask, dmask)
-
-
 @pytest.mark.parametrize("kprime", range(1, 9))
 def test_class_labellings_closed_form(kprime):
     # the identity for |D| = |W|, and for |D| = |W| + 1 the strings that
@@ -514,7 +532,6 @@ def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
     regions = set()  # (W, nonempty closed core), by the restart references
     walk_seconds = {}  # (|W|, D, class partition) kept intact -> second sets
     region_walks = {}  # (|W|, pruned region, N[D]) -> second sets
-    module_keys = set()  # (region after the common prune, N[D]) with D intact
     for size in range(2, min(k, g.n) + 1):
         for colors in itertools.combinations(range(1, k + 1), size):
             for dmask in enumerate_connected_subsets(g, size, min(size + 1, g.n)):
@@ -527,7 +544,6 @@ def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
                     v = brute_prune_common(adj, g.full_mask, [mask_from(c) for c in classes.values()])
                     if dmask & ~v:
                         continue
-                    module_keys.add((v, closed_seed(g, doms, g.full_mask)))
                     v = brute_prune_non_modules(g, v, dmask)
                     closed_d = closed_seed(g, doms, v)
                     seconds = brute_second_sets(adj, v, closed_d, size + 1)
@@ -551,13 +567,6 @@ def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
     def counted_close(*args):
         closures.append(args)
         return close(*args)
-
-    module_prunes = []
-    prune_modules = family_module._prune_non_modules_mask
-
-    def counted_module_prune(adj, components, vmask, closed):
-        module_prunes.append((vmask, closed))
-        return prune_modules(adj, components, vmask, closed)
 
     splits = []
     split = connected_module.masked_components
@@ -584,7 +593,6 @@ def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
         return answer
 
     monkeypatch.setattr(family_module, "_common_neighbors_mask", counted_prune)
-    monkeypatch.setattr(family_module, "_prune_non_modules_mask", counted_module_prune)
     monkeypatch.setattr(connected_module, "masked_components", counted_split)
     monkeypatch.setattr(family_module, "_core_region_mask", counted_close)
     monkeypatch.setattr(ConnectedSolver, "solve_masked", counted_solve)
@@ -600,11 +608,6 @@ def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
         assert 2 * len(prunes) == guesses
     else:
         assert len(walks) < len(partitions)
-    # one module prune per distinct (region after the common prune, N[D]):
-    # its result depends on nothing else, so a key met again reuses it
-    assert len(module_prunes) == len(set(module_prunes))
-    assert set(module_prunes) == module_keys
-    assert len(module_prunes) < len(prunes)
     # one split per distinct vertex mask in the solver's whole life
     assert len(splits) == len(set(splits))
     # one second-set walk per distinct (|W|, pruned region, N[D]): a walk
