@@ -47,7 +47,17 @@ stand-in for that color is guessed in X_i.
 
 D is then removed and each part recurses as an independent smaller
 instance; the color universe inside a part shrinks by the dominator's
-color, so the recursion depth is at most k.  Every assembled candidate
+color, so the recursion depth is at most k.  The recursion stops at a
+piece whose live lists are all single colors or whose live colors span
+no pattern edge (omega = 1): there every answer is an independent set
+of a conflict graph, solved exactly by the MWIS (_conflict_mwis).  A
+part is solved by the same connected search, which is exact only when
+the part has a connected optimum, and O's vertices in a part need not
+be connected.  So the branch of one clique D that dominates a connected
+optimum O can fall short of O (the random-p5free instance with n = 8,
+K3, seed 7, density 1/2, list density 7/10 and weights 0..6, digest
+c4042a2af7a6: D = (3, 6) reaches 287/12 of 73/3); exactness rests on
+trying every tuple.  Every assembled candidate
 is feasible by construction, since every edge of it is covered: D-D
 edges by D's coloring, D-part edges by the propagation, in-part edges
 by the recursion and part-crossing edges by rule 2.  Each candidate is
@@ -64,13 +74,14 @@ the best weight so far can come from cannot change the answer.  Such a
 branch is skipped at five points.  The whole piece, a dominator tuple
 (by N[D]), a dominator coloring (by N[D] minus the vertices its
 propagation empties) and a cleaned state (by the vertices it keeps) are
-bounded by a clique cover: the vertices are split greedily into host
-cliques, and each clique counts only its omega heaviest vertices, since
-an answer colors at most omega vertices of a clique.  A cleaned state's
-parts then recurse one at a time under the plain weight of D plus the
-parts' kept vertices, each part's term becoming its answer as it comes
-back.  The answer, ties included, is the one the search without these
-skips would return from the same greedy start.
+bounded by a clique cover (mwis.clique_cover_bound, the MWIS's bound
+too): the vertices are split greedily into host cliques, and each
+clique counts only its omega heaviest vertices, since an answer colors
+at most omega vertices of a clique.  A cleaned state's parts then
+recurse one at a time under the plain weight of D plus the parts' kept
+vertices, each part's term becoming its answer as it comes back.  The
+answer, ties included, is the one the search without these skips would
+return from the same greedy start.
 
 All recursion operates on (vertex mask, list-mask vector) views over the
 original graph, memoized in one table so that a family build can share
@@ -98,7 +109,7 @@ from .graph import (
     mask_from,
     masked_components,
 )
-from .mwis import scale_weights, solve_mwis_masked
+from .mwis import clique_cover_bound, scale_weights, solve_mwis_masked
 from .pattern import Instance, Solution, verify_solution
 
 __all__ = [
@@ -128,15 +139,19 @@ def _conflict_mwis(
     hadj: Sequence[int],
     weights: Sequence[int],
 ) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Exact solve when every live list is a single color.
+    """Exact solve when every live list is a single color, or when no two
+    live colors are pattern-adjacent (omega = 1).
 
-    Builds the conflict graph (host edges whose fixed color pair is not a
-    pattern edge) and returns its MWIS with the forced coloring.  The
-    weight is in the units of weights.
+    Each vertex takes the lowest color of its list.  Builds the conflict
+    graph (host edges whose color pair is not a pattern edge) and returns
+    its MWIS with that coloring.  With one color per list the coloring is
+    forced; with omega = 1 every host edge is a conflict, so an answer is
+    an independent set and any list color serves.  The weight is in the
+    units of weights.
     """
     color = {}
     for v in iter_mask(vmask):
-        color[v] = lists[v].bit_length() - 1
+        color[v] = (lists[v] & -lists[v]).bit_length() - 1
     conf = [0] * len(adj)
     for v in iter_mask(vmask):
         for u in iter_mask(adj[v] & vmask & (-1 << (v + 1))):
@@ -374,7 +389,12 @@ class ConnectedSolver:
     ) -> tuple[int, tuple[tuple[int, int], ...]]:
         """Best verified answer on one connected live vmask.
 
-        The dominator tuples are those of _dominator_tuples, with omega
+        A piece whose live lists are all single colors, or whose live
+        colors span no pattern edge (omega = 1), is solved exactly by
+        _conflict_mwis and charges no guess: with omega = 1 no two
+        adjacent vertices can both be colored, so the tuple walk would
+        find nothing heavier than its greedy start.  Otherwise the
+        dominator tuples are those of _dominator_tuples, with omega
         the clique number of the pattern on the colors of the live lists:
         the cliques of at most omega vertices and, when the host has an
         induced C5, the induced P3s.  A connected optimum induces a
@@ -405,10 +425,10 @@ class ConnectedSolver:
             universe |= lv
             if lv & (lv - 1):
                 all_singletons = False
-        if all_singletons:
+        omega = self.clique_number(universe)
+        if all_singletons or omega == 1:
             return _conflict_mwis(self._adj, vmask, lists, self._hadj, self._wt)
         best = self.incumbent(vmask, lists)
-        omega = self.clique_number(universe)
         if self.cover_bound(vmask, omega) <= best[0]:
             return best
         for doms in _dominator_tuples(self._adj, vmask, omega, self._p3s):
@@ -472,43 +492,20 @@ class ConnectedSolver:
 
     def cover_bound(self, mask: int, omega: int) -> int:
         """An upper bound on the weight of any answer inside mask whose
-        colors span a pattern clique of at most omega colors.
-
-        mask is split greedily into host cliques, heaviest vertex first,
-        each vertex joining the first clique it is adjacent to throughout
-        or opening a new one; a clique counts only its omega heaviest
-        vertices.  An answer's vertices in one host clique take pairwise
-        distinct colors that are pairwise pattern-adjacent, so there are
-        at most omega of them.  Bounds are memoized per solver: the
-        cleaned states of one dominator tuple mostly keep the same mask.
+        colors span a pattern clique of at most omega colors: the greedy
+        clique cover of mwis.clique_cover_bound in the solver's weight
+        order, each host clique counting its omega heaviest vertices.  An
+        answer's vertices in one host clique take pairwise distinct colors
+        that are pairwise pattern-adjacent, so there are at most omega of
+        them.  Bounds are memoized per solver: the cleaned states of one
+        dominator tuple mostly keep the same mask.
         """
         key = (mask, omega)
         total = self._bounds.get(key)
-        if total is not None:
-            return total
-        adj = self._adj
-        wt = self._wt
-        commons: list[int] = []  # common neighborhood of each clique
-        room: list[int] = []  # vertices each clique may still count
-        total = 0
-        for v in self._order:
-            if not mask or not wt[v]:
-                break
-            if not mask >> v & 1:
-                continue
-            mask ^= 1 << v
-            for i, common in enumerate(commons):
-                if common >> v & 1:
-                    commons[i] = common & adj[v]
-                    if room[i]:
-                        room[i] -= 1
-                        total += wt[v]
-                    break
-            else:
-                commons.append(adj[v])
-                room.append(omega - 1)
-                total += wt[v]
-        self._bounds[key] = total
+        if total is None:
+            total = self._bounds[key] = clique_cover_bound(
+                self._adj, self._order, self._wt, mask, omega
+            )
         return total
 
     # -- one dominator guess --------------------------------------------------

@@ -6,6 +6,13 @@ a specialized polynomial routine would not be safe here.  Consequently
 this step is exponential in the worst case; at the scales the pipeline
 produces it is far from the bottleneck.
 
+It prunes by a clique cover (clique_cover_bound, shared with the
+connected search): an independent set takes at most one vertex of each
+host clique, so a branch whose weight plus the heaviest vertex of every
+clique of a greedy cover cannot strictly beat the best so far is
+skipped.  Only a strictly heavier set replaces the best, so the skip
+changes no pick and no tie.
+
 The search runs on integers.  scale_weights, the one scaling step of
 both searches, multiplies by the lcm of the denominators; a positive
 scale keeps every comparison and tie, and an answer w is exactly
@@ -20,13 +27,19 @@ from fractions import Fraction
 from math import lcm
 
 from .graph import Graph, iter_mask, set_from_mask
+from .pattern import _check_weight
 
-__all__ = ["WeightedGraph", "scale_weights", "solve_mwis", "solve_mwis_masked"]
+__all__ = ["WeightedGraph", "clique_cover_bound", "scale_weights", "solve_mwis",
+           "solve_mwis_masked"]
 
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """A graph with a nonnegative exact rational weight per vertex."""
+    """A graph with a nonnegative exact rational weight per vertex.
+
+    Weights follow the Instance rule (pattern._check_weight): an int, a
+    Fraction or a Fraction string; a float, a bool or a negative weight
+    raises ValueError."""
 
     graph: Graph
     weights: Mapping[int, Fraction]
@@ -35,12 +48,7 @@ class WeightedGraph:
         verts = set(self.graph.vertices)
         if set(self.weights) != verts:
             raise ValueError("weights must be defined exactly on the vertices")
-        norm = {}
-        for v in sorted(verts):
-            w = Fraction(self.weights[v])
-            if w < 0:
-                raise ValueError(f"negative weight {w} at vertex {v}")
-            norm[v] = w
+        norm = {v: _check_weight(self.weights[v], v) for v in sorted(verts)}
         object.__setattr__(self, "weights", norm)
 
 
@@ -52,6 +60,44 @@ def scale_weights(weights: Mapping[int, Fraction]) -> tuple[int, tuple[int, ...]
     for v, w in weights.items():
         ints[v] = w.numerator * (scale // w.denominator)
     return scale, tuple(ints)
+
+
+def clique_cover_bound(
+    adj: Sequence[int], order: Sequence[int], weights: Sequence[int], mask: int, omega: int
+) -> int:
+    """An upper bound on the weight of any vertex set inside mask that
+    holds at most omega vertices of each host clique.
+
+    The vertices of mask are split greedily into cliques of adj, taken
+    in order (heaviest first; order must hold every vertex of mask), each
+    joining the first clique it is adjacent to throughout or opening a new
+    one; a clique counts only its first omega vertices, its heaviest.
+    omega = 1 bounds an independent set; the connected search passes the
+    pattern's clique number, as an answer colors at most that many
+    vertices of a host clique.  Weights are nonnegative integers, so the
+    walk stops at the first zero weight.
+    """
+    commons: list[int] = []  # common neighborhood of each clique
+    room: list[int] = []  # vertices each clique may still count
+    total = 0
+    for v in order:
+        if not mask or not weights[v]:
+            break
+        if not mask >> v & 1:
+            continue
+        mask ^= 1 << v
+        for i, common in enumerate(commons):
+            if common >> v & 1:
+                commons[i] = common & adj[v]
+                if room[i]:
+                    room[i] -= 1
+                    total += weights[v]
+                break
+        else:
+            commons.append(adj[v])
+            room.append(omega - 1)
+            total += weights[v]
+    return total
 
 
 def solve_mwis(wg: WeightedGraph) -> tuple[frozenset[int], Fraction]:
@@ -74,9 +120,11 @@ def solve_mwis_masked(adj: Sequence[int], vmask: int, weights: Sequence[int]) ->
     scale_weights); an empty vmask gives weight 0.  Strategy:
     degree-0 vertices are always taken, a degree-1 vertex at least as
     heavy as its neighbor is taken, otherwise branch on a maximum-degree
-    vertex; prune when the remaining total weight cannot beat the best.
+    vertex; prune when the chosen weight plus the clique-cover bound of
+    the vertices left (clique_cover_bound with omega = 1, in the
+    heaviest-first order of the greedy start) cannot beat the best.
     """
-    # greedy initial bound: heaviest-first packing
+    # greedy initial bound: heaviest-first packing, the cover's order too
     best_w = 0
     order = sorted(iter_mask(vmask), key=lambda v: (-weights[v], v))
     taken = 0
@@ -117,10 +165,7 @@ def solve_mwis_masked(adj: Sequence[int], vmask: int, weights: Sequence[int]) ->
                 best_w = cur
                 best_mask = chosen
             return
-        ub = cur
-        for v in iter_mask(avail):
-            ub += weights[v]
-        if ub <= best_w:
+        if cur + clique_cover_bound(adj, order, weights, avail, 1) <= best_w:
             return
         pick, pick_deg = -1, -1
         for v in iter_mask(avail):

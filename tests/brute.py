@@ -3,12 +3,15 @@
 Everything here enumerates without pruning so it stays independent of the
 branch-and-bound / guessing machinery under test, except
 ColorsLastConnectedSolver, the reference for the order of the connected
-search's guesses, which keeps its bounds.  Usable only at desk scale.
+search's guesses, which keeps its bounds, and
+plain_sum_solve_mwis_masked, the reference for the MWIS's clique-cover
+prune, which prunes by the plain weight sum.  Usable only at desk scale.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations
 
@@ -72,6 +75,79 @@ def brute_mwis_subsets(n: int, edges: list[tuple[int, int]],
             if w > best:
                 best = w
     return best
+
+
+def plain_sum_solve_mwis_masked(
+    adj: Sequence[int], vmask: int, weights: Sequence[int]
+) -> tuple[int, int]:
+    """Exact MWIS on the subgraph induced by vmask, as (mask, weight):
+    the search of mwis.solve_mwis_masked (the same greedy start,
+    reductions and branching order) pruned by the plain weight sum of the
+    vertices left, the reference for its clique-cover prune.
+
+    adj is a bitmask adjacency table (index 0 unused) and weights an
+    array of nonnegative integers indexed the same way (see
+    scale_weights); an empty vmask gives weight 0.  Strategy:
+    degree-0 vertices are always taken, a degree-1 vertex at least as
+    heavy as its neighbor is taken, otherwise branch on a maximum-degree
+    vertex; prune when the remaining total weight cannot beat the best.
+    """
+    # greedy initial bound: heaviest-first packing
+    best_w = 0
+    order = sorted(iter_mask(vmask), key=lambda v: (-weights[v], v))
+    taken = 0
+    blocked = 0
+    for v in order:
+        if blocked >> v & 1:
+            continue
+        taken |= 1 << v
+        blocked |= adj[v] | (1 << v)
+        best_w += weights[v]
+    best_mask = taken
+
+    def rec(avail: int, chosen: int, cur: int) -> None:
+        nonlocal best_mask, best_w
+        # reductions: take isolated vertices, resolve heavy pendants
+        while True:
+            applied = False
+            for v in iter_mask(avail):
+                nb = adj[v] & avail
+                if nb == 0:
+                    avail ^= 1 << v
+                    chosen |= 1 << v
+                    cur += weights[v]
+                    applied = True
+                    break
+                if nb & (nb - 1) == 0:
+                    u = nb.bit_length() - 1
+                    if weights[v] >= weights[u]:
+                        avail &= ~((1 << v) | nb)
+                        chosen |= 1 << v
+                        cur += weights[v]
+                        applied = True
+                        break
+            if not applied:
+                break
+        if avail == 0:
+            if cur > best_w:
+                best_w = cur
+                best_mask = chosen
+            return
+        ub = cur
+        for v in iter_mask(avail):
+            ub += weights[v]
+        if ub <= best_w:
+            return
+        pick, pick_deg = -1, -1
+        for v in iter_mask(avail):
+            d = (adj[v] & avail).bit_count()
+            if d > pick_deg:
+                pick, pick_deg = v, d
+        rec(avail & ~(adj[pick] | (1 << pick)), chosen | (1 << pick), cur + weights[pick])
+        rec(avail ^ (1 << pick), chosen, cur)
+
+    rec(vmask, 0, 0)
+    return best_mask, best_w
 
 
 def brute_mplhc(inst: Instance) -> Fraction:
@@ -425,8 +501,10 @@ class UnprunedConnectedSolver(ConnectedSolver):
     omega the pattern's clique number on the live colors, and P3s only on
     a host with an induced C5) and the order
     (each coloring of D propagated onto N(D) before its cleanup states)
-    are the solver's own: this is the reference for the bounds, not for
-    the incumbent, the tuple set or the order."""
+    and the base case (the conflict-graph MWIS when every live list is a
+    single color or no two live colors are pattern-adjacent) are the
+    solver's own: this is the reference for the bounds, not for the
+    incumbent, the base case, the tuple set or the order."""
 
     def _solve_piece(
         self, vmask: int, lists: tuple[int, ...]
@@ -438,10 +516,10 @@ class UnprunedConnectedSolver(ConnectedSolver):
             universe |= lv
             if lv & (lv - 1):
                 all_singletons = False
-        if all_singletons:
+        omega = self.clique_number(universe)
+        if all_singletons or omega == 1:
             return _conflict_mwis(self._adj, vmask, lists, self._hadj, self._wt)
         best_w, best_asg = self.incumbent(vmask, lists)
-        omega = self.clique_number(universe)
         for doms in _dominator_tuples(self._adj, vmask, omega, self._p3s):
             if not self.spend():
                 return best_w, best_asg

@@ -342,6 +342,39 @@ def test_exact_on_non_complete_patterns_when_an_optimum_is_connected(
         assert sol.weight <= opt
 
 
+@pytest.mark.parametrize("family_name, n, k, seed, cliques", [
+    ("cograph", 7, 4, 4, [(1,)]),
+    ("split", 7, 3, 8, [(1, 2), (1, 4)]),
+], ids=["ee88e759524d", "b8a9ed07c307"])
+def test_dominating_clique_branch_reaches_connected_optimum(family_name, n, k, seed, cliques):
+    # each clique lies inside a connected optimum and dominates it, and its
+    # branch alone, from an empty best, reaches the optimum: the parts it
+    # carves whose live colors span no pattern edge are solved exactly by
+    # the conflict-graph MWIS, not by a tuple walk that stops at its greedy
+    # start
+    inst = generate(GenSpec(
+        family=family_name, n=n, k=k, seed=seed, density=Fraction(1, 2), pattern="path",
+        list_density=Fraction(7, 10), weight_range=(0, 6), max_tries=500,
+    ))
+    opt = oracle_solve(inst)
+    lists = inst.lists_masks
+    adj = inst.g.adjacency_masks()
+    live = mask_from(v for v in inst.g.vertices if lists[v])
+    universe = 0
+    for v in iter_mask(live):
+        universe |= lists[v]
+    chosen = mask_from(opt.chosen)
+    solver = ConnectedSolver(inst)
+    assert len(solver.components(live)) == 1
+    assert len(solver.components(chosen)) == 1
+    for doms in cliques:
+        dmask = mask_from(doms)
+        assert dmask & ~chosen == 0
+        assert chosen & ~(dmask | neighborhood_mask(adj, dmask)) == 0
+        weight, _ = solver._branch(live, lists, doms, solver.clique_number(universe), (0, ()))
+        assert Fraction(weight, solver.scale) == opt.weight
+
+
 def random_graph(rng: random.Random, n: int) -> Graph:
     p = rng.choice((0.2, 0.4, 0.6, 0.8))
     return Graph(n, [(u, v) for u, v in itertools.combinations(range(1, n + 1), 2)
@@ -723,10 +756,15 @@ def test_cover_bound_and_incumbent(graphs, pattern, n, seed):
 
 class ColorCountSolver(ConnectedSolver):
     """The solver with omega taken as the number of live colors, as if the
-    pattern on them were complete."""
+    pattern on them were complete, wherever the pattern has an edge on
+    them: a piece whose live colors span no pattern edge still goes to the
+    conflict-graph MWIS, so the color count reaches only the tuple walk
+    and the bound."""
 
     def clique_number(self, colors: int) -> int:
-        return colors.bit_count()
+        if any(self._hadj[c] & colors for c in iter_mask(colors)):
+            return colors.bit_count()
+        return super().clique_number(colors)
 
 
 @settings(max_examples=60, deadline=None)

@@ -326,8 +326,8 @@ def family_digest(fam) -> str:
 
 @pytest.mark.parametrize("budget, digest", [
     (None, "ffa15a2a3167ea482c8a22b83dd7da02842fdcffdf7f363d068a78d08c75a5b3"),
-    (5, "f11f44abc06e4e485345e3bc99f70a46bb7ae2e837d2bc3b22fd61f79a04e7ff"),
-    (40, "923189ac504e674da29346daf06625616ed1c36e53c391d014bc64b8cc5d6232"),
+    (5, "65f3304eecb22bac51e05041d504e4d7451b05f7f36fcdcf98fdf000f699399d"),
+    (40, "fe143e77db84943b64bfd4317bfed23d929a41ef5428739922f36f362dd2eaf5"),
 ], ids=["None", "5", "40"])
 def test_family_frozen_digest(budget, digest):
     # the family (members, provenance, exhaustive) of twelve seeded
@@ -353,7 +353,7 @@ def answers_digest(budget) -> str:
 @pytest.mark.parametrize("budget, digest", [
     (None, "5b89c8b5dc8a1b9b8bd0ed153160e5ed01ee94061dda3786968cb679cb82b580"),
     (5, "4ce574fbea9ecc4ad2df7d4c38d071b596d9a0005a6d916e492f36c9717ea567"),
-    (40, "3d91a4029d874e0419aa8bdaafb9448b865eeddf07247a560a020cda9bfff3bd"),
+    (40, "3d137041d49e17c08c7bc7722e5501e2ced7a05f0c87b37a670424f2b3db1c63"),
 ], ids=["None", "5", "40"])
 def test_answers_frozen_digest(budget, digest):
     # the answers (colorings, tie-breaks, exhaustive bits) of both
