@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .family import Family, build_family
-from .graph import Graph, iter_mask, mask_from, neighborhood_mask
+from .graph import Graph, neighborhood_mask
 from .mwis import WeightedGraph, scale_weights, solve_mwis
 from .pattern import Instance, Solution, exists_list_hom, verify_solution
 from .connected import SolveResult
@@ -42,7 +42,16 @@ def build_blob_graph(inst: Instance, fam: Family) -> BlobGraph:
     members = fam.members
     m = len(members)
     adj = inst.g.adjacency_masks()
-    masks = [mask_from(s) for s in members]
+    scale, ints = scale_weights(inst.wt)
+    masks = []
+    weights = {}
+    for i, member in enumerate(members, start=1):
+        mask = total = 0
+        for v in member:
+            mask |= 1 << v
+            total += ints[v]
+        masks.append(mask)
+        weights[i] = Fraction(total, scale)
     reach = [mask | neighborhood_mask(adj, mask) for mask in masks]
     edges = []
     for i in range(m):
@@ -50,13 +59,6 @@ def build_blob_graph(inst: Instance, fam: Family) -> BlobGraph:
         for j in range(i + 1, m):
             if ri & masks[j]:
                 edges.append((i + 1, j + 1))
-    scale, ints = scale_weights(inst.wt)
-    weights = {}
-    for i, mask in enumerate(masks, start=1):
-        total = 0
-        for v in iter_mask(mask):
-            total += ints[v]
-        weights[i] = Fraction(total, scale)
     return BlobGraph(Graph(m, edges), weights, members)
 
 

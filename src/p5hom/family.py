@@ -41,16 +41,25 @@ region's vertices whose W-list is not empty, which is what the solver
 itself would split the region into, and each W keeps the set of pieces
 it has solved: a piece met again would yield only members already held,
 and its solve would be a memo hit that charges nothing, so it is not
-handed to the solver again.  A member's provenance is the first guess
-in this order that yields it.
+handed to the solver again.  Each size keeps the set of closed cores it
+has met, too: a core met again has every piece under every W of the
+size in that W's set already, so it is not split again.  A one-vertex
+piece is not handed to the solver at all: its only possible member is
+its vertex, which the singletons already hold, and its solve charges no
+guess, ending at the conflict MWIS or at a greedy start that meets the
+cover bound.  A member's provenance is the first guess in this order
+that yields it.
 
 The common-neighbor prune is one intersection: its candidates change
 only when a vertex of D goes, which drops the guess, so a guess whose D
 meets the common neighbors of its classes is dropped and any other loses
-exactly those.  The second-set walk and its closed cores depend only on
-that common-neighbor mask and N[D]; a pair met again at the same size
-is charged its first walk's second sets in one call and walked no more,
-since that walk solved every core it closes.
+exactly those.  Each D's partitions are read off its rows in one pass:
+a class of one vertex adds its row to an AND, and the one class of two,
+when |D| = |W| + 1, the OR of its two rows; only that class can hold a
+common neighbor in D.  The second-set walk and its closed cores depend
+only on the common-neighbor mask and N[D]; a pair met again at the same
+size is charged its first walk's second sets in one call and walked no
+more, since that walk solved every core it closes.
 
 The components of a vertex mask depend on the mask alone, the graph
 being fixed, so the family splits answers through the solver's cache
@@ -110,27 +119,6 @@ class Family:
     members: tuple[frozenset[int], ...]
     provenance: Mapping[frozenset[int], FamilyProvenance | str]
     exhaustive: bool
-
-
-def _common_neighbors_mask(rows: Sequence[int], labels: Sequence[int]) -> int:
-    """The vertices adjacent to a member of every color class, given the
-    neighborhood rows[i] and the class labels[i] of each vertex of D, the
-    classes numbered 0 up to their count.
-
-    The common-neighbor prune deletes, smallest first and rescanning
-    after each deletion, every vertex adjacent to a live member of every
-    class.  Its candidates are this mask until a class member, a vertex
-    of D, goes, so it either reaches a vertex of D in this mask or
-    deletes exactly this mask; the caller drops a guess whose D loses a
-    vertex, so the mask is all it needs.
-    """
-    nbrs = [0] * (max(labels) + 1)
-    for row, c in zip(rows, labels):
-        nbrs[c] |= row
-    common = -1
-    for nb in nbrs:
-        common &= nb
-    return common
 
 
 def _core_region_mask(adj: Sequence[int], vmask: int, seed: int) -> int:
@@ -196,10 +184,60 @@ def _class_labellings(size: int, kprime: int) -> list[tuple[int, ...]]:
     return [(*range(b), a, *range(b, kprime)) for b in range(1, kprime + 1) for a in range(b)]
 
 
+def _class_partitions(
+    size: int, kprime: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+    """(labelling, pair, singles) for each labelling of
+    _class_labellings(size, kprime), in its order: pair holds the two
+    positions of its one two-vertex class (none when size is kprime) and
+    singles the other positions, each a class of its own."""
+    out = []
+    for hidx in _class_labellings(size, kprime):
+        pair = tuple(i for i, c in enumerate(hidx) if hidx.count(c) == 2)
+        out.append((hidx, pair, tuple(i for i in range(size) if i not in pair)))
+    return out
+
+
+def _intact_partitions(
+    rows: Sequence[int],
+    dmask: int,
+    partitions: Sequence[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]],
+) -> list[tuple[tuple[int, ...], int]]:
+    """(labelling, common) for each class partition of D that the
+    common-neighbor prune leaves whole, in the order of partitions, the
+    _class_partitions of |D| positions; rows[i] is the neighborhood of the
+    i-th vertex of D, ascending, and common the vertices adjacent to a
+    member of every class.
+
+    The prune deletes, smallest first and rescanning after each
+    deletion, every vertex adjacent to a live member of every class.  Its
+    candidates are common until a class member, a vertex of D, goes, so it
+    either reaches a vertex of D in common or deletes exactly common; a
+    guess whose D loses a vertex is dropped, so common is all the walk
+    needs.  A class of one vertex contributes its row to an AND, and the
+    one class of two vertices, when |D| = |W| + 1, the OR of their
+    rows.  No vertex is its own neighbor, so only a vertex of that pair
+    can be in common: with singleton classes alone, common never meets D.
+    """
+    out = []
+    for hidx, pair, singles in partitions:
+        common = -1
+        for i in singles:
+            common &= rows[i]
+        if pair:
+            common &= rows[pair[0]] | rows[pair[1]]
+            if common & dmask:
+                continue
+        out.append((hidx, common))
+    return out
+
+
 def _guessed_members(inst: Instance, solver: ConnectedSolver):
-    """Yield (component mask, provenance) for every answer component, in
-    guess order: size |W|, connected dominator set D, class partition of
-    D, second set D', color subset W of that size lexicographically.
+    """Yield (component mask, provenance) for every component of an
+    answer on a piece of two or more vertices (the caller seeds the
+    singletons, the only members a one-vertex piece can give), in guess
+    order: size |W|, connected dominator set D, class partition of D,
+    second set D', color subset W of that size lexicographically.
     Each D' whose seed N[D u D'] is new for its (D, partition) is one
     guess, charged to the solver's budget before its region is closed;
     the walk stops when the budget cannot pay for one.
@@ -224,7 +262,14 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
     yield only those and be a memo hit that spends nothing.  A
     (common-neighbor mask, N[D]) already walked at the size is charged
     its second-set count in one call, as that many single charges would
-    be, and not walked again.
+    be, and not walked again.  A core closed again at the size is
+    charged its guess and not split: every piece of it under every W of
+    the size is in that W's piece set already.  A one-vertex piece goes
+    to no solve: its answer is its vertex or nothing, and the vertex is a
+    seeded singleton; the solve would charge nothing either, as a
+    one-vertex piece ends at the conflict MWIS (omega 1 or a one-color
+    list) or at its greedy start, which is the vertex when it has
+    weight, and meets the cover bound.
 
     Besides the per-W piece sets, one cache spans the whole call, all
     sizes included: yielded holds the components yielded so far.  A
@@ -245,15 +290,13 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
             live_w = mask_from(v for v, lv in enumerate(lists_w) if lv)
             wsets.append((colors, lists_w, live_w, set()))
         walked: dict[tuple[int, int], int] = {}  # (common, N[D]) -> second sets charged
-        labellings = {s: _class_labellings(s, kprime) for s in (kprime, kprime + 1)}
+        cores: set[int] = set()  # closed cores solved at this size
+        partitions = {s: _class_partitions(s, kprime) for s in (kprime, kprime + 1)}
         for dmask in enumerate_connected_subsets(g, kprime, min(kprime + 1, g.n)):
             doms = iter_mask(dmask)
             rows = [adj[d] for d in doms]
             closed = dmask | neighborhood_mask(adj, dmask)
-            for hidx in labellings[len(doms)]:
-                common = _common_neighbors_mask(rows, hidx)
-                if common & dmask:
-                    continue  # the prune breaks D; the region step needs it intact
+            for hidx, common in _intact_partitions(rows, dmask, partitions[len(doms)]):
                 charged = walked.get((common, closed))
                 if charged is not None:  # every core of this walk is solved
                     if solver.spend(charged) < charged:
@@ -266,13 +309,18 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
                         return
                     charged += 1
                     core = _core_region_mask(adj, v, seed)
+                    if core in cores:  # its pieces are solved under every W
+                        continue
+                    cores.add(core)
                     for colors, lists_w, live_w, pieces in wsets:
                         chosen = 0
                         for piece in solver.components(core & live_w):
-                            if piece not in pieces:
+                            if piece & (piece - 1) and piece not in pieces:
                                 pieces.add(piece)
                                 for u, _ in solver.solve_masked(piece, lists_w)[1]:
                                     chosen |= 1 << u
+                        if not chosen:
+                            continue
                         prov = None
                         for comp in solver.components(chosen):
                             if comp in yielded:
@@ -296,10 +344,13 @@ def build_family(inst: Instance, budget: int | None = None) -> Family:
     build that runs out keeps the members found so far and reports
     exhaustive False.  For each size |W|, each (D, class partition) is
     pruned once, whatever W, each (common-neighbor mask, N[D]) is walked
-    once, and each piece of a closed region is solved once under each W
-    of that size, so the unit of the budget is one guess per
-    (D, partition, D'), a repeated walk charged all at once; each member
-    keeps the provenance of the first guess that yields it.
+    once, each closed core is split once, and each piece of two or more
+    vertices is solved once under each W of that size, so the unit of the
+    budget is one guess per (D, partition, D'), a repeated walk charged
+    all at once; each member keeps the provenance of the first guess that
+    yields it.  The singletons are seeded first, so no one-vertex piece
+    is solved: its solve charges no guess and could only yield its
+    vertex, already a member.
     """
     witness = find_induced_p5(inst.g)
     if witness is not None:

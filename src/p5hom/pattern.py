@@ -53,11 +53,13 @@ class PatternGraph(Graph):
 def _check_weight(w: object, v: int) -> Fraction:
     """w as an exact Fraction; ValueError for a float or bool weight of
     vertex v, whose binary value would silently stand in for the intended
-    one, and for a negative weight."""
-    if isinstance(w, (bool, float)):
-        raise ValueError(f"weight {w!r} at vertex {v} is a {type(w).__name__}, not exact")
-    w = Fraction(w)
-    if w < 0:
+    one, and for a negative weight.  A Fraction is returned as it is: it
+    is already in lowest terms, with the sign on its numerator."""
+    if type(w) is not Fraction:
+        if isinstance(w, (bool, float)):
+            raise ValueError(f"weight {w!r} at vertex {v} is a {type(w).__name__}, not exact")
+        w = Fraction(w)
+    if w.numerator < 0:
         raise ValueError(f"negative weight {w} at vertex {v}")
     return w
 

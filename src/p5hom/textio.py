@@ -51,22 +51,30 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
+def _plain(text: str) -> bool:
+    """True when text is ASCII with no '_' or '+': int() then reads a
+    whitespace-free token of it as -?[0-9]+ or not at all."""
+    return text.isascii() and "_" not in text and "+" not in text
+
+
 def _tokens(text: str):
+    """(line number, tokens, plain) per line with a body, plain being
+    _plain of the body: the check _int needs, made once per line."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if body:
-            yield line_no, body.split()
+            yield line_no, body.split(), _plain(body)
 
 
-def _int(tok: str, line_no: int, what: str) -> int:
+def _int(tok: str, line_no: int, what: str, plain: bool) -> int:
     """An ASCII integer, -?[0-9]+, nothing else: int alone would also take
-    1_0, +2 and other scripts' digits.  Two string tests, not a regex:
-    every count, vertex and color of a file comes through here."""
-    digits = tok[1:] if tok[:1] == "-" else tok
-    if digits.isascii() and digits.isdigit():
+    1_0, +2 and other scripts' digits.  plain says the token's line passed
+    _plain, so only a token of another line is checked on its own: every
+    count, vertex and color of a file comes through here."""
+    if plain or _plain(tok):
         try:
             return int(tok)
-        except ValueError:  # too many digits for int
+        except ValueError:  # not digits, or too many of them for int
             pass
     raise ParseError(line_no, f"{what} must be an integer, got {tok!r}")
 
@@ -95,7 +103,7 @@ def parse_instance(text: str) -> Instance:
     wt: dict[int, Fraction] = {}
     lists: dict[int, frozenset[int]] = {}
     last_line = 0
-    for line_no, toks in _tokens(text):
+    for line_no, toks, plain in _tokens(text):
         last_line = line_no
         key = toks[0].upper()
         if key == "H":
@@ -105,7 +113,7 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(line_no, "H must come before G")
             if len(toks) != 2:
                 raise ParseError(line_no, "H takes exactly one argument")
-            k = _int(toks[1], line_no, "color count")
+            k = _int(toks[1], line_no, "color count", plain)
             if k < 0:
                 raise ParseError(line_no, "color count must be nonnegative")
         elif key == "HEDGE":
@@ -115,8 +123,8 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(line_no, "HEDGE after G; pattern section is closed")
             if len(toks) != 3:
                 raise ParseError(line_no, "HEDGE takes two arguments")
-            a = _int(toks[1], line_no, "color")
-            b = _int(toks[2], line_no, "color")
+            a = _int(toks[1], line_no, "color", plain)
+            b = _int(toks[2], line_no, "color", plain)
             if not (1 <= a <= k and 1 <= b <= k):
                 raise ParseError(line_no, f"pattern edge ({a}, {b}) out of range 1..{k}")
             if a == b:
@@ -129,7 +137,7 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(line_no, "duplicate G line")
             if len(toks) != 2:
                 raise ParseError(line_no, "G takes exactly one argument")
-            n = _int(toks[1], line_no, "vertex count")
+            n = _int(toks[1], line_no, "vertex count", plain)
             if n < 0:
                 raise ParseError(line_no, "vertex count must be nonnegative")
         elif key in ("GEDGE", "WT", "LIST"):
@@ -138,8 +146,8 @@ def parse_instance(text: str) -> Instance:
             if key == "GEDGE":
                 if len(toks) != 3:
                     raise ParseError(line_no, "GEDGE takes two arguments")
-                u = _int(toks[1], line_no, "vertex")
-                v = _int(toks[2], line_no, "vertex")
+                u = _int(toks[1], line_no, "vertex", plain)
+                v = _int(toks[2], line_no, "vertex", plain)
                 if not (1 <= u <= n and 1 <= v <= n):
                     raise ParseError(line_no, f"edge ({u}, {v}) out of range 1..{n}")
                 if u == v:
@@ -148,7 +156,7 @@ def parse_instance(text: str) -> Instance:
             elif key == "WT":
                 if len(toks) != 3:
                     raise ParseError(line_no, "WT takes two arguments")
-                u = _int(toks[1], line_no, "vertex")
+                u = _int(toks[1], line_no, "vertex", plain)
                 if not 1 <= u <= n:
                     raise ParseError(line_no, f"vertex {u} out of range 1..{n}")
                 w = _weight(toks[2], line_no)
@@ -158,12 +166,12 @@ def parse_instance(text: str) -> Instance:
             else:
                 if len(toks) < 2:
                     raise ParseError(line_no, "LIST takes a vertex")
-                u = _int(toks[1], line_no, "vertex")
+                u = _int(toks[1], line_no, "vertex", plain)
                 if not 1 <= u <= n:
                     raise ParseError(line_no, f"vertex {u} out of range 1..{n}")
                 colors = []
                 for tok in toks[2:]:
-                    c = _int(tok, line_no, "color")
+                    c = _int(tok, line_no, "color", plain)
                     if not 1 <= c <= (k or 0):
                         raise ParseError(line_no, f"list color {c} out of range 1..{k}")
                     colors.append(c)
@@ -199,7 +207,7 @@ def parse_solution(text: str) -> Solution:
     wrong weight line shows up as a verification failure, not here)."""
     weight: Fraction | None = None
     coloring: dict[int, int] = {}
-    for line_no, toks in _tokens(text):
+    for line_no, toks, plain in _tokens(text):
         key = toks[0].lower()
         if key == "weight":
             if weight is not None:
@@ -210,8 +218,8 @@ def parse_solution(text: str) -> Solution:
         elif key == "vertex":
             if len(toks) != 3:
                 raise ParseError(line_no, "vertex takes two arguments")
-            v = _int(toks[1], line_no, "vertex")
-            c = _int(toks[2], line_no, "color")
+            v = _int(toks[1], line_no, "vertex", plain)
+            c = _int(toks[2], line_no, "color", plain)
             if v in coloring:
                 raise ParseError(line_no, f"duplicate vertex {v}")
             coloring[v] = c

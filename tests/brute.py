@@ -304,6 +304,14 @@ def brute_second_sets(adj: list[int], vmask: int, seed: int,
     return out
 
 
+def brute_common_neighbors(adj: list[int], class_masks: list[int]) -> int:
+    """The vertices adjacent to a member of every class, tested one
+    vertex at a time."""
+    return mask_from(
+        v for v in range(len(adj)) if all(adj[v] & cm for cm in class_masks)
+    )
+
+
 def brute_prune_common(adj: list[int], vmask: int, class_masks: list[int]) -> int:
     """Delete the smallest vertex of vmask adjacent to a live member of
     every class, rescanning from the smallest vertex after each deletion,

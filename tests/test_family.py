@@ -19,9 +19,10 @@ from p5hom.family import (
     NotP5FreeError,
     build_family,
     _class_labellings,
+    _class_partitions,
     _core_region_mask,
     _guessed_members,
-    _common_neighbors_mask,
+    _intact_partitions,
     _second_sets,
 )
 from p5hom.generators import FAMILIES, TRIAL_DENSITIES, GenSpec, generate
@@ -39,6 +40,7 @@ from p5hom.textio import serialize_solution
 from brute import (
     _surjections,
     brute_class_labellings,
+    brute_common_neighbors,
     brute_core_region,
     brute_guessed_members,
     brute_has_induced_p5,
@@ -59,15 +61,12 @@ def closed_seed(g: Graph, verts, vmask: int) -> int:
     return seed & vmask
 
 
-def common_neighbors(adj, class_masks) -> int:
-    """_common_neighbors_mask on the rows of D, the union of the classes,
-    each vertex labelled with its class."""
-    rows, labels = [], []
-    for c, cm in enumerate(class_masks):
-        for d in iter_mask(cm):
-            rows.append(adj[d])
-            labels.append(c)
-    return _common_neighbors_mask(rows, labels)
+def label_classes(dmask: int, labels, nclasses: int) -> list[int]:
+    """The class masks of D's vertices, ascending, under labels."""
+    classes = [0] * nclasses
+    for d, c in zip(iter_mask(dmask), labels):
+        classes[c] |= 1 << d
+    return classes
 
 
 def test_prune_common_neighbors_frozen():
@@ -81,7 +80,7 @@ def test_prune_common_neighbors_frozen():
         assert brute_prune_common(adj, full if vmask is None else vmask, class_masks) == want
         if vmask is None:
             dmask = mask_from(v for cm in class_masks for v in iter_mask(cm))
-            common = common_neighbors(adj, class_masks)
+            common = brute_common_neighbors(adj, class_masks)
             assert bool(common & dmask) == bool(dmask & ~want)
             if not common & dmask:
                 assert want == full & ~common
@@ -155,10 +154,9 @@ def test_module_prune_deletes_nothing_after_common_prune(family, n, seed):
     )).g
     adj = g.adjacency_masks()
     for dmask in enumerate_connected_subsets(g, 2, 4):
-        rows = [adj[d] for d in iter_mask(dmask)]
         for kprime in (2, 3):
-            for labels in brute_class_labellings(len(rows), kprime):
-                common = _common_neighbors_mask(rows, labels)
+            for labels in brute_class_labellings(dmask.bit_count(), kprime):
+                common = brute_common_neighbors(adj, label_classes(dmask, labels, kprime))
                 if not common & dmask:
                     region = g.full_mask & ~common
                     assert brute_prune_non_modules(g, region, dmask) == region
@@ -170,7 +168,7 @@ def test_module_prune_deletes_without_the_lemma():
     # module; on P4 with D = {1} and the common prune skipped, vertex 2
     # (adjacent to all of D) stays and the component {3, 4} is not a module
     p5 = Graph.path(5)
-    assert _common_neighbors_mask([p5.adjacency_mask(1), p5.adjacency_mask(2)], [0, 1]) == 0
+    assert brute_common_neighbors(p5.adjacency_masks(), [mask_from([1]), mask_from([2])]) == 0
     assert brute_prune_non_modules(p5, p5.full_mask, mask_from([1, 2])) == mask_from([1, 2, 3])
     p4 = Graph.path(4)
     assert brute_prune_non_modules(p4, p4.full_mask, mask_from([1])) == mask_from([1, 2])
@@ -395,14 +393,33 @@ def test_common_prune_is_one_intersection(seed):
     nclasses = rng.randint(1, size)
     labels = list(range(nclasses)) + [rng.randrange(nclasses) for _ in range(size - nclasses)]
     rng.shuffle(labels)
-    class_masks = [0] * nclasses
-    for d, c in zip(iter_mask(dmask), labels):
-        class_masks[c] |= 1 << d
-    common = common_neighbors(adj, class_masks)
+    class_masks = label_classes(dmask, labels, nclasses)
+    common = brute_common_neighbors(adj, class_masks)
     got = brute_prune_common(adj, g.full_mask, class_masks)
     assert (dmask & ~got == 0) == (common & dmask == 0)
     if not common & dmask:
         assert got == g.full_mask & ~common
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_intact_partitions_match_the_restart_prune(seed):
+    # for every connected D and |W| in {|D| - 1, |D|}, the partitions the
+    # family walks are exactly the labellings whose restart prune keeps D
+    # whole, in labelling order, each with the mask that prune deletes
+    g = random_p5free_instance(seed).g
+    adj = g.adjacency_masks()
+    for dmask in enumerate_connected_subsets(g, 1, 5):
+        rows = [adj[d] for d in iter_mask(dmask)]
+        size = len(rows)
+        for kprime in range(max(1, size - 1), size + 1):
+            want = []
+            for labels in brute_class_labellings(size, kprime):
+                kept = brute_prune_common(adj, g.full_mask, label_classes(dmask, labels, kprime))
+                if not dmask & ~kept:
+                    want.append((labels, g.full_mask & ~kept))
+            partitions = _class_partitions(size, kprime)
+            assert _intact_partitions(rows, dmask, partitions) == want
 
 
 def random_graph(rng: random.Random, max_n: int = 9) -> Graph:
@@ -437,6 +454,17 @@ def test_class_labellings_closed_form(kprime):
         assert _class_labellings(size, kprime) == list(brute_class_labellings(size, kprime))
 
 
+def walk_members(walk, inst: Instance, budget):
+    """(members in insertion order, exhaustive, budget left) of one guess
+    walk on a fresh solver, the singletons seeded first as build_family
+    seeds them."""
+    solver = ConnectedSolver(inst, budget=budget)
+    members: dict = {1 << v: "singleton" for v in inst.g.vertices if inst.lists[v]}
+    for mask, prov in walk(inst, solver):
+        members.setdefault(mask, prov)
+    return list(members.items()), solver.exhaustive, solver._left
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(FAMILIES),
@@ -447,10 +475,11 @@ def test_class_labellings_closed_form(kprime):
 )
 def test_guess_order_matches_full_walk(family, pattern_n, seed, budget):
     # walking each (D, class partition) once per size, with W innermost,
-    # and skipping a region already solved at its size give the members,
-    # provenance, exhaustive flag and budget left of the walk over every
-    # surjection and every region under every W; under K4 a 3-vertex D
-    # is walked for |W| = 2 and for |W| = 3
+    # and skipping a core already solved at its size and every one-vertex
+    # piece give the members, provenance, exhaustive flag and budget left
+    # of the walk over every surjection and every region under every W,
+    # the singletons seeded first in both; under K4 a 3-vertex D is walked
+    # for |W| = 2 and for |W| = 3
     pattern, n = pattern_n
     pname, _, karg = pattern.partition(":")
     inst = generate(GenSpec(
@@ -464,14 +493,9 @@ def test_guess_order_matches_full_walk(family, pattern_n, seed, budget):
         weight_range=(0, 6),
         max_tries=500,
     ))
-    runs = []
-    for walk in (_guessed_members, brute_guessed_members):
-        solver = ConnectedSolver(inst, budget=budget)
-        members: dict = {}
-        for mask, prov in walk(inst, solver):
-            members.setdefault(mask, prov)
-        runs.append((list(members.items()), solver.exhaustive, solver._left))
-    assert runs[0] == runs[1]
+    assert walk_members(_guessed_members, inst, budget) == walk_members(
+        brute_guessed_members, inst, budget
+    )
 
 
 def test_budget_runs_out_inside_a_repeated_walk(monkeypatch):
@@ -510,19 +534,18 @@ def test_budget_runs_out_inside_a_repeated_walk(monkeypatch):
     list(_guessed_members(inst, solver))
     total = big - solver._left
     for budget in range(total + 2):
-        runs = []
-        for walk in (_guessed_members, brute_guessed_members):
-            solver = ConnectedSolver(inst, budget=budget)
-            members: dict = {}
-            for mask, prov in walk(inst, solver):
-                members.setdefault(mask, prov)
-            runs.append((list(members.items()), solver.exhaustive, solver._left))
+        runs = [walk_members(walk, inst, budget)
+                for walk in (_guessed_members, brute_guessed_members)]
         assert runs[0] == runs[1]
         assert runs[0][1] == (budget >= total)
     assert repeats and any(paid < n for n, paid in repeats)
 
 
-@pytest.mark.parametrize("g, k", [(Graph.cycle(5), 2), (GEM, 3)], ids=["C5-K2", "GEM-K3"])
+@pytest.mark.parametrize(
+    "g, k",
+    [(Graph.cycle(5), 2), (GEM, 3), (Graph(5, [(1, 2), (2, 3), (3, 4)]), 2)],
+    ids=["C5-K2", "GEM-K3", "P4+K1-K2"],
+)
 def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
     inst = Instance.build(g, PatternGraph.complete(k))
     adj = g.adjacency_masks()
@@ -554,19 +577,19 @@ def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
                         if core:
                             regions.add((colors, core))
 
-    prunes = []
-    prune = family_module._common_neighbors_mask
+    events = []  # ("walk", |W|), ("close", core) and the family's own splits, in order
+    walk = family_module._second_sets
 
-    def counted_prune(*args):
-        prunes.append(args)
-        return prune(*args)
+    def counted_walk(adj, vmask, seed, max_size):
+        events.append(("walk", max_size - 1))
+        return walk(adj, vmask, seed, max_size)
 
-    closures = []
     close = family_module._core_region_mask
 
     def counted_close(*args):
-        closures.append(args)
-        return close(*args)
+        core = close(*args)
+        events.append(("close", core))
+        return core
 
     splits = []
     split = connected_module.masked_components
@@ -574,6 +597,13 @@ def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
     def counted_split(graph, mask):
         splits.append(mask)
         return split(graph, mask)
+
+    components_of = ConnectedSolver.components
+
+    def counted_components(self, mask):
+        if sys._getframe(1).f_code is _guessed_members.__code__:
+            events.append(("split", mask))
+        return components_of(self, mask)
 
     top = []
     components = set()  # of the top-level answers
@@ -592,35 +622,52 @@ def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
             components.update(masked_components(g, mask_from(v for v, _ in answer[1])))
         return answer
 
-    monkeypatch.setattr(family_module, "_common_neighbors_mask", counted_prune)
+    monkeypatch.setattr(family_module, "_second_sets", counted_walk)
     monkeypatch.setattr(connected_module, "masked_components", counted_split)
     monkeypatch.setattr(family_module, "_core_region_mask", counted_close)
+    monkeypatch.setattr(ConnectedSolver, "components", counted_components)
     monkeypatch.setattr(ConnectedSolver, "solve_masked", counted_solve)
     solver = ConnectedSolver(inst)
     yielded = list(_guessed_members(inst, solver))
     assert solver.exhaustive
 
-    # one walk per distinct (|W|, D, class partition) in the whole build;
-    # under K2 a surjection and its color swap share a partition, and
-    # under K3 the three 2-color sets share every walk of their size
-    assert len(prunes) == len(walks) <= len(partitions) < guesses
+    # one second-set walk per distinct (|W|, pruned region, N[D]) in the
+    # whole build, whatever W and surjection: under K2 a surjection and its
+    # color swap share a class partition, and under K3 the three 2-color
+    # sets share every walk of their size
+    walked = [e for e in events if e[0] == "walk"]
+    assert len(walked) == len(region_walks) <= len(walk_seconds) <= len(walks)
+    assert len(walks) <= len(partitions) < guesses
     if k == 2:
-        assert 2 * len(prunes) == guesses
+        assert 2 * len(walks) == guesses
     else:
         assert len(walks) < len(partitions)
     # one split per distinct vertex mask in the solver's whole life
     assert len(splits) == len(set(splits))
-    # one second-set walk per distinct (|W|, pruned region, N[D]): a walk
-    # met again is charged without closing its second sets; on GEM under
-    # K3 that saves closures over one walk per (|W|, D, class partition)
+    # a walk met again is charged without closing its second sets; on GEM
+    # under K3 that saves closures over one walk per (|W|, D, partition)
+    closures = [e for e in events if e[0] == "close"]
     assert len(closures) == sum(region_walks.values()) <= sum(walk_seconds.values())
     if k == 3:
         assert len(closures) < sum(walk_seconds.values())
-    # one solve per distinct (W, closed region): every list is full, so
-    # the lists restricted to W tell the W apart; fewer solves than one
-    # walk per (|W|, D, class partition) closes regions, and at most one
-    # region new to its size per closure
+    # a core closed again at its size is not split under any W: the
+    # family's next split comes only after a new core
+    size, cores, repeats = 0, set(), 0
+    for i, event in enumerate(events):
+        if event[0] == "walk":
+            size = event[1]
+        elif event[0] == "close":
+            if (size, event[1]) in cores:
+                repeats += 1
+                assert i + 1 == len(events) or events[i + 1][0] != "split"
+            cores.add((size, event[1]))
+    assert repeats
+    # one solve per distinct (W, closed region) piece of two or more
+    # vertices: every list is full, so the lists restricted to W tell the
+    # W apart; fewer solves than one walk per (|W|, D, class partition)
+    # closes regions, and at most one region new to its size per closure
     assert len(top) == len(set(top)) < sum(walk_seconds.values())
+    assert all(vmask & (vmask - 1) for vmask, _ in top)
     assert len({(max(lists).bit_count(), vmask) for vmask, lists in top}) <= len(closures)
     assert len(top) <= len(regions)
     # each component of an answer is yielded once, at the first solve

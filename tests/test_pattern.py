@@ -13,6 +13,7 @@ from p5hom.pattern import (
     Instance,
     PatternGraph,
     Solution,
+    _check_weight,
     exists_list_hom,
     verify_solution,
 )
@@ -107,6 +108,35 @@ def test_exact_weights_accepted():
         Graph.path(3), PatternGraph.complete(2), wt={1: 3, 2: Fraction(1, 10), 3: "2/7"})
     assert inst.wt == {1: Fraction(3), 2: Fraction(1, 10), 3: Fraction(2, 7)}
     assert all(type(w) is Fraction for w in inst.wt.values())
+
+
+class MyFraction(Fraction):
+    pass
+
+
+@pytest.mark.parametrize("given, want", [
+    (3, Fraction(3)),
+    (0, Fraction(0)),
+    (Fraction(6, 8), Fraction(3, 4)),
+    (MyFraction(3, 4), Fraction(3, 4)),
+    ("3/4", Fraction(3, 4)),
+], ids=repr)
+def test_check_weight_accepts_exact(given, want):
+    # every exact weight comes back as a plain Fraction, equal to it
+    got = _check_weight(given, 1)
+    assert got == want and type(got) is Fraction
+
+
+@pytest.mark.parametrize("given, message", [
+    (True, "weight True at vertex 4 is a bool, not exact"),
+    (0.5, "weight 0.5 at vertex 4 is a float, not exact"),
+    (Fraction(-1, 2), "negative weight -1/2 at vertex 4"),
+    (-1, "negative weight -1 at vertex 4"),
+], ids=repr)
+def test_check_weight_rejects(given, message):
+    with pytest.raises(ValueError) as exc:
+        _check_weight(given, 4)
+    assert str(exc.value) == message
 
 
 def test_solution_constructors():

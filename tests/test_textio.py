@@ -108,6 +108,28 @@ def test_parse_errors(text, fragment):
     assert fragment.lower() in str(exc.value).lower()
 
 
+@pytest.mark.parametrize("line, fragment", [
+    ("GEDGE 1 \uff12", "vertex must be an integer"),
+    ("GEDGE 1_0 2", "vertex must be an integer"),
+    ("LIST 1 +1", "color must be an integer"),
+    ("LIST 1 1 \u0661", "color must be an integer"),
+    ("GEDGE 1 " + "9" * 5000, "vertex must be an integer"),
+    ("LIST " + "1" * 5000, "vertex must be an integer"),
+])
+def test_int_rejections_on_checked_lines(line, fragment):
+    # the line check passes a token to int() only when int() can read
+    # nothing but ASCII digits; every other token is still rejected
+    with pytest.raises(ParseError) as exc:
+        parse_instance(f"H 2\nG 3\n{line}\n")
+    assert fragment in str(exc.value)
+
+
+def test_int_check_skips_comments():
+    # a comment's characters do not reach the line check
+    inst = parse_instance("H 2\nG 2\nGEDGE 1 2 # +\u0661 _ \uff11\nLIST 2 1 # \u00e9\n")
+    assert inst.g.has_edge(1, 2) and inst.lists[2] == frozenset({1})
+
+
 def test_parse_error_reports_line():
     with pytest.raises(ParseError) as exc:
         parse_instance("H 2\nG 2\nGEDGE 1 1\n")
