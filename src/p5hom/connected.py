@@ -11,6 +11,11 @@ takes pairwise distinct, pairwise adjacent colors, H being loopless, so
 it has at most omega vertices, omega being the clique number of H on
 the colors of the live lists.  D therefore ranges over those cliques
 and the induced P3s only: one of them dominates a connected optimum.
+The tuples come from one growth rule, a clique growing by each vertex
+of its common neighborhood above its last vertex, level by level from
+the single vertices; the induced P3s (a non-adjacent pair with a common
+neighbor) join the size-3 level, which is then sorted, so the tuples
+come by size, then lexicographically.
 The solver checks its host graph for an induced C5 once, and when there
 is none it walks the cliques alone: every piece it searches is an
 induced subgraph of that host, so a connected optimum of a piece has
@@ -197,7 +202,7 @@ def _cross_part_cleanup(
 
 
 def _dominator_tuples(
-    adj: Sequence[int], vmask: int, omega: int, p3s: bool = True
+    adj: Sequence[int], vmask: int, omega: int, p3s: bool
 ) -> Iterator[tuple[int, ...]]:
     """The dominator tuples of the live piece vmask: its cliques of 1..omega
     vertices and, at size 3 when p3s is set, its induced P3s.  The solver
@@ -209,54 +214,34 @@ def _dominator_tuples(
     Tuples are ascending and come by size, then lexicographically, which
     is the order of combinations(sorted vmask, size) with every other
     tuple left out.  Each is built from neighborhood masks, never by
-    testing a combination: an edge (a, b) from N(a) above a; a 3-tuple
-    from each pair a < b, its third vertex above b taken from N(a) | N(b)
-    when a ~ b (less N(a) & N(b), the triangles, when omega < 3) and
-    from N(a) & N(b) otherwise, or, without p3s, from N(a) & N(b) for an
-    edge (a, b) only; a larger clique by extending a smaller one with its
-    common neighborhood above its last vertex.
+    testing a combination, by one rule: a clique grows by each vertex of
+    its common neighborhood above its last vertex, a level at a time, so
+    each level comes in order.  The singletons are yielded as nbr is
+    built, and the last level is yielded as it grows, its own common
+    neighborhoods never built.  An induced P3 is a non-adjacent pair
+    a < b with a common neighbor; with p3s these join the size-3 level,
+    which is then sorted.
     """
     verts = iter_mask(vmask)
     nbr = [0] * len(adj)
     for v in verts:
         nbr[v] = adj[v] & vmask
-    for v in verts:
         yield (v,)
-    if omega >= 2:
-        for a in verts:
-            for b in iter_mask(nbr[a] & (-1 << (a + 1))):
-                yield (a, b)
-    if omega < 3 and not p3s:
-        return
-    # triangles with their common neighborhood above the last vertex,
-    # kept only to grow the cliques of 4..omega vertices
-    cliques: list[tuple[tuple[int, ...], int]] = []
-    for i, a in enumerate(verts):
-        na = nbr[a]
-        for b in verts[i + 1:] if p3s else iter_mask(na & (-1 << (a + 1))):
-            nb = nbr[b]
-            above = -1 << (b + 1)
-            if na >> b & 1:
-                common = na & nb & above
-                third = (na | nb) & above if p3s else common
-                if omega < 3:
-                    third &= ~common
-                elif omega > 3:
-                    for c in iter_mask(common):
-                        cliques.append(((a, b, c), common & nbr[c] & (-1 << (c + 1))))
-            else:  # an induced P3 a-c-b; walked only with p3s
-                third = na & nb & above
-            for c in iter_mask(third):
-                yield (a, b, c)
-    for size in range(4, omega + 1):
-        grown = []
-        for clique, common in cliques:
-            for c in iter_mask(common):
-                bigger = clique + (c,)
-                yield bigger
-                if size < omega:
-                    grown.append((bigger, common & nbr[c] & (-1 << (c + 1))))
-        cliques = grown
+    # (clique, its common neighborhood above its last vertex)
+    cliques = [((v,), nbr[v] & (-1 << (v + 1))) for v in verts] if omega > 1 else []
+    for size in range(2, max(omega, 3 if p3s else 0) + 1):
+        if size < omega:
+            cliques = [(t + (c,), common & nbr[c] & (-1 << (c + 1)))
+                       for t, common in cliques for c in iter_mask(common)]
+            level = [t for t, _ in cliques]
+        else:
+            level = (t + (c,) for t, common in cliques for c in iter_mask(common))
+            cliques = []
+        if size == 3 and p3s:
+            level = sorted([*level, *(tuple(sorted((a, b, c))) for a in verts
+                                      for b in iter_mask(vmask & ~nbr[a] & (-1 << (a + 1)))
+                                      for c in iter_mask(nbr[a] & nbr[b]))])
+        yield from level
 
 
 class ConnectedSolver:

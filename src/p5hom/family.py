@@ -64,9 +64,9 @@ more, since that walk solved every core it closes.
 The components of a vertex mask depend on the mask alone, the graph
 being fixed, so the family splits answers through the solver's cache
 (ConnectedSolver.components), the same split the solver's own solves
-use.  A member's provenance is that of the first guess yielding it, so
-each component is yielded once, at that guess, and only then gets a
-FamilyProvenance; a later answer holding it adds nothing to the family.
+use.  The walk yields every component of every answer, and the family
+keeps each member's first provenance, that of the first guess yielding
+it; a later answer holding it adds nothing to the family.
 
 Every step, the dominator enumeration included, works on vertex masks
 over the original graph, so members come out in original vertex ids
@@ -167,34 +167,30 @@ def _second_sets(adj: Sequence[int], vmask: int, seed: int, max_size: int):
         frontier = grown_sets
 
 
-def _class_labellings(size: int, kprime: int) -> list[tuple[int, ...]]:
-    """One labelling of size (kprime or kprime + 1) positions per partition
-    of them into kprime classes: the restricted-growth strings (each label
-    at most one past the largest before it), in lexicographic order.  At
-    kprime + 1 one class has two positions: the string counts to b,
-    repeats a label a < b, then counts on from b.
-
-    The first surjection onto range(kprime) in product order with a given
-    class partition numbers the classes by first position, so this is
-    that surjection, and the partitions come in the order of their first
-    surjections.
-    """
-    if size == kprime:
-        return [tuple(range(kprime))]
-    return [(*range(b), a, *range(b, kprime)) for b in range(1, kprime + 1) for a in range(b)]
-
-
 def _class_partitions(
     size: int, kprime: int
 ) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
-    """(labelling, pair, singles) for each labelling of
-    _class_labellings(size, kprime), in its order: pair holds the two
-    positions of its one two-vertex class (none when size is kprime) and
-    singles the other positions, each a class of its own."""
+    """(labelling, pair, singles) for each partition of size (kprime or
+    kprime + 1) positions into kprime classes.  The labellings are the
+    restricted-growth strings (each label at most one past the largest
+    before it), in lexicographic order; pair holds the two positions of
+    the one two-position class (none when size is kprime) and singles the
+    other positions, each a class of its own.  At kprime + 1 the string
+    counts to b, repeats a label a < b, then counts on from b, so its
+    pair is (a, b).
+
+    The first surjection onto range(kprime) in product order with a given
+    class partition numbers the classes by first position, so the
+    labelling is that surjection, and the partitions come in the order of
+    their first surjections.
+    """
+    if size == kprime:
+        return [(tuple(range(kprime)), (), tuple(range(kprime)))]
     out = []
-    for hidx in _class_labellings(size, kprime):
-        pair = tuple(i for i, c in enumerate(hidx) if hidx.count(c) == 2)
-        out.append((hidx, pair, tuple(i for i in range(size) if i not in pair)))
+    for b in range(1, kprime + 1):
+        for a in range(b):
+            singles = tuple(i for i in range(size) if i != a and i != b)
+            out.append(((*range(b), a, *range(b, kprime)), (a, b), singles))
     return out
 
 
@@ -271,18 +267,15 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
     list) or at its greedy start, which is the vertex when it has
     weight, and meets the cover bound.
 
-    Besides the per-W piece sets, one cache spans the whole call, all
-    sizes included: yielded holds the components yielded so far.  A
-    component is yielded, with a provenance built for it, at the first
-    guess whose answer holds it, which is the provenance the family
-    keeps, and never again.  Answers are split by solver.components, a
-    pure function of the answer's vertex mask.
+    A component is yielded at every guess whose answer holds it, with
+    that guess's provenance; build_family keeps the first.  Answers are
+    split by solver.components, a pure function of the answer's vertex
+    mask.
     """
     g = inst.g
     adj = g.adjacency_masks()
     full = g.full_mask
     k = inst.h.k
-    yielded: set[int] = set()  # components yielded so far
     for kprime in range(2, min(k, g.n) + 1):
         wsets = []  # (W, lists restricted to W, vertices with a W-list, pieces solved)
         for colors in combinations(range(1, k + 1), kprime):
@@ -321,15 +314,10 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
                                     chosen |= 1 << u
                         if not chosen:
                             continue
-                        prov = None
+                        prov = FamilyProvenance(
+                            colors, doms, tuple(colors[c] for c in hidx), second
+                        )
                         for comp in solver.components(chosen):
-                            if comp in yielded:
-                                continue
-                            yielded.add(comp)
-                            if prov is None:
-                                prov = FamilyProvenance(
-                                    colors, doms, tuple(colors[c] for c in hidx), second
-                                )
                             yield comp, prov
                 walked[common, closed] = charged
 

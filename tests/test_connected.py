@@ -469,6 +469,50 @@ def test_c5_host_keeps_its_p3s():
     assert solver.solve_masked(inst.g.full_mask, inst.lists_masks)[0] == 19
 
 
+def c5_blowup(rng: random.Random) -> Graph:
+    """C5 with each vertex replaced by a clique or an independent set of 1
+    or 2 vertices, consecutive bags fully joined.  P5 is prime, so the
+    blow-up is P5-free, and one vertex per bag still induces a C5."""
+    bags, edges, n = [], [], 0
+    for _ in range(5):
+        bag = list(range(n + 1, n + rng.randint(1, 2) + 1))
+        n = bag[-1]
+        if rng.random() < 0.5:
+            edges += itertools.combinations(bag, 2)
+        bags.append(bag)
+    for i in range(5):
+        edges += itertools.product(bags[i], bags[(i + 1) % 5])
+    return Graph(n, edges)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("seed", range(12))
+def test_p3_walk_on_c5_blowups_matches_oracle(monkeypatch, seed, k):
+    # the only hosts on which the search walks induced P3s: the pipeline
+    # walks some and still meets the oracle under a complete pattern
+    rng = random.Random(seed)
+    g = c5_blowup(rng)
+    assert find_induced_c5(g) is not None and find_induced_p5(g) is None
+    inst = Instance(
+        g,
+        PatternGraph.complete(k),
+        {v: Fraction(rng.randint(0, 6), rng.randint(1, 4)) for v in g.vertices},
+        {v: frozenset(c for c in range(1, k + 1) if rng.random() < 0.7) for v in g.vertices},
+    )
+    walked = []  # the induced P3s walked
+    walk = connected_module._dominator_tuples
+
+    def counted(adj, vmask, omega, p3s):
+        for t in walk(adj, vmask, omega, p3s):
+            if sum(adj[a] >> b & 1 for a, b in itertools.combinations(t, 2)) == 2:
+                walked.append(t)
+            yield t
+
+    monkeypatch.setattr(connected_module, "_dominator_tuples", counted)
+    assert solve_full(inst).solution.weight == oracle_solve(inst).weight
+    assert walked
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10**9))
 def test_one_pass_cross_part_cleanup_matches_fixpoint(seed):
@@ -786,7 +830,7 @@ def test_trimmed_tuples_under_path_patterns(graphs, pattern, n, seed):
     for v in iter_mask(live):
         universe |= lists[v]
     solver = ConnectedSolver(inst)
-    for t in _dominator_tuples(adj, live, solver.clique_number(universe)):
+    for t in _dominator_tuples(adj, live, solver.clique_number(universe), True):
         assert len(t) <= 3
         assert sum(adj[a] >> b & 1 for a, b in itertools.combinations(t, 2)) < 3
     assert solver.solve_masked(inst.g.full_mask, lists) == ColorCountSolver(

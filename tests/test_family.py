@@ -18,7 +18,6 @@ from p5hom.family import (
     FamilyProvenance,
     NotP5FreeError,
     build_family,
-    _class_labellings,
     _class_partitions,
     _core_region_mask,
     _guessed_members,
@@ -449,9 +448,14 @@ def test_one_pass_core_region_matches_restart(seed):
 @pytest.mark.parametrize("kprime", range(1, 9))
 def test_class_labellings_closed_form(kprime):
     # the identity for |D| = |W|, and for |D| = |W| + 1 the strings that
-    # repeat one earlier label: the restricted-growth strings, in order
+    # repeat one earlier label: the restricted-growth strings, in order,
+    # each with the positions of its repeated label and the rest
     for size in (kprime, kprime + 1):
-        assert _class_labellings(size, kprime) == list(brute_class_labellings(size, kprime))
+        partitions = _class_partitions(size, kprime)
+        assert [hidx for hidx, _, _ in partitions] == list(brute_class_labellings(size, kprime))
+        for hidx, pair, singles in partitions:
+            assert pair == tuple(i for i, c in enumerate(hidx) if hidx.count(c) == 2)
+            assert singles == tuple(i for i, c in enumerate(hidx) if hidx.count(c) == 1)
 
 
 def walk_members(walk, inst: Instance, budget):
@@ -670,9 +674,15 @@ def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
     assert all(vmask & (vmask - 1) for vmask, _ in top)
     assert len({(max(lists).bit_count(), vmask) for vmask, lists in top}) <= len(closures)
     assert len(top) <= len(regions)
-    # each component of an answer is yielded once, at the first solve
-    # whose answer has it; an answer may have several (the greedy
-    # incumbent need not be connected)
-    masks = [mask for mask, _ in yielded]
-    assert len(masks) == len(set(masks))
-    assert set(masks) == components
+    # every component of an answer is yielded, and an answer may have
+    # several (the greedy incumbent need not be connected); a component
+    # met again is yielded again, and build_family keeps the provenance
+    # of its first yield
+    first = {}
+    for mask, prov in yielded:
+        first.setdefault(mask, prov)
+    assert set(first) == components
+    monkeypatch.undo()
+    kept = build_family(inst).provenance
+    for mask, prov in first.items():
+        assert kept[set_from_mask(mask)] == (prov if mask & (mask - 1) else "singleton")
