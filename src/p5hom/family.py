@@ -38,17 +38,28 @@ order standing for all of them, and W runs innermost.  Each D' is one
 guess charged to the budget, and each closed region is solved under
 every W of that size, piece by piece.  A piece is a component of the
 region's vertices whose W-list is not empty, which is what the solver
-itself would split the region into, and each W keeps the set of pieces
-it has solved: a piece met again would yield only members already held,
-and its solve would be a memo hit that charges nothing, so it is not
-handed to the solver again.  Each size keeps the set of closed cores it
-has met, too: a core met again has every piece under every W of the
-size in that W's set already, so it is not split again.  A one-vertex
-piece is not handed to the solver at all: its only possible member is
-its vertex, which the singletons already hold, and its solve charges no
-guess, ending at the conflict MWIS or at a greedy start that meets the
-cover bound.  A member's provenance is the first guess in this order
-that yields it.
+itself would split the region into, so the components of the region's
+answer are those of its pieces' answers.  A member's provenance is the
+first guess in this order that yields it.
+
+Stage 2 skips work by three rules and no others:
+
+- one second-set walk per (common-neighbor mask, N[D]) per size.  The
+  walk and its closed cores depend only on that pair, so a pair met
+  again at the size is charged its first walk's second sets in one
+  call and walked no more: that walk solved every core it closes.
+- one solve per (piece, W).  Each W keeps the set of pieces it has
+  solved: a piece met again would yield only members already held, and
+  its solve would be a memo hit that charges nothing.
+- no solve of a one-vertex piece.  Its only possible member is its
+  vertex, which the singletons already hold, and its solve charges no
+  guess, ending at the conflict MWIS or at a greedy start that meets
+  the cover bound.
+
+A core closed again at its size needs no rule of its own: its guess is
+charged before the closure, its split under each W is a hit in the
+solver's component cache, and each of its pieces of two or more
+vertices is in that W's set already, so it solves and yields nothing.
 
 The common-neighbor prune is one intersection: its candidates change
 only when a vertex of D goes, which drops the guess, so a guess whose D
@@ -56,10 +67,7 @@ meets the common neighbors of its classes is dropped and any other loses
 exactly those.  Each D's partitions are read off its rows in one pass:
 a class of one vertex adds its row to an AND, and the one class of two,
 when |D| = |W| + 1, the OR of its two rows; only that class can hold a
-common neighbor in D.  The second-set walk and its closed cores depend
-only on the common-neighbor mask and N[D]; a pair met again at the same
-size is charged its first walk's second sets in one call and walked no
-more, since that walk solved every core it closes.
+common neighbor in D.
 
 The components of a vertex mask depend on the mask alone, the graph
 being fixed, so the family splits answers through the solver's cache
@@ -243,29 +251,12 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
     classes, the paper's module prune deleting nothing more (see the
     module docstring).
 
-    Lists are restricted to W, not to h, and only the solves read them,
-    so the prune, the second sets and their closed cores depend on
-    (W, D, h) only through D and the class partition of D under h, which
-    also fixes |W| as its number of classes.  Each (D, partition) is
-    pruned once per size, with its first surjection in product order
-    (its restricted-growth labelling, read through each W's colors), and
-    each closed core is solved under every W of the size, one piece at a
-    time: its pieces are the components of the core's vertices with a
-    nonempty W-list, and only a piece new to the W goes to solve_masked.
-    The solve of the whole core would split it into the same pieces, so
-    the answer's components are those of the union of the new pieces'
-    answers plus components already yielded; a piece met again would
-    yield only those and be a memo hit that spends nothing.  A
-    (common-neighbor mask, N[D]) already walked at the size is charged
-    its second-set count in one call, as that many single charges would
-    be, and not walked again.  A core closed again at the size is
-    charged its guess and not split: every piece of it under every W of
-    the size is in that W's piece set already.  A one-vertex piece goes
-    to no solve: its answer is its vertex or nothing, and the vertex is a
-    seeded singleton; the solve would charge nothing either, as a
-    one-vertex piece ends at the conflict MWIS (omega 1 or a one-color
-    list) or at its greedy start, which is the vertex when it has
-    weight, and meets the cover bound.
+    Each (D, partition) is pruned once per size, with its first
+    surjection in product order (its restricted-growth labelling, read
+    through each W's colors), and each closed core is solved under every
+    W of the size, piece by piece, skipping work only by the module
+    docstring's three dedup rules.  A repeated walk is charged its
+    second-set count in one call, as that many single charges would be.
 
     A component is yielded at every guess whose answer holds it, with
     that guess's provenance; build_family keeps the first.  Answers are
@@ -279,11 +270,11 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
     for kprime in range(2, min(k, g.n) + 1):
         wsets = []  # (W, lists restricted to W, vertices with a W-list, pieces solved)
         for colors in combinations(range(1, k + 1), kprime):
-            lists_w = tuple(lv & mask_from(colors) for lv in inst.lists_masks)
+            wmask = mask_from(colors)
+            lists_w = tuple(lv & wmask for lv in inst.lists_masks)
             live_w = mask_from(v for v, lv in enumerate(lists_w) if lv)
             wsets.append((colors, lists_w, live_w, set()))
         walked: dict[tuple[int, int], int] = {}  # (common, N[D]) -> second sets charged
-        cores: set[int] = set()  # closed cores solved at this size
         partitions = {s: _class_partitions(s, kprime) for s in (kprime, kprime + 1)}
         for dmask in enumerate_connected_subsets(g, kprime, min(kprime + 1, g.n)):
             doms = iter_mask(dmask)
@@ -302,9 +293,6 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
                         return
                     charged += 1
                     core = _core_region_mask(adj, v, seed)
-                    if core in cores:  # its pieces are solved under every W
-                        continue
-                    cores.add(core)
                     for colors, lists_w, live_w, pieces in wsets:
                         chosen = 0
                         for piece in solver.components(core & live_w):
@@ -331,14 +319,11 @@ def build_family(inst: Instance, budget: int | None = None) -> Family:
     (one per second set D' with a new seed, plus the solver's own), and a
     build that runs out keeps the members found so far and reports
     exhaustive False.  For each size |W|, each (D, class partition) is
-    pruned once, whatever W, each (common-neighbor mask, N[D]) is walked
-    once, each closed core is split once, and each piece of two or more
-    vertices is solved once under each W of that size, so the unit of the
-    budget is one guess per (D, partition, D'), a repeated walk charged
-    all at once; each member keeps the provenance of the first guess that
-    yields it.  The singletons are seeded first, so no one-vertex piece
-    is solved: its solve charges no guess and could only yield its
-    vertex, already a member.
+    pruned once, whatever W, and the walk skips work only by the module
+    docstring's three dedup rules, so the unit of the budget is one
+    guess per (D, partition, D'), a repeated walk charged all at once;
+    each member keeps the provenance of the first guess that yields it.
+    The singletons are seeded first, so no one-vertex piece is solved.
     """
     witness = find_induced_p5(inst.g)
     if witness is not None:
@@ -352,6 +337,5 @@ def build_family(inst: Instance, budget: int | None = None) -> Family:
         members.setdefault(mask, prov)
 
     ordered = sorted(members, key=lambda m: (m.bit_count(), iter_mask(m)))
-    member_sets = tuple(set_from_mask(m) for m in ordered)
     provenance = {set_from_mask(m): members[m] for m in ordered}
-    return Family(member_sets, provenance, solver.exhaustive)
+    return Family(tuple(provenance), provenance, solver.exhaustive)

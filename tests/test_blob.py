@@ -4,9 +4,11 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import p5hom.blob as blob_module
 from p5hom.blob import build_blob_graph, solve_full
 from p5hom.family import Family, build_family
 from p5hom.graph import Graph, find_induced_p5
@@ -123,6 +125,21 @@ def test_solve_full_edge_cases():
     # one-color pattern forces an independent set
     inst = Instance.build(Graph.path(4), PatternGraph.complete(1))
     assert solve_full(inst).solution.weight == 2
+
+
+def test_solve_full_checks_the_mwis_weight(monkeypatch):
+    # a blob MWIS weight the colored members do not add up to is an
+    # internal error, not a solution
+    solve = blob_module.solve_mwis
+
+    def off_by_one(blob):
+        picked, weight = solve(blob)
+        return picked, weight + 1
+
+    monkeypatch.setattr(blob_module, "solve_mwis", off_by_one)
+    inst = Instance.build(Graph.cycle(5), PatternGraph.complete(2))
+    with pytest.raises(RuntimeError, match="weight"):
+        solve_full(inst)
 
 
 def test_budget_flag_propagates():

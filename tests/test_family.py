@@ -547,8 +547,9 @@ def test_budget_runs_out_inside_a_repeated_walk(monkeypatch):
 
 @pytest.mark.parametrize(
     "g, k",
-    [(Graph.cycle(5), 2), (GEM, 3), (Graph(5, [(1, 2), (2, 3), (3, 4)]), 2)],
-    ids=["C5-K2", "GEM-K3", "P4+K1-K2"],
+    [(Graph.cycle(5), 2), (GEM, 3), (Graph(5, [(1, 2), (2, 3), (3, 4)]), 2),
+     (Graph(5, [(1, 2), (2, 3), (1, 3), (2, 4), (3, 5)]), 3)],
+    ids=["C5-K2", "GEM-K3", "P4+K1-K2", "bull-K3"],
 )
 def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
     inst = Instance.build(g, PatternGraph.complete(k))
@@ -581,7 +582,7 @@ def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
                         if core:
                             regions.add((colors, core))
 
-    events = []  # ("walk", |W|), ("close", core) and the family's own splits, in order
+    events = []  # ("walk", |W|), ("close", core), top-level ("solve", piece), ("yield", mask)
     walk = family_module._second_sets
 
     def counted_walk(adj, vmask, seed, max_size):
@@ -602,13 +603,6 @@ def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
         splits.append(mask)
         return split(graph, mask)
 
-    components_of = ConnectedSolver.components
-
-    def counted_components(self, mask):
-        if sys._getframe(1).f_code is _guessed_members.__code__:
-            events.append(("split", mask))
-        return components_of(self, mask)
-
     top = []
     components = set()  # of the top-level answers
     depth = [0]
@@ -617,6 +611,7 @@ def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
     def counted_solve(self, vmask, lists):
         if not depth[0]:
             top.append((vmask, tuple(lists)))
+            events.append(("solve", vmask))
         depth[0] += 1
         try:
             answer = solve(self, vmask, lists)
@@ -629,10 +624,12 @@ def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
     monkeypatch.setattr(family_module, "_second_sets", counted_walk)
     monkeypatch.setattr(connected_module, "masked_components", counted_split)
     monkeypatch.setattr(family_module, "_core_region_mask", counted_close)
-    monkeypatch.setattr(ConnectedSolver, "components", counted_components)
     monkeypatch.setattr(ConnectedSolver, "solve_masked", counted_solve)
     solver = ConnectedSolver(inst)
-    yielded = list(_guessed_members(inst, solver))
+    yielded = []
+    for mask, prov in _guessed_members(inst, solver):
+        events.append(("yield", mask))
+        yielded.append((mask, prov))
     assert solver.exhaustive
 
     # one second-set walk per distinct (|W|, pruned region, N[D]) in the
@@ -654,17 +651,21 @@ def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
     assert len(closures) == sum(region_walks.values()) <= sum(walk_seconds.values())
     if k == 3:
         assert len(closures) < sum(walk_seconds.values())
-    # a core closed again at its size is not split under any W: the
-    # family's next split comes only after a new core
-    size, cores, repeats = 0, set(), 0
-    for i, event in enumerate(events):
+    # a core closed again at its size makes no top-level solve and yields
+    # no new mask: each of its pieces is solved under every W already
+    size, cores, held, repeats, repeated = 0, set(), set(), 0, False
+    for event in events:
         if event[0] == "walk":
-            size = event[1]
+            size, repeated = event[1], False
         elif event[0] == "close":
-            if (size, event[1]) in cores:
-                repeats += 1
-                assert i + 1 == len(events) or events[i + 1][0] != "split"
+            repeated = (size, event[1]) in cores
+            repeats += repeated
             cores.add((size, event[1]))
+        elif event[0] == "solve":
+            assert not repeated
+        elif event[0] == "yield":
+            assert not repeated or event[1] in held
+            held.add(event[1])
     assert repeats
     # one solve per distinct (W, closed region) piece of two or more
     # vertices: every list is full, so the lists restricted to W tell the
