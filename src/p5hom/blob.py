@@ -24,7 +24,7 @@ from .family import Family, build_family
 from .graph import Graph, neighborhood_mask
 from .mwis import WeightedGraph, scale_weights, solve_mwis
 from .pattern import Instance, Solution, exists_list_hom, verify_solution
-from .connected import SolveResult
+from .connected import ConnectedSolver, SolveResult
 
 __all__ = ["BlobGraph", "build_blob_graph", "solve_full"]
 
@@ -70,9 +70,12 @@ def solve_full(inst: Instance, budget: int | None = None) -> SolveResult:
     budget and a complete pattern it is exact at the scales the test
     suite probes (the differential suite measures any gap for other
     patterns).  budget bounds the guesses of the whole family build (see
-    build_family); exhaustive is False when it ran out.  The solution
-    stores the blob MWIS weight, so verify_solution's weight check also
-    checks that the colored members add up to it.
+    build_family); exhaustive is False when it ran out.  A cut family
+    may hold only small members, so a run that is not exhaustive returns
+    the whole-instance greedy (ConnectedSolver.incumbent) instead when
+    that is strictly heavier; ties keep the blob answer.  The solution
+    stores its weight, so verify_solution's weight check also checks
+    that the colored members (or the greedy's vertices) add up to it.
     """
     fam = build_family(inst, budget=budget)
     blob = build_blob_graph(inst, fam)
@@ -87,6 +90,12 @@ def solve_full(inst: Instance, budget: int | None = None) -> SolveResult:
             )
         coloring.update(hom)
     sol = Solution(frozenset(coloring), coloring, blob_weight)
+    if not fam.exhaustive:
+        engine = ConnectedSolver(inst)
+        weight, greedy = engine.incumbent(inst.g.full_mask, inst.lists_masks)
+        greedy_weight = Fraction(weight, engine.scale)
+        if greedy_weight > blob_weight:
+            sol = Solution(frozenset(v for v, _ in greedy), dict(greedy), greedy_weight)
     violation = verify_solution(inst, sol)
     if violation is not None:
         raise RuntimeError(f"internal error: pipeline produced invalid solution ({violation})")

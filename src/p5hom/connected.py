@@ -76,17 +76,16 @@ worse than that start.
 The best answer so far is replaced only by a strictly heavier candidate,
 and weights are nonnegative, so a branch that no candidate heavier than
 the best weight so far can come from cannot change the answer.  Such a
-branch is skipped at five points.  The whole piece, a dominator tuple
+branch is skipped at four points.  The whole piece, a dominator tuple
 (by N[D]), a dominator coloring (by N[D] minus the vertices its
 propagation empties) and a cleaned state (by the vertices it keeps) are
 bounded by a clique cover (mwis.clique_cover_bound, the MWIS's bound
 too): the vertices are split greedily into host cliques, and each
 clique counts only its omega heaviest vertices, since an answer colors
-at most omega vertices of a clique.  A cleaned state's parts then
-recurse one at a time under the plain weight of D plus the parts' kept
-vertices, each part's term becoming its answer as it comes back.  The
-answer, ties included, is the one the search without these skips would
-return from the same greedy start.
+at most omega vertices of a clique.  A cleaned state that passes solves
+every part it keeps, and its candidate is compared with the best once.
+The answer, ties included, is the one the search without these skips
+would return from the same greedy start.
 
 All recursion operates on (vertex mask, list-mask vector) views over the
 original graph, memoized in one table so that a family build can share
@@ -505,10 +504,9 @@ class ConnectedSolver:
         at most best, before its cleanup states are built (and charged)
         from the propagated lists of the parts' live vertices.  A cleaned
         state is skipped when the bound of its kept mask is at most best;
-        otherwise its parts recurse one at a time under D's weight plus
-        the plain weight of every part's kept vertices, each part's term
-        becoming its answer as it comes back.  The state stops once that
-        falls to best, and a state that finishes weighs exactly its bound.
+        otherwise every part it keeps is solved under its lists, and the
+        candidate (D's coloring plus the parts' answers) replaces best
+        only when strictly heavier.
         """
         parts, used = self.carve(vmask, doms)
         if self.cover_bound(used, omega) <= best[0]:
@@ -532,19 +530,16 @@ class ConnectedSolver:
             for st, kept in sorted(states):
                 if self.cover_bound(kept, omega) <= best[0]:
                     continue
-                pieces = [x & kept for x in parts if x & kept]
-                caps = [self._weigh(pm) for pm in pieces]
-                bound = dom_w + sum(caps)  # above best: the cover bound is at most this
+                total = dom_w
                 coloring = dict(zip(doms, colors))
-                for pm, cap in zip(pieces, caps):
-                    w, asg = self.solve_masked(pm, st)
-                    bound += w - cap
-                    if bound <= best[0]:
-                        break
-                    coloring.update(asg)
-                else:
+                for x in parts:
+                    if x & kept:
+                        w, asg = self.solve_masked(x & kept, st)
+                        total += w
+                        coloring.update(asg)
+                if total > best[0]:
                     self._verify_candidate(coloring, lists)
-                    best = (bound, tuple(sorted(coloring.items())))
+                    best = (total, tuple(sorted(coloring.items())))
         return best
 
     def _colorings(self, doms: Sequence[int], lists: Sequence[int]) -> Iterator[tuple[int, ...]]:

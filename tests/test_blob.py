@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 import p5hom.blob as blob_module
 from p5hom.blob import build_blob_graph, solve_full
+from p5hom.connected import ConnectedSolver
 from p5hom.family import Family, build_family
+from p5hom.generators import GenSpec, generate
 from p5hom.graph import Graph, find_induced_p5
 from p5hom.pattern import Instance, PatternGraph, verify_solution
 
@@ -148,6 +150,23 @@ def test_budget_flag_propagates():
     assert not res.exhaustive
     assert verify_solution(inst, res.solution) is None
     assert res.solution.weight <= 4
+
+
+@pytest.mark.parametrize("budget", [0, 40])
+def test_budgeted_answer_never_below_greedy(budget):
+    # a cut family holds only small members; the answer still weighs at
+    # least the whole-instance greedy (cograph and split, n = 12 and 16,
+    # K3, seeds 1-4, where the greedy outweighs every budget-40 blob answer)
+    for family in ("cograph", "split"):
+        for n in (12, 16):
+            for seed in range(1, 5):
+                inst = generate(GenSpec(family=family, n=n, k=3, seed=seed,
+                                        list_density=Fraction(7, 10), weight_range=(0, 6)))
+                engine = ConnectedSolver(inst)
+                greedy, _ = engine.incumbent(inst.g.full_mask, inst.lists_masks)
+                res = solve_full(inst, budget=budget)
+                assert not res.exhaustive
+                assert res.solution.weight >= Fraction(greedy, engine.scale)
 
 
 def random_p5free_instance(seed: int):

@@ -601,7 +601,7 @@ TIE = ("random-p5free", "complete:3", 5, 5, "fractions")
 
 WEIGHTED_DRAWS = (
     st.sampled_from(FAMILIES),
-    st.sampled_from(["complete:2", "complete:3", "path:3"]),
+    st.sampled_from(["complete:2", "complete:3", "complete:4", "path:3"]),
     st.integers(4, 8),
     st.integers(0, 10**9),
     st.sampled_from(["fractions", "zeros", "all-zero"]),

@@ -349,8 +349,8 @@ def answers_digest(budget) -> str:
 
 @pytest.mark.parametrize("budget, digest", [
     (None, "5b89c8b5dc8a1b9b8bd0ed153160e5ed01ee94061dda3786968cb679cb82b580"),
-    (5, "4ce574fbea9ecc4ad2df7d4c38d071b596d9a0005a6d916e492f36c9717ea567"),
-    (40, "3d137041d49e17c08c7bc7722e5501e2ced7a05f0c87b37a670424f2b3db1c63"),
+    (5, "67f505262659fa1c4d158b14f007a0c0acb1131658cb478748502b610f624776"),
+    (40, "62ec6e9d2981588d8ec53c0d4be1c5202dc0d6fa8fb8a97ee5a268803873c2c2"),
 ], ids=["None", "5", "40"])
 def test_answers_frozen_digest(budget, digest):
     # the answers (colorings, tie-breaks, exhaustive bits) of both
