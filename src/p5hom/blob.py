@@ -13,6 +13,10 @@ because non-touching sets share neither vertices nor edges.
 For P5-free inputs the blob graph is itself P5-free; the test suite
 probes that as an invariant but the solver does not rely on it (the MWIS
 stage is exact on arbitrary graphs).
+
+solve_full reaches the family only when a cheaper certificate fails: a
+greedy coloring of the whole instance whose weight meets its clique-cover
+bound is already optimal, and is returned as it is (see solve_full).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .family import Family, build_family
-from .graph import Graph, neighborhood_mask
+from .graph import Graph, NotP5FreeError, find_induced_p5, neighborhood_mask
 from .mwis import WeightedGraph, scale_weights, solve_mwis
 from .pattern import Instance, Solution, exists_list_hom, verify_solution
 from .connected import ConnectedSolver, SolveResult
@@ -63,40 +67,66 @@ def build_blob_graph(inst: Instance, fam: Family) -> BlobGraph:
 
 
 def solve_full(inst: Instance, budget: int | None = None) -> SolveResult:
-    """Full pipeline: family, blob graph, MWIS, per-member coloring.
+    """Full pipeline: certificate, or family, blob graph, MWIS, per-member
+    coloring.
 
-    Raises NotP5FreeError on inputs with an induced 5-vertex path.  The
-    returned solution is always verified feasible; with an uncapped
+    Raises NotP5FreeError on inputs with an induced 5-vertex path, and
+    ValueError on a negative budget.  The first step colors the whole
+    instance greedily (ConnectedSolver.incumbent over the vertices with a
+    nonempty list) and bounds it by the clique cover of those vertices
+    with omega the pattern's clique number on every list color
+    (ConnectedSolver.cover_bound).  An answer colors at most omega
+    vertices of a host clique and weights are nonnegative, so the bound
+    is at least the optimum: a greedy that meets it is optimal and is
+    returned, exhaustive at any budget, with no guess made and no family
+    built.  Otherwise the family is built (build_family makes the P5
+    check there), its blob graph solved and each picked member colored.
+    The returned solution is always verified feasible; with an uncapped
     budget and a complete pattern it is exact at the scales the test
     suite probes (the differential suite measures any gap for other
     patterns).  budget bounds the guesses of the whole family build (see
     build_family); exhaustive is False when it ran out.  A cut family
     may hold only small members, so a run that is not exhaustive returns
-    the whole-instance greedy (ConnectedSolver.incumbent) instead when
-    that is strictly heavier; ties keep the blob answer.  The solution
-    stores its weight, so verify_solution's weight check also checks
-    that the colored members (or the greedy's vertices) add up to it.
+    the greedy instead when that is strictly heavier; ties keep the blob
+    answer.  The solution stores its weight, so verify_solution's weight
+    check also checks that the colored members (or the greedy's vertices)
+    add up to it.
     """
-    fam = build_family(inst, budget=budget)
-    blob = build_blob_graph(inst, fam)
-    picked, blob_weight = solve_mwis(blob)
-    coloring: dict[int, int] = {}
-    for bv in sorted(picked):
-        member = blob.members[bv - 1]
-        hom = exists_list_hom(inst.g, inst.h, {v: inst.lists[v] for v in member})
-        if hom is None:
-            raise RuntimeError(
-                f"internal error: family member {sorted(member)} admits no list homomorphism"
-            )
-        coloring.update(hom)
-    sol = Solution(frozenset(coloring), coloring, blob_weight)
-    if not fam.exhaustive:
-        engine = ConnectedSolver(inst)
-        weight, greedy = engine.incumbent(inst.g.full_mask, inst.lists_masks)
-        greedy_weight = Fraction(weight, engine.scale)
-        if greedy_weight > blob_weight:
-            sol = Solution(frozenset(v for v, _ in greedy), dict(greedy), greedy_weight)
+    # budget only for its ValueError: incumbent and cover_bound spend no guess
+    engine = ConnectedSolver(inst, budget=budget)
+    lists = inst.lists_masks
+    live = universe = 0
+    for v in inst.g.vertices:
+        if lists[v]:
+            live |= 1 << v
+            universe |= lists[v]
+    weight, greedy = engine.incumbent(live, lists)
+    greedy_sol = Solution(
+        frozenset(v for v, _ in greedy), dict(greedy), Fraction(weight, engine.scale)
+    )
+    if engine.cover_bound(live, engine.clique_number(universe)) <= weight:
+        witness = find_induced_p5(inst.g)
+        if witness is not None:
+            raise NotP5FreeError(witness)
+        sol, exhaustive = greedy_sol, True
+    else:
+        fam = build_family(inst, budget=budget)
+        blob = build_blob_graph(inst, fam)
+        picked, blob_weight = solve_mwis(blob)
+        coloring: dict[int, int] = {}
+        for bv in sorted(picked):
+            member = blob.members[bv - 1]
+            hom = exists_list_hom(inst.g, inst.h, {v: inst.lists[v] for v in member})
+            if hom is None:
+                raise RuntimeError(
+                    f"internal error: family member {sorted(member)} admits no list homomorphism"
+                )
+            coloring.update(hom)
+        sol = Solution(frozenset(coloring), coloring, blob_weight)
+        exhaustive = fam.exhaustive
+        if not exhaustive and greedy_sol.weight > blob_weight:
+            sol = greedy_sol
     violation = verify_solution(inst, sol)
     if violation is not None:
         raise RuntimeError(f"internal error: pipeline produced invalid solution ({violation})")
-    return SolveResult(sol, fam.exhaustive)
+    return SolveResult(sol, exhaustive)

@@ -103,6 +103,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 
 from .graph import (
@@ -264,12 +265,13 @@ class ConnectedSolver:
     whose greedy start already meets the bound costs none.
 
     The dominator tuples are the cliques of the piece and, only when the
-    host graph has an induced C5 (graph.find_induced_c5, run once here),
-    its induced P3s.  Every piece is an induced subgraph of the host, so
-    on a C5-free host a connected optimum of a piece is (P5, C5)-free and
-    has a dominating clique (Bacsó and Tuza, 1990; Cozzens and Kelleher,
-    1990), of at most omega vertices as it is H-colorable: the P3s are
-    not needed, and a budget pays for none of them.
+    host graph has an induced C5 (graph.find_induced_c5, run once, the
+    first time a piece walks its tuples), its induced P3s.  Every piece
+    is an induced subgraph of the host, so on a C5-free host a connected
+    optimum of a piece is (P5, C5)-free and has a dominating clique
+    (Bacsó and Tuza, 1990; Cozzens and Kelleher, 1990), of at most omega
+    vertices as it is H-colorable: the P3s are not needed, and a budget
+    pays for none of them.
 
     Inside the solver weights are inst.wt scaled to integers by
     mwis.scale_weights; solve_masked returns weights in these units, and
@@ -303,7 +305,13 @@ class ConnectedSolver:
         # lists they are
         self._memo: dict[tuple[int, ...], tuple[int, tuple[tuple[int, int], ...]]] = {}
         self._components: dict[int, tuple[int, ...]] = {}  # vertex mask -> its components
-        self._p3s = find_induced_c5(inst.g) is not None  # only such a host needs P3s
+
+    @cached_property
+    def _p3s(self) -> bool:
+        """Whether the host has an induced C5, the only host that needs P3
+        dominators; checked when first read (the first tuple walk), and a
+        value set on the solver wins."""
+        return find_induced_c5(self._g) is not None
 
     # -- public entry ------------------------------------------------------
 

@@ -69,12 +69,14 @@ def blob_corpus(complete_corpus):
     return out
 
 
-def test_criterion_1_complete_pattern_exactness(complete_corpus):
+def test_criterion_1_complete_pattern_exactness(blob_corpus):
+    # solve_full returns a certified greedy without the family, so the
+    # family route (family, blob graph, MWIS) is checked on every trial too
     start = time.perf_counter()
     mismatches = 0
-    for inst in complete_corpus:
-        res = solve_full(inst)
-        if res.solution.weight != oracle_solve(inst).weight:
+    for inst, _, blob in blob_corpus:
+        want = oracle_solve(inst).weight
+        if solve_full(inst).solution.weight != want or solve_mwis(blob)[1] != want:
             mismatches += 1
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and elapsed < 900
@@ -90,6 +92,10 @@ def test_criterion_2_soundness_every_pattern(tmp_path_factory):
     for i in range(200):
         inst = corpus_instance(9000 + i, patterns=patterns)
         orc = oracle_solve(inst)
+        # the family route runs on every trial, certified or not
+        routed = solve_mwis(build_blob_graph(inst, build_family(inst)))[1]
+        if routed != orc.weight:
+            failures.append(f"trial {i} family route: weight {routed} != oracle {orc.weight}")
         for label, sol in (
             ("pipeline", solve_full(inst).solution),
             ("connected-stage", solve_connected_case(inst).solution),

@@ -5,15 +5,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import p5hom.blob as blob_module
 from p5hom.blob import build_blob_graph, solve_full
 from p5hom.connected import ConnectedSolver
 from p5hom.family import Family, build_family
-from p5hom.generators import GenSpec, generate
-from p5hom.graph import Graph, find_induced_p5
+from p5hom.generators import GenSpec, generate, trial_spec
+from p5hom.graph import Graph, NotP5FreeError, find_induced_p5, mask_from
+from p5hom.oracle import oracle_solve
 from p5hom.pattern import Instance, PatternGraph, verify_solution
 
 from brute import brute_has_induced_p5, brute_mplhc
@@ -152,21 +153,106 @@ def test_budget_flag_propagates():
     assert res.solution.weight <= 4
 
 
+def certificate(inst):
+    """(greedy weight, its clique-cover bound), both exact: the
+    whole-instance greedy over the vertices with a nonempty list and the
+    cover bound of those vertices at the pattern's clique number on every
+    list color."""
+    engine = ConnectedSolver(inst)
+    lists = inst.lists_masks
+    live = mask_from(v for v in inst.g.vertices if lists[v])
+    universe = 0
+    for v in inst.g.vertices:
+        universe |= lists[v]
+    greedy, _ = engine.incumbent(live, lists)
+    bound = engine.cover_bound(live, engine.clique_number(universe))
+    return Fraction(greedy, engine.scale), Fraction(bound, engine.scale)
+
+
 @pytest.mark.parametrize("budget", [0, 40])
 def test_budgeted_answer_never_below_greedy(budget):
     # a cut family holds only small members; the answer still weighs at
     # least the whole-instance greedy (cograph and split, n = 12 and 16,
-    # K3, seeds 1-4, where the greedy outweighs every budget-40 blob answer)
+    # K3, seeds 1-4, where the greedy outweighs every budget-40 blob
+    # answer); a greedy that meets its bound is returned exhaustive
+    certified = 0
     for family in ("cograph", "split"):
         for n in (12, 16):
             for seed in range(1, 5):
                 inst = generate(GenSpec(family=family, n=n, k=3, seed=seed,
                                         list_density=Fraction(7, 10), weight_range=(0, 6)))
-                engine = ConnectedSolver(inst)
-                greedy, _ = engine.incumbent(inst.g.full_mask, inst.lists_masks)
+                greedy, bound = certificate(inst)
                 res = solve_full(inst, budget=budget)
-                assert not res.exhaustive
-                assert res.solution.weight >= Fraction(greedy, engine.scale)
+                if greedy == bound:
+                    certified += 1
+                    assert res.exhaustive
+                    assert res.solution.weight == bound
+                else:
+                    assert not res.exhaustive
+                    assert res.solution.weight >= greedy
+    assert 0 < certified < 16
+
+
+def counted_build_family(monkeypatch):
+    """Patch solve_full's build_family with one that records each call."""
+    calls = []
+    build = blob_module.build_family
+
+    def counted(inst, budget=None):
+        calls.append(budget)
+        return build(inst, budget=budget)
+
+    monkeypatch.setattr(blob_module, "build_family", counted)
+    return calls
+
+
+def test_certified_instance_skips_the_family(monkeypatch):
+    # K4 under K3 and a split draw whose greedies meet their bounds: the
+    # greedy comes back exhaustive even at budget 0, with no family built
+    calls = counted_build_family(monkeypatch)
+    split = generate(GenSpec(family="split", n=12, k=3, seed=4,
+                             list_density=Fraction(7, 10), weight_range=(0, 6)))
+    for inst in (Instance.build(Graph.complete(4), PatternGraph.complete(3)), split):
+        greedy, bound = certificate(inst)
+        assert greedy == bound
+        engine = ConnectedSolver(inst)
+        _, coloring = engine.incumbent(inst.g.full_mask, inst.lists_masks)
+        res = solve_full(inst, budget=0)
+        assert res.exhaustive
+        assert res.solution.weight == oracle_solve(inst).weight == greedy
+        assert res.solution.coloring == dict(coloring)
+    assert calls == []
+
+
+def test_uncertified_instance_builds_the_family(monkeypatch):
+    # C5 under K2: the greedy colors 4 of the cover bound's 5
+    calls = counted_build_family(monkeypatch)
+    inst = Instance.build(Graph.cycle(5), PatternGraph.complete(2))
+    assert certificate(inst) == (4, 5)
+    res = solve_full(inst)
+    assert res.exhaustive and res.solution.weight == 4
+    assert calls == [None]
+
+
+def test_certified_non_p5free_input_still_raises():
+    # P5 under K2: the greedy 2-colors the whole path, as the bound allows
+    inst = Instance.build(Graph.path(5), PatternGraph.complete(2))
+    assert certificate(inst) == (5, 5)
+    with pytest.raises(NotP5FreeError):
+        solve_full(inst)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["complete:2", "complete:3", "complete:4", "path:3", "path:4"]),
+       st.integers(0, 2), st.integers(0, 10**9))
+def test_certified_greedy_matches_oracle(pattern, index, seed):
+    # the certificate is sound under any pattern: a whole-instance greedy
+    # that meets its cover bound weighs what the oracle does
+    name, _, k = pattern.partition(":")
+    inst = generate(trial_spec(seed, seed + 1, index, 9, name, int(k), Fraction(7, 10)))
+    greedy, bound = certificate(inst)
+    assume(greedy == bound)
+    assert oracle_solve(inst).weight == greedy
 
 
 def random_p5free_instance(seed: int):

@@ -348,9 +348,9 @@ def answers_digest(budget) -> str:
 
 
 @pytest.mark.parametrize("budget, digest", [
-    (None, "5b89c8b5dc8a1b9b8bd0ed153160e5ed01ee94061dda3786968cb679cb82b580"),
-    (5, "67f505262659fa1c4d158b14f007a0c0acb1131658cb478748502b610f624776"),
-    (40, "62ec6e9d2981588d8ec53c0d4be1c5202dc0d6fa8fb8a97ee5a268803873c2c2"),
+    (None, "7235f21ca5cf9093d57f4d46757adb1efc2331e4c33653485bc456a64e1d244e"),
+    (5, "61918a502f380d8c6b835ebf606ba346c189a2902dca30191049bc58ad793908"),
+    (40, "78bda7dca68c6c70a079aad81afde244e02426e76ed23bdb72d4cc8dfae1aff5"),
 ], ids=["None", "5", "40"])
 def test_answers_frozen_digest(budget, digest):
     # the answers (colorings, tie-breaks, exhaustive bits) of both
