@@ -15,8 +15,9 @@ probes that as an invariant but the solver does not rely on it (the MWIS
 stage is exact on arbitrary graphs).
 
 solve_full reaches the family only when a cheaper certificate fails: a
-greedy coloring of the whole instance whose weight meets its clique-cover
-bound is already optimal, and is returned as it is (see solve_full).
+coloring of the whole instance whose weight meets its clique-cover bound
+(the greedy's, or one of the vertices the bound counts) is already
+optimal, and is returned as it is (see solve_full).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .family import Family, build_family
-from .graph import Graph, NotP5FreeError, find_induced_p5, neighborhood_mask
+from .graph import Graph, NotP5FreeError, find_induced_p5, iter_mask, neighborhood_mask
 from .mwis import WeightedGraph, scale_weights, solve_mwis
 from .pattern import Instance, Solution, exists_list_hom, verify_solution
 from .connected import ConnectedSolver, SolveResult
@@ -77,10 +78,14 @@ def solve_full(inst: Instance, budget: int | None = None) -> SolveResult:
     with omega the pattern's clique number on every list color
     (ConnectedSolver.cover_bound).  An answer colors at most omega
     vertices of a host clique and weights are nonnegative, so the bound
-    is at least the optimum: a greedy that meets it is optimal and is
-    returned, exhaustive at any budget, with no guess made and no family
-    built.  Otherwise the family is built (build_family makes the P5
-    check there), its blob graph solved and each picked member colored.
+    is at least the optimum: a greedy that meets it is optimal.  When the
+    greedy falls short, the vertices the bound counts (each cover
+    clique's omega heaviest, ConnectedSolver.cover_counted) weigh the
+    bound exactly, so a list homomorphism of them (exists_list_hom) is
+    optimal too.  Such a certified coloring is returned, exhaustive at
+    any budget, with no guess made and no family built.  Otherwise the
+    family is built (build_family makes the P5 check there), its blob
+    graph solved and each picked member colored.
     The returned solution is always verified feasible; with an uncapped
     budget and a complete pattern it is exact at the scales the test
     suite probes (the differential suite measures any gap for other
@@ -89,10 +94,10 @@ def solve_full(inst: Instance, budget: int | None = None) -> SolveResult:
     may hold only small members, so a run that is not exhaustive returns
     the greedy instead when that is strictly heavier; ties keep the blob
     answer.  The solution stores its weight, so verify_solution's weight
-    check also checks that the colored members (or the greedy's vertices)
-    add up to it.
+    check also checks that the colored members (or the certified or
+    greedy vertices) add up to it.
     """
-    # budget only for its ValueError: incumbent and cover_bound spend no guess
+    # budget only for its ValueError: the certificates spend no guess
     engine = ConnectedSolver(inst, budget=budget)
     lists = inst.lists_masks
     live = universe = 0
@@ -104,11 +109,20 @@ def solve_full(inst: Instance, budget: int | None = None) -> SolveResult:
     greedy_sol = Solution(
         frozenset(v for v, _ in greedy), dict(greedy), Fraction(weight, engine.scale)
     )
-    if engine.cover_bound(live, engine.clique_number(universe)) <= weight:
+    omega = engine.clique_number(universe)
+    bound = engine.cover_bound(live, omega)
+    certified: Solution | None = greedy_sol
+    if bound > weight:
+        counted = engine.cover_counted(live, omega)
+        hom = exists_list_hom(inst.g, inst.h, {v: inst.lists[v] for v in iter_mask(counted)})
+        certified = None if hom is None else Solution(
+            frozenset(hom), hom, Fraction(bound, engine.scale)
+        )
+    if certified is not None:
         witness = find_induced_p5(inst.g)
         if witness is not None:
             raise NotP5FreeError(witness)
-        sol, exhaustive = greedy_sol, True
+        sol, exhaustive = certified, True
     else:
         fam = build_family(inst, budget=budget)
         blob = build_blob_graph(inst, fam)

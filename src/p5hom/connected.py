@@ -114,7 +114,7 @@ from .graph import (
     mask_from,
     masked_components,
 )
-from .mwis import clique_cover_bound, scale_weights, solve_mwis_masked
+from .mwis import clique_cover_bound, clique_cover_counted, scale_weights, solve_mwis_masked
 from .pattern import Instance, Solution, verify_solution
 
 __all__ = [
@@ -499,6 +499,12 @@ class ConnectedSolver:
                 self._adj, self._order, self._wt, mask, omega
             )
         return total
+
+    def cover_counted(self, mask: int, omega: int) -> int:
+        """The vertices that cover_bound(mask, omega) counts, as a mask
+        (mwis.clique_cover_counted): their weights add up to the bound, so
+        an answer that colors all of them is optimal inside mask."""
+        return clique_cover_counted(self._adj, self._order, self._wt, mask, omega)
 
     # -- one dominator guess --------------------------------------------------
 

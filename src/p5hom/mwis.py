@@ -29,8 +29,8 @@ from math import lcm
 from .graph import Graph, iter_mask, set_from_mask
 from .pattern import _check_weight
 
-__all__ = ["WeightedGraph", "clique_cover_bound", "scale_weights", "solve_mwis",
-           "solve_mwis_masked"]
+__all__ = ["WeightedGraph", "clique_cover_bound", "clique_cover_counted", "scale_weights",
+           "solve_mwis", "solve_mwis_masked"]
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,38 @@ def clique_cover_bound(
             room.append(omega - 1)
             total += weights[v]
     return total
+
+
+def clique_cover_counted(
+    adj: Sequence[int], order: Sequence[int], weights: Sequence[int], mask: int, omega: int
+) -> int:
+    """The vertices that clique_cover_bound counts, as a mask: the same
+    greedy cover, each clique keeping its first omega vertices, so their
+    weights add up to the bound.  A walk of its own, because the bound
+    runs in the inner loops of both searches, where building this mask
+    would cost every call.
+    """
+    commons: list[int] = []
+    room: list[int] = []
+    counted = 0
+    for v in order:
+        if not mask or not weights[v]:
+            break
+        if not mask >> v & 1:
+            continue
+        mask ^= 1 << v
+        for i, common in enumerate(commons):
+            if common >> v & 1:
+                commons[i] = common & adj[v]
+                if room[i]:
+                    room[i] -= 1
+                    counted |= 1 << v
+                break
+        else:
+            commons.append(adj[v])
+            room.append(omega - 1)
+            counted |= 1 << v
+    return counted
 
 
 def solve_mwis(wg: WeightedGraph) -> tuple[frozenset[int], Fraction]:

@@ -15,7 +15,7 @@ from p5hom.family import Family, build_family
 from p5hom.generators import GenSpec, generate, trial_spec
 from p5hom.graph import Graph, NotP5FreeError, find_induced_p5, mask_from
 from p5hom.oracle import oracle_solve
-from p5hom.pattern import Instance, PatternGraph, verify_solution
+from p5hom.pattern import Instance, PatternGraph, exists_list_hom, verify_solution
 
 from brute import brute_has_induced_p5, brute_mplhc
 
@@ -154,10 +154,11 @@ def test_budget_flag_propagates():
 
 
 def certificate(inst):
-    """(greedy weight, its clique-cover bound), both exact: the
+    """(greedy weight, its clique-cover bound, whether the vertices the
+    bound counts admit a list homomorphism), the weights exact: the
     whole-instance greedy over the vertices with a nonempty list and the
-    cover bound of those vertices at the pattern's clique number on every
-    list color."""
+    cover of those vertices at the pattern's clique number on every list
+    color."""
     engine = ConnectedSolver(inst)
     lists = inst.lists_masks
     live = mask_from(v for v in inst.g.vertices if lists[v])
@@ -165,8 +166,13 @@ def certificate(inst):
     for v in inst.g.vertices:
         universe |= lists[v]
     greedy, _ = engine.incumbent(live, lists)
-    bound = engine.cover_bound(live, engine.clique_number(universe))
-    return Fraction(greedy, engine.scale), Fraction(bound, engine.scale)
+    omega = engine.clique_number(universe)
+    bound = engine.cover_bound(live, omega)
+    counted = engine.cover_counted(live, omega)
+    colorable = exists_list_hom(
+        inst.g, inst.h, {v: inst.lists[v] for v in inst.g.vertices if counted >> v & 1}
+    ) is not None
+    return Fraction(greedy, engine.scale), Fraction(bound, engine.scale), colorable
 
 
 @pytest.mark.parametrize("budget", [0, 40])
@@ -174,16 +180,17 @@ def test_budgeted_answer_never_below_greedy(budget):
     # a cut family holds only small members; the answer still weighs at
     # least the whole-instance greedy (cograph and split, n = 12 and 16,
     # K3, seeds 1-4, where the greedy outweighs every budget-40 blob
-    # answer); a greedy that meets its bound is returned exhaustive
+    # answer); a certified instance (a greedy that meets its bound, or
+    # colorable counted vertices) is returned exhaustive at the bound
     certified = 0
     for family in ("cograph", "split"):
         for n in (12, 16):
             for seed in range(1, 5):
                 inst = generate(GenSpec(family=family, n=n, k=3, seed=seed,
                                         list_density=Fraction(7, 10), weight_range=(0, 6)))
-                greedy, bound = certificate(inst)
+                greedy, bound, colorable = certificate(inst)
                 res = solve_full(inst, budget=budget)
-                if greedy == bound:
+                if greedy == bound or colorable:
                     certified += 1
                     assert res.exhaustive
                     assert res.solution.weight == bound
@@ -213,7 +220,7 @@ def test_certified_instance_skips_the_family(monkeypatch):
     split = generate(GenSpec(family="split", n=12, k=3, seed=4,
                              list_density=Fraction(7, 10), weight_range=(0, 6)))
     for inst in (Instance.build(Graph.complete(4), PatternGraph.complete(3)), split):
-        greedy, bound = certificate(inst)
+        greedy, bound, _ = certificate(inst)
         assert greedy == bound
         engine = ConnectedSolver(inst)
         _, coloring = engine.incumbent(inst.g.full_mask, inst.lists_masks)
@@ -224,11 +231,28 @@ def test_certified_instance_skips_the_family(monkeypatch):
     assert calls == []
 
 
+def test_colorable_counted_vertices_skip_the_family(monkeypatch):
+    # P3 under K2, the middle vertex heaviest and the ends listing color 1
+    # alone: the greedy gives the middle color 1 and drops both ends (3 of
+    # 7), but all three vertices the bound counts are colorable, so that
+    # coloring comes back exhaustive at budget 0, with no family built
+    calls = counted_build_family(monkeypatch)
+    inst = Instance.build(Graph.path(3), PatternGraph.complete(2),
+                          wt={1: 2, 2: 3, 3: 2}, lists={1: [1], 3: [1]})
+    assert certificate(inst) == (3, 7, True)
+    res = solve_full(inst, budget=0)
+    assert res.exhaustive
+    assert res.solution.coloring == {1: 1, 2: 2, 3: 1}
+    assert res.solution.weight == oracle_solve(inst).weight == 7
+    assert calls == []
+
+
 def test_uncertified_instance_builds_the_family(monkeypatch):
-    # C5 under K2: the greedy colors 4 of the cover bound's 5
+    # C5 under K2: the greedy colors 4 of the cover bound's 5, and the
+    # five counted vertices are an odd cycle
     calls = counted_build_family(monkeypatch)
     inst = Instance.build(Graph.cycle(5), PatternGraph.complete(2))
-    assert certificate(inst) == (4, 5)
+    assert certificate(inst) == (4, 5, False)
     res = solve_full(inst)
     assert res.exhaustive and res.solution.weight == 4
     assert calls == [None]
@@ -237,7 +261,7 @@ def test_uncertified_instance_builds_the_family(monkeypatch):
 def test_certified_non_p5free_input_still_raises():
     # P5 under K2: the greedy 2-colors the whole path, as the bound allows
     inst = Instance.build(Graph.path(5), PatternGraph.complete(2))
-    assert certificate(inst) == (5, 5)
+    assert certificate(inst) == (5, 5, True)
     with pytest.raises(NotP5FreeError):
         solve_full(inst)
 
@@ -250,9 +274,25 @@ def test_certified_greedy_matches_oracle(pattern, index, seed):
     # that meets its cover bound weighs what the oracle does
     name, _, k = pattern.partition(":")
     inst = generate(trial_spec(seed, seed + 1, index, 9, name, int(k), Fraction(7, 10)))
-    greedy, bound = certificate(inst)
+    greedy, bound, _ = certificate(inst)
     assume(greedy == bound)
     assert oracle_solve(inst).weight == greedy
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["complete:2", "complete:3", "complete:4", "path:3", "path:4"]),
+       st.integers(0, 2), st.integers(0, 10**9))
+def test_colorable_counted_vertices_match_oracle(pattern, index, seed):
+    # so is the second certificate: when the vertices the cover bound
+    # counts are colorable, the bound is the optimum, and solve_full
+    # returns it exhaustive at budget 0
+    name, _, k = pattern.partition(":")
+    inst = generate(trial_spec(seed, seed + 1, index, 9, name, int(k), Fraction(7, 10)))
+    _, bound, colorable = certificate(inst)
+    if colorable:
+        assert oracle_solve(inst).weight == bound
+        res = solve_full(inst, budget=0)
+        assert res.exhaustive and res.solution.weight == bound
 
 
 def random_p5free_instance(seed: int):

@@ -349,8 +349,8 @@ def answers_digest(budget) -> str:
 
 @pytest.mark.parametrize("budget, digest", [
     (None, "7235f21ca5cf9093d57f4d46757adb1efc2331e4c33653485bc456a64e1d244e"),
-    (5, "61918a502f380d8c6b835ebf606ba346c189a2902dca30191049bc58ad793908"),
-    (40, "78bda7dca68c6c70a079aad81afde244e02426e76ed23bdb72d4cc8dfae1aff5"),
+    (5, "b447ce47c09370044e55bb801f31bbc9a78c9953761c7e2091ea625914bfc501"),
+    (40, "d2127424f28c0ac428ca00c9d48a9d512579e43d9671e959b8f2ba3499ae4613"),
 ], ids=["None", "5", "40"])
 def test_answers_frozen_digest(budget, digest):
     # the answers (colorings, tie-breaks, exhaustive bits) of both

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p5hom.graph import Graph
-from p5hom.mwis import WeightedGraph, clique_cover_bound, solve_mwis, solve_mwis_masked
+from p5hom.mwis import (WeightedGraph, clique_cover_bound, clique_cover_counted, solve_mwis,
+                        solve_mwis_masked)
 
 from brute import brute_mwis, brute_mwis_subsets, plain_sum_solve_mwis_masked
 
@@ -145,3 +146,22 @@ def test_clique_cover_bound(seed):
     heaviest = [weights[v] for v in order if clique >> v & 1]
     for omega in (1, 2, 3):
         assert clique_cover_bound(adj, order, weights, clique, omega) == sum(heaviest[:omega])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 4))
+def test_clique_cover_counted(seed, omega):
+    # the counted vertices lie in the mask and weigh the bound; on a
+    # clique they are its omega heaviest of positive weight, ties by id
+    n, adj, weights, vmask, rng = masked_graph(seed, 12)
+    order = sorted(range(1, n + 1), key=lambda v: (-weights[v], v))
+    counted = clique_cover_counted(adj, order, weights, vmask, omega)
+    assert counted & ~vmask == 0
+    assert sum(weights[v] for v in range(1, n + 1) if counted >> v & 1) == clique_cover_bound(
+        adj, order, weights, vmask, omega)
+    clique = 0
+    for v in rng.sample(range(1, n + 1), n):
+        if adj[v] & clique == clique:
+            clique |= 1 << v
+    heaviest = [v for v in order if clique >> v & 1 and weights[v]][:omega]
+    assert clique_cover_counted(adj, order, weights, clique, omega) == sum(1 << v for v in heaviest)
