@@ -15,9 +15,18 @@ probes that as an invariant but the solver does not rely on it (the MWIS
 stage is exact on arbitrary graphs).
 
 solve_full reaches the family only when a cheaper certificate fails: a
-coloring of the whole instance whose weight meets its clique-cover bound
-(the greedy's, or one of the vertices the bound counts) is already
-optimal, and is returned as it is (see solve_full).
+coloring of the whole instance whose weight meets an upper bound on the
+optimum is already optimal, and is returned as it is.  The bounds come
+from greedy covers of the host by cliques.  The colored vertices of one
+host clique are pairwise adjacent and the pattern is loopless, so they
+take pairwise distinct, pairwise pattern-adjacent colors of their lists:
+a pattern clique, matched to them.  The first bound lets each cover
+clique count its omega heaviest vertices, omega the pattern's clique
+number; the second, tried only when the first certifies nothing, its
+heaviest vertices that their lists can match to one maximal pattern
+clique.  The coloring is the greedy's, when it meets a bound, or a list
+homomorphism of the vertices a bound counts, which weigh it exactly (see
+solve_full).
 """
 
 from __future__ import annotations
@@ -25,7 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .family import Family, build_family
+# the family build goes by this name, which perfbench's tracer times as
+# the family layer; it takes the solver of solve_full's certificates
+from .family import Family, _build_family as build_family
 from .graph import Graph, NotP5FreeError, find_induced_p5, iter_mask, neighborhood_mask
 from .mwis import WeightedGraph, scale_weights, solve_mwis
 from .pattern import Instance, Solution, exists_list_hom, verify_solution
@@ -74,18 +85,26 @@ def solve_full(inst: Instance, budget: int | None = None) -> SolveResult:
     Raises NotP5FreeError on inputs with an induced 5-vertex path, and
     ValueError on a negative budget.  The first step colors the whole
     instance greedily (ConnectedSolver.incumbent over the vertices with a
-    nonempty list) and bounds it by the clique cover of those vertices
-    with omega the pattern's clique number on every list color
-    (ConnectedSolver.cover_bound).  An answer colors at most omega
-    vertices of a host clique and weights are nonnegative, so the bound
-    is at least the optimum: a greedy that meets it is optimal.  When the
-    greedy falls short, the vertices the bound counts (each cover
-    clique's omega heaviest, ConnectedSolver.cover_counted) weigh the
-    bound exactly, so a list homomorphism of them (exists_list_hom) is
-    optimal too.  Such a certified coloring is returned, exhaustive at
-    any budget, with no guess made and no family built.  Otherwise the
-    family is built (build_family makes the P5 check there), its blob
-    graph solved and each picked member colored.
+    nonempty list) and tries to certify a coloring of the whole instance
+    against two upper bounds on the optimum, in turn.  Both split the
+    vertices into host cliques greedily.  The first lets each clique
+    count its omega heaviest vertices, omega the pattern's clique number
+    on every list color (ConnectedSolver.cover_bound).  The second lets
+    it count its heaviest vertices whose lists can take pairwise distinct
+    colors of one maximal pattern clique, and takes the lesser of two
+    covers (ConnectedSolver.list_cover).  Both bound the optimum: the
+    colored vertices of a host clique are pairwise adjacent, and the
+    pattern is loopless, so they take pairwise distinct, pairwise
+    pattern-adjacent colors of their lists, a pattern clique of at most
+    omega colors matched to them; weights are nonnegative.  Against each
+    bound in turn, a greedy that meets it is optimal, and so is a list
+    homomorphism (exists_list_hom) of the vertices it counts, which weigh
+    the bound exactly.  The second bound is built only when neither check
+    passes against the first.  A certified coloring is returned after
+    the P5 check, exhaustive at any budget, with no guess made and no
+    family built.  Otherwise the certificate's solver, which spent no
+    guess, builds the family (family._build_family, which makes the P5
+    check), its blob graph is solved and each picked member colored.
     The returned solution is always verified feasible; with an uncapped
     budget and a complete pattern it is exact at the scales the test
     suite probes (the differential suite measures any gap for other
@@ -97,7 +116,7 @@ def solve_full(inst: Instance, budget: int | None = None) -> SolveResult:
     check also checks that the colored members (or the certified or
     greedy vertices) add up to it.
     """
-    # budget only for its ValueError: the certificates spend no guess
+    # one solver for the certificates, which spend no guess, and the family
     engine = ConnectedSolver(inst, budget=budget)
     lists = inst.lists_masks
     live = universe = 0
@@ -111,20 +130,26 @@ def solve_full(inst: Instance, budget: int | None = None) -> SolveResult:
     )
     omega = engine.clique_number(universe)
     bound = engine.cover_bound(live, omega)
-    certified: Solution | None = greedy_sol
-    if bound > weight:
-        counted = engine.cover_counted(live, omega)
+    certified: Solution | None = None
+    for rung in range(2):
+        if rung:  # the list-aware cover, built only when the first fails
+            bound, counted = engine.list_cover(live, lists, universe)
+        if bound <= weight:
+            certified = greedy_sol
+            break
+        if not rung:
+            counted = engine.cover_counted(live, omega)
         hom = exists_list_hom(inst.g, inst.h, {v: inst.lists[v] for v in iter_mask(counted)})
-        certified = None if hom is None else Solution(
-            frozenset(hom), hom, Fraction(bound, engine.scale)
-        )
+        if hom is not None:
+            certified = Solution(frozenset(hom), hom, Fraction(bound, engine.scale))
+            break
     if certified is not None:
         witness = find_induced_p5(inst.g)
         if witness is not None:
             raise NotP5FreeError(witness)
         sol, exhaustive = certified, True
     else:
-        fam = build_family(inst, budget=budget)
+        fam = build_family(inst, lambda: engine)
         blob = build_blob_graph(inst, fam)
         picked, blob_weight = solve_mwis(blob)
         coloring: dict[int, int] = {}

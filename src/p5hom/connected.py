@@ -113,8 +113,15 @@ from .graph import (
     iter_mask,
     mask_from,
     masked_components,
+    maximal_cliques,
 )
-from .mwis import clique_cover_bound, clique_cover_counted, scale_weights, solve_mwis_masked
+from .mwis import (
+    clique_cover_bound,
+    clique_cover_counted,
+    list_clique_cover,
+    scale_weights,
+    solve_mwis_masked,
+)
 from .pattern import Instance, Solution, verify_solution
 
 __all__ = [
@@ -505,6 +512,30 @@ class ConnectedSolver:
         (mwis.clique_cover_counted): their weights add up to the bound, so
         an answer that colors all of them is optimal inside mask."""
         return clique_cover_counted(self._adj, self._order, self._wt, mask, omega)
+
+    def list_cover(self, mask: int, lists: Sequence[int], colors: int) -> tuple[int, int]:
+        """(bound, counted): an upper bound on the weight of any answer
+        inside mask that colors from lists and only with colors of the
+        color mask colors, and the vertices the bound counts, which weigh
+        it exactly.
+
+        It is mwis.list_clique_cover over the maximal cliques of the
+        pattern on colors, taken for two greedy clique covers, in the
+        solver's weight order and in degree-descending order (degrees in
+        the host graph, ties in weight order), and the lesser of the two,
+        the weight order's on a tie.  An answer's vertices in one host
+        clique take pairwise distinct, pairwise pattern-adjacent colors of
+        their lists: a pattern clique, inside a maximal one, matched to
+        them.  So each cover clique holds at most the weight it counts,
+        and the bound is at most cover_bound(mask, omega), which counts
+        each clique's omega heaviest.  Computed afresh on every call.
+        """
+        adj = self._adj
+        cliques = maximal_cliques(self._hadj, colors)
+        by_degree = sorted(self._order, key=lambda v: -adj[v].bit_count())
+        weight_cover = list_clique_cover(adj, self._order, self._wt, mask, lists, cliques)
+        degree_cover = list_clique_cover(adj, by_degree, self._wt, mask, lists, cliques)
+        return degree_cover if degree_cover[0] < weight_cover[0] else weight_cover
 
     # -- one dominator guess --------------------------------------------------
 

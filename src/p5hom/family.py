@@ -83,7 +83,7 @@ directly; they become frozensets only in the returned Family.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -325,14 +325,23 @@ def build_family(inst: Instance, budget: int | None = None) -> Family:
     each member keeps the provenance of the first guess that yields it.
     The singletons are seeded first, so no one-vertex piece is solved.
     """
+    return _build_family(inst, lambda: ConnectedSolver(inst, budget=budget))
+
+
+def _build_family(inst: Instance, new_solver: Callable[[], ConnectedSolver]) -> Family:
+    """build_family with the solver that new_solver returns, asked for
+    after the P5 check, so that NotP5FreeError comes before a negative
+    budget's ValueError.  blob.solve_full passes the solver of its
+    certificates, which spent no guess: the build draws on its budget and
+    shares its caches."""
     witness = find_induced_p5(inst.g)
     if witness is not None:
         raise NotP5FreeError(witness)
+    solver = new_solver()
     members: dict[int, FamilyProvenance | str] = {}
     for v in inst.g.vertices:
         if inst.lists[v]:
             members.setdefault(1 << v, "singleton")
-    solver = ConnectedSolver(inst, budget=budget)
     for mask, prov in _guessed_members(inst, solver):
         members.setdefault(mask, prov)
 

@@ -29,6 +29,7 @@ __all__ = [
     "iter_mask",
     "mask_from",
     "masked_components",
+    "maximal_cliques",
     "neighborhood_mask",
     "set_from_mask",
 ]
@@ -181,6 +182,30 @@ def neighborhood_mask(adj: Sequence[int], mask: int) -> int:
     out = 0
     for v in iter_mask(mask):
         out |= adj[v]
+    return out
+
+
+def maximal_cliques(adj: Sequence[int], mask: int) -> list[int]:
+    """The maximal cliques of the graph induced on mask, as masks in
+    ascending order, given an adjacency table like that of
+    Graph.adjacency_masks.
+
+    Bron and Kerbosch (1973) without a pivot, on an explicit stack: a
+    state (clique, candidates, excluded) branches on each candidate in
+    turn, which then moves from the candidates to the excluded, and a
+    state with neither is a maximal clique.  Each one is found once.
+    """
+    out = []
+    stack = [(0, mask, 0)]
+    while stack:
+        clique, cand, excl = stack.pop()
+        if not cand | excl:
+            out.append(clique)
+        for v in iter_mask(cand):
+            stack.append((clique | 1 << v, cand & adj[v], excl & adj[v]))
+            cand ^= 1 << v
+            excl |= 1 << v
+    out.sort()
     return out
 
 

@@ -29,8 +29,8 @@ from math import lcm
 from .graph import Graph, iter_mask, set_from_mask
 from .pattern import _check_weight
 
-__all__ = ["WeightedGraph", "clique_cover_bound", "clique_cover_counted", "scale_weights",
-           "solve_mwis", "solve_mwis_masked"]
+__all__ = ["WeightedGraph", "clique_cover_bound", "clique_cover_counted", "list_clique_cover",
+           "scale_weights", "solve_mwis", "solve_mwis_masked"]
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,96 @@ def clique_cover_counted(
             room.append(omega - 1)
             counted |= 1 << v
     return counted
+
+
+def _greedy_cliques(
+    adj: Sequence[int], order: Sequence[int], weights: Sequence[int], mask: int
+) -> list[list[int]]:
+    """The cliques of clique_cover_bound's greedy cover, each as its
+    vertices in order: the vertices of mask with a nonzero weight, taken
+    in order (any order that holds every vertex of mask), each joining
+    the first clique it is adjacent to throughout or opening a new one.
+    The bound and clique_cover_counted keep walks of their own, which
+    build no lists: the bound runs in the inner loops of both searches,
+    and the counted vertices on solve_full's first certificate.
+    """
+    commons: list[int] = []  # common neighborhood of each clique
+    cliques: list[list[int]] = []
+    for v in order:
+        if not mask:
+            break
+        if not mask >> v & 1:
+            continue
+        mask ^= 1 << v
+        if not weights[v]:
+            continue
+        for i, common in enumerate(commons):
+            if common >> v & 1:
+                commons[i] = common & adj[v]
+                cliques[i].append(v)
+                break
+        else:
+            commons.append(adj[v])
+            cliques.append([v])
+    return cliques
+
+
+def list_clique_cover(
+    adj: Sequence[int],
+    order: Sequence[int],
+    weights: Sequence[int],
+    mask: int,
+    lists: Sequence[int],
+    colorsets: Sequence[int],
+) -> tuple[int, int]:
+    """(bound, counted): a clique cover that reads the lists.
+
+    The cliques are those of _greedy_cliques in the given order.  Each
+    counts its heaviest subset whose vertices take pairwise distinct
+    colors of one color set, each a color of its list (lists[v], a color
+    mask), the best color set of colorsets for that clique.  counted is
+    the union of those subsets, so its weights add up to bound.
+
+    Such subsets are the independent sets of a transversal matroid, so
+    its greedy (Edmonds and Fulkerson, 1965) finds a heaviest one: walk
+    the clique heaviest first and keep a vertex when an augmenting path
+    (_augment) matches it, every kept vertex keeping a color.  Everything
+    is on integers and deterministic: ties keep the earlier color set
+    and, inside a clique, the lighter id.
+    """
+    bound = counted = 0
+    for clique in _greedy_cliques(adj, order, weights, mask):
+        clique.sort(key=lambda v: (-weights[v], v))
+        best = best_kept = -1
+        for colors in colorsets:
+            owner: dict[int, int] = {}  # color -> the kept vertex matched to it
+            total = kept = 0
+            for v in clique:
+                if _augment(v, lists, colors, owner, set()):
+                    total += weights[v]
+                    kept |= 1 << v
+            if total > best:
+                best, best_kept = total, kept
+        bound += best
+        counted |= best_kept
+    return bound, counted
+
+
+def _augment(
+    v: int, lists: Sequence[int], colors: int, owner: dict[int, int], seen: set[int]
+) -> bool:
+    """Kuhn's augmenting path: match v to a color of its list in colors,
+    in place in owner, each matched vertex on the path moving on to
+    another color of its list; False, owner unchanged, when there is no
+    path.  seen holds the colors this search has visited."""
+    for c in iter_mask(lists[v] & colors):
+        if c not in seen:
+            seen.add(c)
+            u = owner.get(c)
+            if u is None or _augment(u, lists, colors, owner, seen):
+                owner[c] = v
+                return True
+    return False
 
 
 def solve_mwis(wg: WeightedGraph) -> tuple[frozenset[int], Fraction]:

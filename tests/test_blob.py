@@ -154,11 +154,11 @@ def test_budget_flag_propagates():
 
 
 def certificate(inst):
-    """(greedy weight, its clique-cover bound, whether the vertices the
-    bound counts admit a list homomorphism), the weights exact: the
-    whole-instance greedy over the vertices with a nonempty list and the
-    cover of those vertices at the pattern's clique number on every list
-    color."""
+    """(greedy weight, rungs), the weights exact: the whole-instance
+    greedy over the vertices with a nonempty list, and per bound in
+    solve_full's order (the clique cover at the pattern's clique number on
+    every list color, then the list-aware cover) the pair (bound, whether
+    the vertices it counts admit a list homomorphism)."""
     engine = ConnectedSolver(inst)
     lists = inst.lists_masks
     live = mask_from(v for v in inst.g.vertices if lists[v])
@@ -167,12 +167,24 @@ def certificate(inst):
         universe |= lists[v]
     greedy, _ = engine.incumbent(live, lists)
     omega = engine.clique_number(universe)
-    bound = engine.cover_bound(live, omega)
-    counted = engine.cover_counted(live, omega)
-    colorable = exists_list_hom(
-        inst.g, inst.h, {v: inst.lists[v] for v in inst.g.vertices if counted >> v & 1}
-    ) is not None
-    return Fraction(greedy, engine.scale), Fraction(bound, engine.scale), colorable
+    rungs = []
+    for bound, counted in ((engine.cover_bound(live, omega), engine.cover_counted(live, omega)),
+                           engine.list_cover(live, lists, universe)):
+        colorable = exists_list_hom(
+            inst.g, inst.h, {v: inst.lists[v] for v in inst.g.vertices if counted >> v & 1}
+        ) is not None
+        rungs.append((Fraction(bound, engine.scale), colorable))
+    return Fraction(greedy, engine.scale), tuple(rungs)
+
+
+def certified_bound(greedy, rungs):
+    """The bound solve_full certifies its answer at, given certificate's
+    answer: that of the first rung whose bound the greedy meets or whose
+    counted vertices are colorable; None when neither rung certifies."""
+    for bound, colorable in rungs:
+        if greedy == bound or colorable:
+            return bound
+    return None
 
 
 @pytest.mark.parametrize("budget", [0, 40])
@@ -180,17 +192,19 @@ def test_budgeted_answer_never_below_greedy(budget):
     # a cut family holds only small members; the answer still weighs at
     # least the whole-instance greedy (cograph and split, n = 12 and 16,
     # K3, seeds 1-4, where the greedy outweighs every budget-40 blob
-    # answer); a certified instance (a greedy that meets its bound, or
-    # colorable counted vertices) is returned exhaustive at the bound
+    # answer); a certified instance (a greedy that meets a rung's bound,
+    # or colorable vertices that it counts) is returned exhaustive at the
+    # bound of the first rung that certifies it
     certified = 0
     for family in ("cograph", "split"):
         for n in (12, 16):
             for seed in range(1, 5):
                 inst = generate(GenSpec(family=family, n=n, k=3, seed=seed,
                                         list_density=Fraction(7, 10), weight_range=(0, 6)))
-                greedy, bound, colorable = certificate(inst)
+                greedy, rungs = certificate(inst)
+                bound = certified_bound(greedy, rungs)
                 res = solve_full(inst, budget=budget)
-                if greedy == bound or colorable:
+                if bound is not None:
                     certified += 1
                     assert res.exhaustive
                     assert res.solution.weight == bound
@@ -201,13 +215,13 @@ def test_budgeted_answer_never_below_greedy(budget):
 
 
 def counted_build_family(monkeypatch):
-    """Patch solve_full's build_family with one that records each call."""
+    """Patch solve_full's family build with one that records each call."""
     calls = []
     build = blob_module.build_family
 
-    def counted(inst, budget=None):
-        calls.append(budget)
-        return build(inst, budget=budget)
+    def counted(inst, new_solver):
+        calls.append(inst)
+        return build(inst, new_solver)
 
     monkeypatch.setattr(blob_module, "build_family", counted)
     return calls
@@ -220,8 +234,8 @@ def test_certified_instance_skips_the_family(monkeypatch):
     split = generate(GenSpec(family="split", n=12, k=3, seed=4,
                              list_density=Fraction(7, 10), weight_range=(0, 6)))
     for inst in (Instance.build(Graph.complete(4), PatternGraph.complete(3)), split):
-        greedy, bound, _ = certificate(inst)
-        assert greedy == bound
+        greedy, rungs = certificate(inst)
+        assert greedy == rungs[0][0]
         engine = ConnectedSolver(inst)
         _, coloring = engine.incumbent(inst.g.full_mask, inst.lists_masks)
         res = solve_full(inst, budget=0)
@@ -239,7 +253,8 @@ def test_colorable_counted_vertices_skip_the_family(monkeypatch):
     calls = counted_build_family(monkeypatch)
     inst = Instance.build(Graph.path(3), PatternGraph.complete(2),
                           wt={1: 2, 2: 3, 3: 2}, lists={1: [1], 3: [1]})
-    assert certificate(inst) == (3, 7, True)
+    greedy, rungs = certificate(inst)
+    assert (greedy, rungs[0]) == (3, (7, True))
     res = solve_full(inst, budget=0)
     assert res.exhaustive
     assert res.solution.coloring == {1: 1, 2: 2, 3: 1}
@@ -247,52 +262,99 @@ def test_colorable_counted_vertices_skip_the_family(monkeypatch):
     assert calls == []
 
 
+def test_list_cover_certifies_where_the_omega_count_fails(monkeypatch):
+    # cograph n = 12, K3, seed 4: the greedy misses the omega-count bound
+    # and the vertices that bound counts are not colorable, but the greedy
+    # meets the list-aware bound or the vertices it counts are colorable,
+    # so the instance comes back exhaustive at budget 0 at the oracle's
+    # weight, with no family built
+    calls = counted_build_family(monkeypatch)
+    inst = generate(GenSpec(family="cograph", n=12, k=3, seed=4,
+                            list_density=Fraction(7, 10), weight_range=(0, 6)))
+    greedy, (first, second) = certificate(inst)
+    assert greedy < first[0] and not first[1]
+    assert greedy == second[0] or second[1]
+    res = solve_full(inst, budget=0)
+    assert res.exhaustive
+    assert res.solution.weight == oracle_solve(inst).weight == second[0]
+    assert calls == []
+
+
 def test_uncertified_instance_builds_the_family(monkeypatch):
-    # C5 under K2: the greedy colors 4 of the cover bound's 5, and the
-    # five counted vertices are an odd cycle
+    # C5 under K2: the greedy colors 4 of both bounds' 5, and the five
+    # counted vertices are an odd cycle
     calls = counted_build_family(monkeypatch)
     inst = Instance.build(Graph.cycle(5), PatternGraph.complete(2))
-    assert certificate(inst) == (4, 5, False)
+    assert certificate(inst) == (4, ((5, False), (5, False)))
     res = solve_full(inst)
     assert res.exhaustive and res.solution.weight == 4
-    assert calls == [None]
+    assert calls == [inst]
 
 
 def test_certified_non_p5free_input_still_raises():
     # P5 under K2: the greedy 2-colors the whole path, as the bound allows
     inst = Instance.build(Graph.path(5), PatternGraph.complete(2))
-    assert certificate(inst) == (5, 5, True)
+    greedy, rungs = certificate(inst)
+    assert (greedy, rungs[0]) == (5, (5, True))
     with pytest.raises(NotP5FreeError):
         solve_full(inst)
 
 
+PATTERNS = ["complete:2", "complete:3", "complete:4", "path:3", "path:4"]
+
+
+def trial_instance(pattern, index, seed):
+    name, _, k = pattern.partition(":")
+    return generate(trial_spec(seed, seed + 1, index, 9, name, int(k), Fraction(7, 10)))
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(["complete:2", "complete:3", "complete:4", "path:3", "path:4"]),
-       st.integers(0, 2), st.integers(0, 10**9))
+@given(st.sampled_from(PATTERNS), st.integers(0, 2), st.integers(0, 10**9))
 def test_certified_greedy_matches_oracle(pattern, index, seed):
     # the certificate is sound under any pattern: a whole-instance greedy
-    # that meets its cover bound weighs what the oracle does
-    name, _, k = pattern.partition(":")
-    inst = generate(trial_spec(seed, seed + 1, index, 9, name, int(k), Fraction(7, 10)))
-    greedy, bound, _ = certificate(inst)
-    assume(greedy == bound)
+    # that meets either cover bound weighs what the oracle does
+    inst = trial_instance(pattern, index, seed)
+    greedy, rungs = certificate(inst)
+    assume(any(greedy == bound for bound, _ in rungs))
     assert oracle_solve(inst).weight == greedy
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(["complete:2", "complete:3", "complete:4", "path:3", "path:4"]),
-       st.integers(0, 2), st.integers(0, 10**9))
+@given(st.sampled_from(PATTERNS), st.integers(0, 2), st.integers(0, 10**9))
 def test_colorable_counted_vertices_match_oracle(pattern, index, seed):
-    # so is the second certificate: when the vertices the cover bound
+    # so are the other certificates: when the vertices a cover bound
     # counts are colorable, the bound is the optimum, and solve_full
-    # returns it exhaustive at budget 0
-    name, _, k = pattern.partition(":")
-    inst = generate(trial_spec(seed, seed + 1, index, 9, name, int(k), Fraction(7, 10)))
-    _, bound, colorable = certificate(inst)
-    if colorable:
-        assert oracle_solve(inst).weight == bound
+    # returns the first certified bound exhaustive at budget 0
+    inst = trial_instance(pattern, index, seed)
+    greedy, rungs = certificate(inst)
+    want = oracle_solve(inst).weight
+    for bound, colorable in rungs:
+        if colorable:
+            assert want == bound
+    bound = certified_bound(greedy, rungs)
+    if bound is not None:
         res = solve_full(inst, budget=0)
-        assert res.exhaustive and res.solution.weight == bound
+        assert res.exhaustive and res.solution.weight == bound == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PATTERNS), st.integers(0, 2), st.integers(0, 10**9))
+def test_list_cover_bounds_the_optimum(pattern, index, seed):
+    # the list-aware bound is at least the optimum and at most the
+    # omega-count bound, and the vertices it counts weigh it exactly
+    inst = trial_instance(pattern, index, seed)
+    engine = ConnectedSolver(inst)
+    lists = inst.lists_masks
+    live = mask_from(v for v in inst.g.vertices if lists[v])
+    universe = 0
+    for v in inst.g.vertices:
+        universe |= lists[v]
+    bound, counted = engine.list_cover(live, lists, universe)
+    assert Fraction(bound, engine.scale) >= oracle_solve(inst).weight
+    assert bound <= engine.cover_bound(live, engine.clique_number(universe))
+    assert counted & ~live == 0
+    assert inst.weight_of(v for v in inst.g.vertices if counted >> v & 1) == Fraction(
+        bound, engine.scale)
 
 
 def random_p5free_instance(seed: int):

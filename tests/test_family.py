@@ -348,9 +348,9 @@ def answers_digest(budget) -> str:
 
 
 @pytest.mark.parametrize("budget, digest", [
-    (None, "7235f21ca5cf9093d57f4d46757adb1efc2331e4c33653485bc456a64e1d244e"),
-    (5, "b447ce47c09370044e55bb801f31bbc9a78c9953761c7e2091ea625914bfc501"),
-    (40, "d2127424f28c0ac428ca00c9d48a9d512579e43d9671e959b8f2ba3499ae4613"),
+    (None, "0c9eaa8fd366b54189975e4d3113e864216b9a684f42fcb6ac52272d26d68106"),
+    (5, "66597d74d325a4aecb22e266c63b9f2c5984aa0271f0ca664a4f031d1b56e807"),
+    (40, "972518ef7298e0b81fc9934abca50130608a6737bb830bb6eb50c14641069250"),
 ], ids=["None", "5", "40"])
 def test_answers_frozen_digest(budget, digest):
     # the answers (colorings, tie-breaks, exhaustive bits) of both

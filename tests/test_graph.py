@@ -19,6 +19,7 @@ from p5hom.graph import (
     iter_mask,
     mask_from,
     masked_components,
+    maximal_cliques,
     neighborhood_mask,
     set_from_mask,
 )
@@ -132,6 +133,27 @@ def test_neighborhood_mask():
     assert set_from_mask(neighborhood_mask(adj, mask_from([1]))) == {2}
     assert set_from_mask(neighborhood_mask(adj, mask_from([1, 3]))) == {2}
     assert neighborhood_mask(adj, 0) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_strategy, st.integers(0, 10**6))
+def test_maximal_cliques_match_brute(g, seed):
+    # exactly the cliques of the induced subgraph that no vertex of the
+    # mask extends, ascending; an empty mask has the empty clique alone
+    adj = g.adjacency_masks()
+    vmask = mask_from(v for v in g.vertices if random.Random(seed).random() < 0.8)
+    verts = set_from_mask(vmask)
+
+    def is_clique(s):
+        return all(g.has_edge(u, v) for u, v in itertools.combinations(s, 2))
+
+    want = sorted(
+        mask_from(s)
+        for r in range(len(verts) + 1)
+        for s in itertools.combinations(sorted(verts), r)
+        if is_clique(s) and not any(is_clique((*s, x)) for x in verts - set(s))
+    )
+    assert maximal_cliques(adj, vmask) == want
 
 
 def test_find_induced_p5_frozen_cases():

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p5hom.graph import Graph
-from p5hom.mwis import (WeightedGraph, clique_cover_bound, clique_cover_counted, solve_mwis,
-                        solve_mwis_masked)
+from p5hom.mwis import (WeightedGraph, clique_cover_bound, clique_cover_counted,
+                        list_clique_cover, solve_mwis, solve_mwis_masked)
 
 from brute import brute_mwis, brute_mwis_subsets, plain_sum_solve_mwis_masked
 
@@ -165,3 +165,54 @@ def test_clique_cover_counted(seed, omega):
             clique |= 1 << v
     heaviest = [v for v in order if clique >> v & 1 and weights[v]][:omega]
     assert clique_cover_counted(adj, order, weights, clique, omega) == sum(1 << v for v in heaviest)
+
+
+def test_list_clique_cover_reroutes_a_matched_vertex():
+    # a triangle under one color set {1, 2}: vertex 1 (weight 5) lists
+    # both colors and takes color 1 first; vertex 2 (weight 4) lists only
+    # color 1, so an augmenting path moves vertex 1 to color 2; vertex 3
+    # (weight 3) lists color 1 too and finds no color left
+    adj = [0, 0b1100, 0b1010, 0b0110]
+    weights = [0, 5, 4, 3]
+    lists = [0, 0b110, 0b010, 0b010]
+    order = [1, 2, 3]
+    assert list_clique_cover(adj, order, weights, 0b1110, lists, [0b110]) == (9, 0b0110)
+    # two color sets, {1} and {2, 3}: the second fits only vertex 1, the
+    # first the heaviest of any one vertex, so the tie keeps the first
+    assert list_clique_cover(adj, order, weights, 0b1110, lists, [0b010, 0b1100]) == (5, 0b0010)
+
+
+def brute_matchable(clique, weights, lists, colors):
+    """The heaviest weight of a subset of clique whose vertices take
+    pairwise distinct colors of colors, each from its list."""
+    best = 0
+    for r in range(len(clique) + 1):
+        for sub in itertools.combinations(clique, r):
+            options = [[c for c in range(1, 8) if (lists[v] & colors) >> c & 1] for v in sub]
+            if any(len(set(pick)) == r for pick in itertools.product(*options)):
+                best = max(best, sum(weights[v] for v in sub))
+    return best
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_list_clique_cover(seed):
+    # the counted vertices lie in the mask and weigh the bound; the bound
+    # never passes the omega-count bound, omega the largest color set;
+    # on a clique it is the heaviest matchable subset of the best color set
+    n, adj, weights, vmask, rng = masked_graph(seed, 9)
+    lists = [0] + [rng.randrange(1, 16) << 1 for _ in range(n)]
+    colorsets = [rng.randrange(1, 16) << 1 for _ in range(rng.randint(1, 3))]
+    order = sorted(range(1, n + 1), key=lambda v: (-weights[v], v))
+    bound, counted = list_clique_cover(adj, order, weights, vmask, lists, colorsets)
+    assert counted & ~vmask == 0
+    assert sum(weights[v] for v in range(1, n + 1) if counted >> v & 1) == bound
+    omega = max(c.bit_count() for c in colorsets)
+    assert bound <= clique_cover_bound(adj, order, weights, vmask, omega)
+    clique = 0
+    for v in rng.sample(range(1, n + 1), n):
+        if adj[v] & clique == clique:
+            clique |= 1 << v
+    members = [v for v in range(1, n + 1) if clique >> v & 1]
+    want = max(brute_matchable(members, weights, lists, c) for c in colorsets)
+    assert list_clique_cover(adj, order, weights, clique, lists, colorsets)[0] == want
