@@ -6,9 +6,10 @@ weighted by the member's total weight, with edges between touching
 members; the touching rule lives in build_blob_graph, as one mask test
 per pair.  A maximum weight independent set of the blob graph selects
 pairwise non-touching members whose union is the final answer; each
-selected member is colored independently, by a list homomorphism of the
-host graph induced on it, in host ids.  The colorings cannot conflict
-because non-touching sets share neither vertices nor edges.
+selected member keeps the coloring it entered the family with
+(Family.colorings), a list homomorphism of the host graph induced on
+it, in host ids.  The colorings cannot conflict because non-touching
+sets share neither vertices nor edges.
 
 For P5-free inputs the blob graph is itself P5-free; the test suite
 probes that as an invariant but the solver does not rely on it (the MWIS
@@ -24,7 +25,8 @@ a pattern clique, matched to them.  The first bound lets each cover
 clique count its omega heaviest vertices, omega the pattern's clique
 number; the second, tried only when the first certifies nothing, its
 heaviest vertices that their lists can match to one maximal pattern
-clique.  The coloring is the greedy's, when it meets a bound, or a list
+clique.  Both bounds read one greedy cover in weight order, walked
+once.  The coloring is the greedy's, when it meets a bound, or a list
 homomorphism of the vertices a bound counts, which weigh it exactly (see
 solve_full).
 """
@@ -79,42 +81,44 @@ def build_blob_graph(inst: Instance, fam: Family) -> BlobGraph:
 
 
 def solve_full(inst: Instance, budget: int | None = None) -> SolveResult:
-    """Full pipeline: certificate, or family, blob graph, MWIS, per-member
-    coloring.
+    """Full pipeline: certificate, or family, blob graph, MWIS, and the
+    picked members' colorings from the family.
 
     Raises NotP5FreeError on inputs with an induced 5-vertex path, and
     ValueError on a negative budget.  The first step colors the whole
     instance greedily (ConnectedSolver.incumbent over the vertices with a
     nonempty list) and tries to certify a coloring of the whole instance
-    against two upper bounds on the optimum, in turn.  Both split the
-    vertices into host cliques greedily.  The first lets each clique
-    count its omega heaviest vertices, omega the pattern's clique number
-    on every list color (ConnectedSolver.cover_bound).  The second lets
-    it count its heaviest vertices whose lists can take pairwise distinct
-    colors of one maximal pattern clique, and takes the lesser of two
-    covers (ConnectedSolver.list_cover).  Both bound the optimum: the
-    colored vertices of a host clique are pairwise adjacent, and the
-    pattern is loopless, so they take pairwise distinct, pairwise
+    against two upper bounds on the optimum, in turn, both yielded by
+    ConnectedSolver.certificate_covers.  Both split the vertices into host
+    cliques greedily, the second sharing the first's cover in weight order.
+    The first lets each clique count its omega heaviest vertices, omega the
+    pattern's clique number on every list color.  The second lets each
+    clique count its heaviest vertices whose lists can take pairwise
+    distinct colors of one maximal pattern clique, and takes the lesser of
+    two covers, the weight order's and one in degree order.  Both bound the
+    optimum: the colored vertices of a host clique are pairwise adjacent,
+    and the pattern is loopless, so they take pairwise distinct, pairwise
     pattern-adjacent colors of their lists, a pattern clique of at most
     omega colors matched to them; weights are nonnegative.  Against each
     bound in turn, a greedy that meets it is optimal, and so is a list
     homomorphism (exists_list_hom) of the vertices it counts, which weigh
     the bound exactly.  The second bound is built only when neither check
-    passes against the first.  A certified coloring is returned after
-    the P5 check, exhaustive at any budget, with no guess made and no
-    family built.  Otherwise the certificate's solver, which spent no
-    guess, builds the family (family._build_family, which makes the P5
-    check), its blob graph is solved and each picked member colored.
-    The returned solution is always verified feasible; with an uncapped
-    budget and a complete pattern it is exact at the scales the test
-    suite probes (the differential suite measures any gap for other
-    patterns).  budget bounds the guesses of the whole family build (see
-    build_family); exhaustive is False when it ran out.  A cut family
-    may hold only small members, so a run that is not exhaustive returns
-    the greedy instead when that is strictly heavier; ties keep the blob
-    answer.  The solution stores its weight, so verify_solution's weight
-    check also checks that the colored members (or the certified or
-    greedy vertices) add up to it.
+    passes against the first.  A certified coloring is returned after the P5
+    check, exhaustive at any budget, with no guess made and no family built.
+    Otherwise the certificate's solver, which spent no guess, builds the
+    family (family._build_family, which makes the P5 check), its blob graph
+    is solved and each picked member takes the coloring the family carries
+    for it (Family.colorings: the colors of the answer of the guess that
+    first yielded it), with no search made again.  The returned solution is
+    always verified feasible; with an uncapped budget and a complete pattern
+    it is exact at the scales the test suite probes (the differential suite
+    measures any gap for other patterns).  budget bounds the guesses of the
+    whole family build (see build_family); exhaustive is False when it ran
+    out.  A cut family may hold only small members, so a run that is not
+    exhaustive returns the greedy instead when that is strictly heavier;
+    ties keep the blob answer.  The solution stores its weight, so
+    verify_solution's weight check also checks that the colored members (or
+    the certified or greedy vertices) add up to it.
     """
     # one solver for the certificates, which spend no guess, and the family
     engine = ConnectedSolver(inst, budget=budget)
@@ -128,17 +132,11 @@ def solve_full(inst: Instance, budget: int | None = None) -> SolveResult:
     greedy_sol = Solution(
         frozenset(v for v, _ in greedy), dict(greedy), Fraction(weight, engine.scale)
     )
-    omega = engine.clique_number(universe)
-    bound = engine.cover_bound(live, omega)
     certified: Solution | None = None
-    for rung in range(2):
-        if rung:  # the list-aware cover, built only when the first fails
-            bound, counted = engine.list_cover(live, lists, universe)
+    for bound, counted in engine.certificate_covers(live, lists, universe):
         if bound <= weight:
             certified = greedy_sol
             break
-        if not rung:
-            counted = engine.cover_counted(live, omega)
         hom = exists_list_hom(inst.g, inst.h, {v: inst.lists[v] for v in iter_mask(counted)})
         if hom is not None:
             certified = Solution(frozenset(hom), hom, Fraction(bound, engine.scale))
@@ -154,13 +152,7 @@ def solve_full(inst: Instance, budget: int | None = None) -> SolveResult:
         picked, blob_weight = solve_mwis(blob)
         coloring: dict[int, int] = {}
         for bv in sorted(picked):
-            member = blob.members[bv - 1]
-            hom = exists_list_hom(inst.g, inst.h, {v: inst.lists[v] for v in member})
-            if hom is None:
-                raise RuntimeError(
-                    f"internal error: family member {sorted(member)} admits no list homomorphism"
-                )
-            coloring.update(hom)
+            coloring.update(fam.colorings[blob.members[bv - 1]])
         sol = Solution(frozenset(coloring), coloring, blob_weight)
         exhaustive = fam.exhaustive
         if not exhaustive and greedy_sol.weight > blob_weight:

@@ -116,8 +116,8 @@ from .graph import (
     maximal_cliques,
 )
 from .mwis import (
+    _greedy_cliques,
     clique_cover_bound,
-    clique_cover_counted,
     list_clique_cover,
     scale_weights,
     solve_mwis_masked,
@@ -507,35 +507,45 @@ class ConnectedSolver:
             )
         return total
 
-    def cover_counted(self, mask: int, omega: int) -> int:
-        """The vertices that cover_bound(mask, omega) counts, as a mask
-        (mwis.clique_cover_counted): their weights add up to the bound, so
-        an answer that colors all of them is optimal inside mask."""
-        return clique_cover_counted(self._adj, self._order, self._wt, mask, omega)
+    def certificate_covers(
+        self, mask: int, lists: Sequence[int], colors: int
+    ) -> Iterator[tuple[int, int]]:
+        """Yield (bound, counted) for two upper bounds on the weight of any
+        answer inside mask that colors from lists and only with colors of
+        the color mask colors, each with the vertices it counts, which
+        weigh it exactly; the second is built only when asked for.
 
-    def list_cover(self, mask: int, lists: Sequence[int], colors: int) -> tuple[int, int]:
-        """(bound, counted): an upper bound on the weight of any answer
-        inside mask that colors from lists and only with colors of the
-        color mask colors, and the vertices the bound counts, which weigh
-        it exactly.
-
-        It is mwis.list_clique_cover over the maximal cliques of the
-        pattern on colors, taken for two greedy clique covers, in the
-        solver's weight order and in degree-descending order (degrees in
-        the host graph, ties in weight order), and the lesser of the two,
-        the weight order's on a tie.  An answer's vertices in one host
-        clique take pairwise distinct, pairwise pattern-adjacent colors of
-        their lists: a pattern clique, inside a maximal one, matched to
-        them.  So each cover clique holds at most the weight it counts,
-        and the bound is at most cover_bound(mask, omega), which counts
-        each clique's omega heaviest.  Computed afresh on every call.
+        An answer's vertices in one host clique take pairwise distinct,
+        pairwise pattern-adjacent colors of their lists: a pattern clique,
+        inside a maximal one, matched to them.  Both bounds split mask into
+        host cliques greedily (mwis._greedy_cliques).  The first lets each
+        clique of the cover in the solver's weight order count its first
+        omega vertices, its heaviest, omega the clique number of the
+        pattern on colors, so it equals cover_bound(mask, omega).  The
+        second, mwis.list_clique_cover over the maximal cliques of the
+        pattern on colors, lets each clique count its heaviest vertices
+        that their lists can match to one of them, and takes the lesser of
+        the same weight-order cover and one in degree-descending order
+        (degrees in the host graph, ties in weight order), the weight
+        order's on a tie; it is at most the first.  The weight-order cover
+        is walked once, for both.
         """
-        adj = self._adj
-        cliques = maximal_cliques(self._hadj, colors)
+        adj, wt = self._adj, self._wt
+        cliques = _greedy_cliques(adj, self._order, wt, mask)
+        omega = self.clique_number(colors)
+        bound = counted = 0
+        for clique in cliques:
+            for v in clique[:omega]:
+                bound += wt[v]
+                counted |= 1 << v
+        yield bound, counted
+        colorsets = maximal_cliques(self._hadj, colors)
         by_degree = sorted(self._order, key=lambda v: -adj[v].bit_count())
-        weight_cover = list_clique_cover(adj, self._order, self._wt, mask, lists, cliques)
-        degree_cover = list_clique_cover(adj, by_degree, self._wt, mask, lists, cliques)
-        return degree_cover if degree_cover[0] < weight_cover[0] else weight_cover
+        weight_cover = list_clique_cover(cliques, wt, lists, colorsets)
+        degree_cover = list_clique_cover(
+            _greedy_cliques(adj, by_degree, wt, mask), wt, lists, colorsets
+        )
+        yield degree_cover if degree_cover[0] < weight_cover[0] else weight_cover
 
     # -- one dominator guess --------------------------------------------------
 

@@ -13,7 +13,10 @@ vertices (each vertex of D', taken in order, grows the seed N[D u D'];
 any other D' repeats a seed already guessed), closes N[D u D'] downward
 by deleting every seed vertex with a neighbor outside the seed, and
 hands the closed region to the connected-case solver.  The connected
-components of every answer enter the family.
+components of every answer enter the family, each with the colors that
+answer gives it, a list homomorphism of the component found by the
+solver: stage 3 colors the members it picks with them.  A single vertex
+enters with its lowest list color.
 
 The paper also prunes the components of G - N[D] that are not modules.
 On a P5-free host that prune deletes nothing, so the region of a guess
@@ -73,8 +76,8 @@ The components of a vertex mask depend on the mask alone, the graph
 being fixed, so the family splits answers through the solver's cache
 (ConnectedSolver.components), the same split the solver's own solves
 use.  The walk yields every component of every answer, and the family
-keeps each member's first provenance, that of the first guess yielding
-it; a later answer holding it adds nothing to the family.
+keeps each member's first provenance and coloring, those of the first
+guess yielding it; a later answer holding it adds nothing to the family.
 
 Every step, the dominator enumeration included, works on vertex masks
 over the original graph, so members come out in original vertex ids
@@ -121,11 +124,15 @@ class FamilyProvenance:
 @dataclass(frozen=True)
 class Family:
     """Deduplicated members (sorted by size, then lexicographically) with
-    per-member provenance ("singleton" or the first guess producing it);
+    per-member provenance ("singleton" or the first guess producing it)
+    and a per-member coloring, a list homomorphism of the host graph
+    induced on the member, in host ids: a singleton's lowest list color,
+    or the colors that the first guess's answer gives the member.
     exhaustive is False when the guess budget ran out."""
 
     members: tuple[frozenset[int], ...]
     provenance: Mapping[frozenset[int], FamilyProvenance | str]
+    colorings: Mapping[frozenset[int], Mapping[int, int]]
     exhaustive: bool
 
 
@@ -237,8 +244,8 @@ def _intact_partitions(
 
 
 def _guessed_members(inst: Instance, solver: ConnectedSolver):
-    """Yield (component mask, provenance) for every component of an
-    answer on a piece of two or more vertices (the caller seeds the
+    """Yield (component mask, provenance, answer) for every component of
+    an answer on a piece of two or more vertices (the caller seeds the
     singletons, the only members a one-vertex piece can give), in guess
     order: size |W|, connected dominator set D, class partition of D,
     second set D', color subset W of that size lexicographically.
@@ -259,9 +266,11 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
     second-set count in one call, as that many single charges would be.
 
     A component is yielded at every guess whose answer holds it, with
-    that guess's provenance; build_family keeps the first.  Answers are
-    split by solver.components, a pure function of the answer's vertex
-    mask.
+    that guess's provenance and answer, which maps every vertex that the
+    guess's solves color under its W, the component's among them, to its
+    color; build_family keeps the first, and the component's colors in
+    it.  Answers are split by solver.components, a pure function of the
+    answer's vertex mask.
     """
     g = inst.g
     adj = g.adjacency_masks()
@@ -294,19 +303,18 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
                     charged += 1
                     core = _core_region_mask(adj, v, seed)
                     for colors, lists_w, live_w, pieces in wsets:
-                        chosen = 0
+                        answer: dict[int, int] = {}
                         for piece in solver.components(core & live_w):
                             if piece & (piece - 1) and piece not in pieces:
                                 pieces.add(piece)
-                                for u, _ in solver.solve_masked(piece, lists_w)[1]:
-                                    chosen |= 1 << u
-                        if not chosen:
+                                answer.update(solver.solve_masked(piece, lists_w)[1])
+                        if not answer:
                             continue
                         prov = FamilyProvenance(
                             colors, doms, tuple(colors[c] for c in hidx), second
                         )
-                        for comp in solver.components(chosen):
-                            yield comp, prov
+                        for comp in solver.components(mask_from(answer)):
+                            yield comp, prov, answer
                 walked[common, closed] = charged
 
 
@@ -322,8 +330,10 @@ def build_family(inst: Instance, budget: int | None = None) -> Family:
     pruned once, whatever W, and the walk skips work only by the module
     docstring's three dedup rules, so the unit of the budget is one
     guess per (D, partition, D'), a repeated walk charged all at once;
-    each member keeps the provenance of the first guess that yields it.
-    The singletons are seeded first, so no one-vertex piece is solved.
+    each member keeps the provenance of the first guess that yields it,
+    and the colors that guess's answer gives it (Family.colorings).  The
+    singletons are seeded first, each with its lowest list color, so no
+    one-vertex piece is solved.
     """
     return _build_family(inst, lambda: ConnectedSolver(inst, budget=budget))
 
@@ -338,13 +348,16 @@ def _build_family(inst: Instance, new_solver: Callable[[], ConnectedSolver]) -> 
     if witness is not None:
         raise NotP5FreeError(witness)
     solver = new_solver()
-    members: dict[int, FamilyProvenance | str] = {}
+    members: dict[int, tuple[FamilyProvenance | str, dict[int, int]]] = {}
     for v in inst.g.vertices:
         if inst.lists[v]:
-            members.setdefault(1 << v, "singleton")
-    for mask, prov in _guessed_members(inst, solver):
-        members.setdefault(mask, prov)
+            members[1 << v] = "singleton", {v: min(inst.lists[v])}
+    for mask, prov, answer in _guessed_members(inst, solver):
+        if mask not in members:
+            members[mask] = prov, {v: answer[v] for v in iter_mask(mask)}
 
-    ordered = sorted(members, key=lambda m: (m.bit_count(), iter_mask(m)))
-    provenance = {set_from_mask(m): members[m] for m in ordered}
-    return Family(tuple(provenance), provenance, solver.exhaustive)
+    provenance, colorings = {}, {}
+    for m in sorted(members, key=lambda m: (m.bit_count(), iter_mask(m))):
+        member = set_from_mask(m)
+        provenance[member], colorings[member] = members[m]
+    return Family(tuple(provenance), provenance, colorings, solver.exhaustive)

@@ -29,8 +29,8 @@ from math import lcm
 from .graph import Graph, iter_mask, set_from_mask
 from .pattern import _check_weight
 
-__all__ = ["WeightedGraph", "clique_cover_bound", "clique_cover_counted", "list_clique_cover",
-           "scale_weights", "solve_mwis", "solve_mwis_masked"]
+__all__ = ["WeightedGraph", "clique_cover_bound", "list_clique_cover", "scale_weights",
+           "solve_mwis", "solve_mwis_masked"]
 
 
 @dataclass(frozen=True)
@@ -100,38 +100,6 @@ def clique_cover_bound(
     return total
 
 
-def clique_cover_counted(
-    adj: Sequence[int], order: Sequence[int], weights: Sequence[int], mask: int, omega: int
-) -> int:
-    """The vertices that clique_cover_bound counts, as a mask: the same
-    greedy cover, each clique keeping its first omega vertices, so their
-    weights add up to the bound.  A walk of its own, because the bound
-    runs in the inner loops of both searches, where building this mask
-    would cost every call.
-    """
-    commons: list[int] = []
-    room: list[int] = []
-    counted = 0
-    for v in order:
-        if not mask or not weights[v]:
-            break
-        if not mask >> v & 1:
-            continue
-        mask ^= 1 << v
-        for i, common in enumerate(commons):
-            if common >> v & 1:
-                commons[i] = common & adj[v]
-                if room[i]:
-                    room[i] -= 1
-                    counted |= 1 << v
-                break
-        else:
-            commons.append(adj[v])
-            room.append(omega - 1)
-            counted |= 1 << v
-    return counted
-
-
 def _greedy_cliques(
     adj: Sequence[int], order: Sequence[int], weights: Sequence[int], mask: int
 ) -> list[list[int]]:
@@ -139,9 +107,9 @@ def _greedy_cliques(
     vertices in order: the vertices of mask with a nonzero weight, taken
     in order (any order that holds every vertex of mask), each joining
     the first clique it is adjacent to throughout or opening a new one.
-    The bound and clique_cover_counted keep walks of their own, which
-    build no lists: the bound runs in the inner loops of both searches,
-    and the counted vertices on solve_full's first certificate.
+    In the bound's heaviest-first order, a clique's first omega vertices
+    are the ones the bound counts.  The bound keeps a walk of its own,
+    which builds no lists, as it runs in the inner loops of both searches.
     """
     commons: list[int] = []  # common neighborhood of each clique
     cliques: list[list[int]] = []
@@ -165,16 +133,14 @@ def _greedy_cliques(
 
 
 def list_clique_cover(
-    adj: Sequence[int],
-    order: Sequence[int],
+    cliques: Sequence[Sequence[int]],
     weights: Sequence[int],
-    mask: int,
     lists: Sequence[int],
     colorsets: Sequence[int],
 ) -> tuple[int, int]:
     """(bound, counted): a clique cover that reads the lists.
 
-    The cliques are those of _greedy_cliques in the given order.  Each
+    The cliques are those of a cover, such as _greedy_cliques gives.  Each
     counts its heaviest subset whose vertices take pairwise distinct
     colors of one color set, each a color of its list (lists[v], a color
     mask), the best color set of colorsets for that clique.  counted is
@@ -188,13 +154,13 @@ def list_clique_cover(
     and, inside a clique, the lighter id.
     """
     bound = counted = 0
-    for clique in _greedy_cliques(adj, order, weights, mask):
-        clique.sort(key=lambda v: (-weights[v], v))
+    for clique in cliques:
+        heaviest = sorted(clique, key=lambda v: (-weights[v], v))
         best = best_kept = -1
         for colors in colorsets:
             owner: dict[int, int] = {}  # color -> the kept vertex matched to it
             total = kept = 0
-            for v in clique:
+            for v in heaviest:
                 if _augment(v, lists, colors, owner, set()):
                     total += weights[v]
                     kept |= 1 << v
@@ -242,9 +208,12 @@ def solve_mwis_masked(adj: Sequence[int], vmask: int, weights: Sequence[int]) ->
     scale_weights); an empty vmask gives weight 0.  Strategy:
     degree-0 vertices are always taken, a degree-1 vertex at least as
     heavy as its neighbor is taken, otherwise branch on a maximum-degree
-    vertex; prune when the chosen weight plus the clique-cover bound of
-    the vertices left (clique_cover_bound with omega = 1, in the
-    heaviest-first order of the greedy start) cannot beat the best.
+    vertex, taking it before dropping it; prune when the chosen weight
+    plus the clique-cover bound of the vertices left (clique_cover_bound
+    with omega = 1, in the heaviest-first order of the greedy start)
+    cannot beat the best.  The branches run depth first on an explicit
+    stack, so the depth of the search, up to one level per vertex, is
+    not bounded by Python's recursion limit.
     """
     # greedy initial bound: heaviest-first packing, the cover's order too
     best_w = 0
@@ -259,8 +228,9 @@ def solve_mwis_masked(adj: Sequence[int], vmask: int, weights: Sequence[int]) ->
         best_w += weights[v]
     best_mask = taken
 
-    def rec(avail: int, chosen: int, cur: int) -> None:
-        nonlocal best_mask, best_w
+    stack = [(vmask, 0, 0)]
+    while stack:
+        avail, chosen, cur = stack.pop()
         # reductions: take isolated vertices, resolve heavy pendants
         while True:
             applied = False
@@ -286,16 +256,17 @@ def solve_mwis_masked(adj: Sequence[int], vmask: int, weights: Sequence[int]) ->
             if cur > best_w:
                 best_w = cur
                 best_mask = chosen
-            return
+            continue
         if cur + clique_cover_bound(adj, order, weights, avail, 1) <= best_w:
-            return
+            continue
         pick, pick_deg = -1, -1
         for v in iter_mask(avail):
             d = (adj[v] & avail).bit_count()
             if d > pick_deg:
                 pick, pick_deg = v, d
-        rec(avail & ~(adj[pick] | (1 << pick)), chosen | (1 << pick), cur + weights[pick])
-        rec(avail ^ (1 << pick), chosen, cur)
-
-    rec(vmask, 0, 0)
+        # the drop branch goes under the take branch, which pops first
+        stack.append((avail ^ (1 << pick), chosen, cur))
+        stack.append(
+            (avail & ~(adj[pick] | (1 << pick)), chosen | (1 << pick), cur + weights[pick])
+        )
     return best_mask, best_w

@@ -422,10 +422,10 @@ def brute_guessed_members(inst: Instance, solver):
     """The family's guess loop with the paper's two prunes (common
     neighbors, then non-module components, each to its fixpoint), every
     surjection walked in full and every closed region handed to the
-    solver under every color set:
-    (component mask, provenance) for every answer component, in the
-    order size, dominators D, surjection onto color indices, second set
-    D', color set W.  One guess is charged per second set with a new
+    solver under every color set: (component mask, provenance, the
+    answer's colors as a dict) for every answer component, in the order
+    size, dominators D, surjection onto color indices, second set D',
+    color set W.  One guess is charged per second set with a new
     seed, for the first surjection of each class partition of D only,
     and the walk stops when the budget cannot pay for one."""
     g = inst.g
@@ -469,7 +469,7 @@ def brute_guessed_members(inst: Instance, solver):
                             colors, doms, tuple(colors[c] for c in h), second
                         )
                         for comp in masked_components(g, chosen):
-                            yield comp, prov
+                            yield comp, prov, dict(assignment)
 
 
 def brute_dominator_tuples(

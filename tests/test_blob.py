@@ -25,7 +25,7 @@ def test_touches():
     g = Graph(5, [(1, 2), (3, 4)])
     inst = Instance.build(g, PatternGraph.complete(2))
     members = tuple(map(frozenset, ([1], [1, 3], [2], [3], [2, 5], [3, 4])))
-    blob = build_blob_graph(inst, Family(members, {}, True))
+    blob = build_blob_graph(inst, Family(members, {}, {}, True))
     edges = set(blob.graph.edges())
     assert (1, 2) in edges  # {1}, {1, 3}: a shared vertex
     assert (1, 3) in edges  # {1}, {2}: an edge between
@@ -58,7 +58,7 @@ def test_blob_weights_exact_with_mixed_denominators():
     wt = {1: Fraction(1, 3), 2: Fraction(5, 4), 3: Fraction(0), 4: Fraction(7, 6)}
     inst = Instance.build(g, PatternGraph.complete(2), wt=wt)
     members = tuple(map(frozenset, ([1], [1, 2], [2, 4], [3], [1, 2, 3, 4])))
-    blob = build_blob_graph(inst, Family(members, {}, True))
+    blob = build_blob_graph(inst, Family(members, {}, {}, True))
     assert blob.weights == {1: Fraction(1, 3), 2: Fraction(19, 12), 3: Fraction(29, 12),
                             4: Fraction(0), 5: Fraction(11, 4)}
     for i, member in enumerate(members, start=1):
@@ -76,14 +76,14 @@ def test_blob_graph_frozen_shapes():
     g = Graph(4, [(1, 2), (2, 3)])
     inst = Instance.build(g, PatternGraph.complete(2))
     members = (frozenset({3}), frozenset({4}), frozenset({1, 2}))
-    fam = Family(members, {m: "singleton" for m in members}, True)
+    fam = Family(members, {m: "singleton" for m in members}, {}, True)
     blob = build_blob_graph(inst, fam)
     # member order is preserved: {3} is blob 1, {4} is 2, {1,2} is 3
     assert blob.graph.edges() == [(1, 3)]
 
     # overlapping members always touch
     members = (frozenset({1, 2}), frozenset({2, 3}))
-    fam = Family(members, {m: "singleton" for m in members}, True)
+    fam = Family(members, {m: "singleton" for m in members}, {}, True)
     assert build_blob_graph(inst, fam).graph.edges() == [(1, 2)]
 
 
@@ -166,10 +166,8 @@ def certificate(inst):
     for v in inst.g.vertices:
         universe |= lists[v]
     greedy, _ = engine.incumbent(live, lists)
-    omega = engine.clique_number(universe)
     rungs = []
-    for bound, counted in ((engine.cover_bound(live, omega), engine.cover_counted(live, omega)),
-                           engine.list_cover(live, lists, universe)):
+    for bound, counted in engine.certificate_covers(live, lists, universe):
         colorable = exists_list_hom(
             inst.g, inst.h, {v: inst.lists[v] for v in inst.g.vertices if counted >> v & 1}
         ) is not None
@@ -341,7 +339,8 @@ def test_colorable_counted_vertices_match_oracle(pattern, index, seed):
 @given(st.sampled_from(PATTERNS), st.integers(0, 2), st.integers(0, 10**9))
 def test_list_cover_bounds_the_optimum(pattern, index, seed):
     # the list-aware bound is at least the optimum and at most the
-    # omega-count bound, and the vertices it counts weigh it exactly
+    # omega-count bound (the first one yielded, cover_bound's value), and
+    # the vertices it counts weigh it exactly
     inst = trial_instance(pattern, index, seed)
     engine = ConnectedSolver(inst)
     lists = inst.lists_masks
@@ -349,9 +348,9 @@ def test_list_cover_bounds_the_optimum(pattern, index, seed):
     universe = 0
     for v in inst.g.vertices:
         universe |= lists[v]
-    bound, counted = engine.list_cover(live, lists, universe)
+    (first, _), (bound, counted) = engine.certificate_covers(live, lists, universe)
     assert Fraction(bound, engine.scale) >= oracle_solve(inst).weight
-    assert bound <= engine.cover_bound(live, engine.clique_number(universe))
+    assert bound <= first == engine.cover_bound(live, engine.clique_number(universe))
     assert counted & ~live == 0
     assert inst.weight_of(v for v in inst.g.vertices if counted >> v & 1) == Fraction(
         bound, engine.scale)

@@ -33,7 +33,7 @@ from p5hom.graph import (
     masked_components,
     set_from_mask,
 )
-from p5hom.pattern import Instance, PatternGraph, exists_list_hom
+from p5hom.pattern import Instance, PatternGraph, Solution, exists_list_hom, verify_solution
 from p5hom.textio import serialize_solution
 
 from brute import (
@@ -273,6 +273,27 @@ def test_members_connected_and_colorable(seed):
         assert prov == "singleton" or isinstance(prov, FamilyProvenance)
 
 
+def assert_colorings_verify(inst: Instance, fam) -> None:
+    """Each member's coloring colors exactly the member, from its lists,
+    every edge inside on a pattern edge (verify_solution, which reads no
+    family code); a singleton takes its lowest list color."""
+    assert list(fam.colorings) == list(fam.members)
+    for member in fam.members:
+        sol = Solution.from_assignment(inst, fam.colorings[member])
+        assert sol.chosen == member
+        assert verify_solution(inst, sol) is None
+        if fam.provenance[member] == "singleton":
+            (v,) = member
+            assert sol.coloring == {v: min(inst.lists[v])}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9))
+def test_member_colorings_verify(seed):
+    inst = random_p5free_instance(seed)
+    assert_colorings_verify(inst, build_family(inst))
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10**9))
 def test_build_is_deterministic(seed):
@@ -281,6 +302,7 @@ def test_build_is_deterministic(seed):
     b = build_family(inst)
     assert a.members == b.members
     assert a.provenance == b.provenance
+    assert a.colorings == b.colorings
 
 
 # (family, pattern) for the frozen-family instances: every generator
@@ -335,6 +357,13 @@ def test_family_frozen_digest(budget, digest):
     assert h.hexdigest() == digest
 
 
+@pytest.mark.parametrize("budget", [None, 5, 40], ids=["None", "5", "40"])
+def test_frozen_member_colorings_verify(budget):
+    for i in range(len(FROZEN_SPECS)):
+        inst = frozen_instance(i)
+        assert_colorings_verify(inst, build_family(inst, budget=budget))
+
+
 def answers_digest(budget) -> str:
     """SHA-256 over the serialized solution and the exhaustive bit of
     solve_full and of solve_connected_case on every frozen instance."""
@@ -348,9 +377,9 @@ def answers_digest(budget) -> str:
 
 
 @pytest.mark.parametrize("budget, digest", [
-    (None, "0c9eaa8fd366b54189975e4d3113e864216b9a684f42fcb6ac52272d26d68106"),
-    (5, "66597d74d325a4aecb22e266c63b9f2c5984aa0271f0ca664a4f031d1b56e807"),
-    (40, "972518ef7298e0b81fc9934abca50130608a6737bb830bb6eb50c14641069250"),
+    (None, "2bfa3cc162bc355bd0b50384aa159d5a0c13a7711ce9d815684903a91256b9f9"),
+    (5, "ba0d3291d916f35c0723dca3729f7af78acb3cb6b6be5df9b6ec718a9898c3ce"),
+    (40, "30da86138404cf03840d90552e26f2b35debb6e8718298a4811e757427a9dec0"),
 ], ids=["None", "5", "40"])
 def test_answers_frozen_digest(budget, digest):
     # the answers (colorings, tie-breaks, exhaustive bits) of both
@@ -461,11 +490,13 @@ def test_class_labellings_closed_form(kprime):
 def walk_members(walk, inst: Instance, budget):
     """(members in insertion order, exhaustive, budget left) of one guess
     walk on a fresh solver, the singletons seeded first as build_family
-    seeds them."""
+    seeds them; a guessed member comes with its first provenance and the
+    colors of its first answer."""
     solver = ConnectedSolver(inst, budget=budget)
     members: dict = {1 << v: "singleton" for v in inst.g.vertices if inst.lists[v]}
-    for mask, prov in walk(inst, solver):
-        members.setdefault(mask, prov)
+    for mask, prov, answer in walk(inst, solver):
+        if mask not in members:
+            members[mask] = prov, {v: answer[v] for v in iter_mask(mask)}
     return list(members.items()), solver.exhaustive, solver._left
 
 
@@ -627,7 +658,7 @@ def test_one_walk_per_partition_one_solve_per_region(monkeypatch, g, k):
     monkeypatch.setattr(ConnectedSolver, "solve_masked", counted_solve)
     solver = ConnectedSolver(inst)
     yielded = []
-    for mask, prov in _guessed_members(inst, solver):
+    for mask, prov, _ in _guessed_members(inst, solver):
         events.append(("yield", mask))
         yielded.append((mask, prov))
     assert solver.exhaustive

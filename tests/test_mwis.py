@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p5hom.graph import Graph
-from p5hom.mwis import (WeightedGraph, clique_cover_bound, clique_cover_counted,
-                        list_clique_cover, solve_mwis, solve_mwis_masked)
+from p5hom.mwis import (WeightedGraph, _greedy_cliques, clique_cover_bound, list_clique_cover,
+                        solve_mwis, solve_mwis_masked)
 
 from brute import brute_mwis, brute_mwis_subsets, plain_sum_solve_mwis_masked
 
@@ -124,6 +124,26 @@ def test_clique_cover_prune_matches_plain_sum(seed):
         adj, vmask, weights)
 
 
+@pytest.mark.parametrize("p, want", [(0.95, 84), (0.99, 70)])
+def test_deep_search_runs_at_the_default_recursion_limit(p, want):
+    # 1,100 vertices, dense enough that the search drops about one vertex
+    # per level, deeper than Python's default recursion limit of 1,000;
+    # the weight is the one the search gives with that limit raised
+    n = 1100
+    rng = random.Random(1)
+    adj = [0] * (n + 1)
+    for u, v in itertools.combinations(range(1, n + 1), 2):
+        if rng.random() < p:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    weights = [0] + [rng.randint(1, 24) for _ in range(n)]
+    vmask = sum(1 << v for v in range(1, n + 1))
+    mask, weight = solve_mwis_masked(adj, vmask, weights)
+    chosen = [v for v in range(1, n + 1) if mask >> v & 1]
+    assert all(not adj[u] >> v & 1 for u, v in itertools.combinations(chosen, 2))
+    assert sum(weights[v] for v in chosen) == weight == want
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10**9))
 def test_clique_cover_bound(seed):
@@ -151,20 +171,26 @@ def test_clique_cover_bound(seed):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10**9), st.integers(1, 4))
 def test_clique_cover_counted(seed, omega):
-    # the counted vertices lie in the mask and weigh the bound; on a
-    # clique they are its omega heaviest of positive weight, ties by id
+    # the vertices the bound counts, the first omega of each clique of the
+    # greedy cover in the bound's order, lie in the mask and weigh the
+    # bound; on a clique they are its omega heaviest of positive weight,
+    # ties by id
     n, adj, weights, vmask, rng = masked_graph(seed, 12)
     order = sorted(range(1, n + 1), key=lambda v: (-weights[v], v))
-    counted = clique_cover_counted(adj, order, weights, vmask, omega)
-    assert counted & ~vmask == 0
-    assert sum(weights[v] for v in range(1, n + 1) if counted >> v & 1) == clique_cover_bound(
-        adj, order, weights, vmask, omega)
+
+    def counted(mask):
+        return sum(1 << v for clique in _greedy_cliques(adj, order, weights, mask)
+                   for v in clique[:omega])
+
+    assert counted(vmask) & ~vmask == 0
+    assert sum(weights[v] for v in range(1, n + 1) if counted(vmask) >> v & 1) == (
+        clique_cover_bound(adj, order, weights, vmask, omega))
     clique = 0
     for v in rng.sample(range(1, n + 1), n):
         if adj[v] & clique == clique:
             clique |= 1 << v
     heaviest = [v for v in order if clique >> v & 1 and weights[v]][:omega]
-    assert clique_cover_counted(adj, order, weights, clique, omega) == sum(1 << v for v in heaviest)
+    assert counted(clique) == sum(1 << v for v in heaviest)
 
 
 def test_list_clique_cover_reroutes_a_matched_vertex():
@@ -175,11 +201,11 @@ def test_list_clique_cover_reroutes_a_matched_vertex():
     adj = [0, 0b1100, 0b1010, 0b0110]
     weights = [0, 5, 4, 3]
     lists = [0, 0b110, 0b010, 0b010]
-    order = [1, 2, 3]
-    assert list_clique_cover(adj, order, weights, 0b1110, lists, [0b110]) == (9, 0b0110)
+    cliques = _greedy_cliques(adj, [1, 2, 3], weights, 0b1110)
+    assert list_clique_cover(cliques, weights, lists, [0b110]) == (9, 0b0110)
     # two color sets, {1} and {2, 3}: the second fits only vertex 1, the
     # first the heaviest of any one vertex, so the tie keeps the first
-    assert list_clique_cover(adj, order, weights, 0b1110, lists, [0b010, 0b1100]) == (5, 0b0010)
+    assert list_clique_cover(cliques, weights, lists, [0b010, 0b1100]) == (5, 0b0010)
 
 
 def brute_matchable(clique, weights, lists, colors):
@@ -204,7 +230,8 @@ def test_list_clique_cover(seed):
     lists = [0] + [rng.randrange(1, 16) << 1 for _ in range(n)]
     colorsets = [rng.randrange(1, 16) << 1 for _ in range(rng.randint(1, 3))]
     order = sorted(range(1, n + 1), key=lambda v: (-weights[v], v))
-    bound, counted = list_clique_cover(adj, order, weights, vmask, lists, colorsets)
+    bound, counted = list_clique_cover(
+        _greedy_cliques(adj, order, weights, vmask), weights, lists, colorsets)
     assert counted & ~vmask == 0
     assert sum(weights[v] for v in range(1, n + 1) if counted >> v & 1) == bound
     omega = max(c.bit_count() for c in colorsets)
@@ -215,4 +242,5 @@ def test_list_clique_cover(seed):
             clique |= 1 << v
     members = [v for v in range(1, n + 1) if clique >> v & 1]
     want = max(brute_matchable(members, weights, lists, c) for c in colorsets)
-    assert list_clique_cover(adj, order, weights, clique, lists, colorsets)[0] == want
+    assert list_clique_cover(
+        _greedy_cliques(adj, order, weights, clique), weights, lists, colorsets)[0] == want
