@@ -70,14 +70,15 @@ def build_blob_graph(inst: Instance, fam: Family) -> BlobGraph:
             total += ints[v]
         masks.append(mask)
         weights[i] = Fraction(total, scale)
-    reach = [mask | neighborhood_mask(adj, mask) for mask in masks]
-    edges = []
-    for i in range(m):
-        ri = reach[i]
+    # blob vertex i + 1's adjacency mask, one touching test per pair
+    badj = [0] * (m + 1)
+    for i, mask in enumerate(masks):
+        reach = mask | neighborhood_mask(adj, mask)
         for j in range(i + 1, m):
-            if ri & masks[j]:
-                edges.append((i + 1, j + 1))
-    return BlobGraph(Graph(m, edges), weights, members)
+            if reach & masks[j]:
+                badj[i + 1] |= 1 << (j + 1)
+                badj[j + 1] |= 1 << (i + 1)
+    return BlobGraph(Graph.from_adjacency(badj), weights, members)
 
 
 def solve_full(inst: Instance, budget: int | None = None) -> SolveResult:
@@ -116,9 +117,11 @@ def solve_full(inst: Instance, budget: int | None = None) -> SolveResult:
     whole family build (see build_family); exhaustive is False when it ran
     out.  A cut family may hold only small members, so a run that is not
     exhaustive returns the greedy instead when that is strictly heavier;
-    ties keep the blob answer.  The solution stores its weight, so
-    verify_solution's weight check also checks that the colored members (or
-    the certified or greedy vertices) add up to it.
+    ties keep the blob answer.  The greedy's Solution is built only where
+    it is returned: on the greedy certificate and on that fallback.  The
+    solution stores its weight, so verify_solution's weight check also
+    checks that the colored members (or the certified or greedy vertices)
+    add up to it.
     """
     # one solver for the certificates, which spend no guess, and the family
     engine = ConnectedSolver(inst, budget=budget)
@@ -129,13 +132,12 @@ def solve_full(inst: Instance, budget: int | None = None) -> SolveResult:
             live |= 1 << v
             universe |= lists[v]
     weight, greedy = engine.incumbent(live, lists)
-    greedy_sol = Solution(
-        frozenset(v for v, _ in greedy), dict(greedy), Fraction(weight, engine.scale)
-    )
+    greedy_weight = Fraction(weight, engine.scale)
     certified: Solution | None = None
     for bound, counted in engine.certificate_covers(live, lists, universe):
         if bound <= weight:
-            certified = greedy_sol
+            coloring = dict(greedy)
+            certified = Solution(frozenset(coloring), coloring, greedy_weight)
             break
         hom = exists_list_hom(inst.g, inst.h, {v: inst.lists[v] for v in iter_mask(counted)})
         if hom is not None:
@@ -150,13 +152,14 @@ def solve_full(inst: Instance, budget: int | None = None) -> SolveResult:
         fam = build_family(inst, lambda: engine)
         blob = build_blob_graph(inst, fam)
         picked, blob_weight = solve_mwis(blob)
-        coloring: dict[int, int] = {}
+        coloring = {}
         for bv in sorted(picked):
             coloring.update(fam.colorings[blob.members[bv - 1]])
         sol = Solution(frozenset(coloring), coloring, blob_weight)
         exhaustive = fam.exhaustive
-        if not exhaustive and greedy_sol.weight > blob_weight:
-            sol = greedy_sol
+        if not exhaustive and greedy_weight > blob_weight:
+            coloring = dict(greedy)
+            sol = Solution(frozenset(coloring), coloring, greedy_weight)
     violation = verify_solution(inst, sol)
     if violation is not None:
         raise RuntimeError(f"internal error: pipeline produced invalid solution ({violation})")

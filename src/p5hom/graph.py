@@ -102,6 +102,16 @@ class Graph:
         self.n = n
         self._adj = tuple(adj)
 
+    @classmethod
+    def from_adjacency(cls, adj: Sequence[int]) -> "Graph":
+        """The graph on 1..len(adj) - 1 in which vertex v has neighborhood
+        mask adj[v] (adj[0] unused), as adjacency_masks returns it.  The
+        table is taken as it is: it must be symmetric and loopless."""
+        g = cls.__new__(cls)
+        g.n = len(adj) - 1
+        g._adj = tuple(adj)
+        return g
+
     # -- basic accessors -------------------------------------------------
 
     @property
@@ -249,8 +259,14 @@ def _extend_induced_p3(g: Graph, closed: bool) -> tuple[int, int, int, int, int]
     for c in g.vertices:
         nc = adj[c]
         ncc = nc | (1 << c)
+        # the vertices of N(c) with a neighbor outside N[c]: any other b
+        # has no end a, and any other d no end e
+        ends = 0
         for b in iter_mask(nc):
-            higher = nc & (-1 << (b + 1))
+            if adj[b] & ~ncc:
+                ends |= 1 << b
+        for b in iter_mask(ends):
+            higher = ends & (-1 << (b + 1))
             for d in iter_mask(higher):
                 if adj[b] >> d & 1:
                     continue

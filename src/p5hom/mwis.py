@@ -55,10 +55,11 @@ class WeightedGraph:
 def scale_weights(weights: Mapping[int, Fraction]) -> tuple[int, tuple[int, ...]]:
     """(scale, ints): the lcm of the denominators, and ints[v] =
     weights[v] * scale for the keys v = 1..n, with ints[0] = 0."""
-    scale = lcm(*(w.denominator for w in weights.values()))
+    ratios = [w.as_integer_ratio() for w in weights.values()]
+    scale = lcm(*[den for _, den in ratios])
     ints = [0] * (len(weights) + 1)
-    for v, w in weights.items():
-        ints[v] = w.numerator * (scale // w.denominator)
+    for v, (num, den) in zip(weights, ratios):
+        ints[v] = num * (scale // den)
     return scale, tuple(ints)
 
 

@@ -14,6 +14,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .graph import Graph, iter_mask
 
@@ -140,7 +141,19 @@ class Instance:
         return tuple(out)
 
     def weight_of(self, vertices: Iterable[int]) -> Fraction:
-        return sum((self.wt[v] for v in vertices), ZERO)
+        """The total weight of the named vertices, as one exact integer
+        sum: each weight scaled to the lcm of their denominators (grown as
+        the walk meets them), and one Fraction made at the end (0 for
+        none)."""
+        total, scale = 0, 1
+        for v in vertices:
+            num, den = self.wt[v].as_integer_ratio()
+            if scale % den:
+                grown = lcm(scale, den)
+                total *= grown // scale
+                scale = grown
+            total += num * (scale // den)
+        return Fraction(total, scale)
 
 
 @dataclass(frozen=True)
@@ -154,7 +167,8 @@ class Solution:
     def __post_init__(self) -> None:
         object.__setattr__(self, "chosen", frozenset(self.chosen))
         object.__setattr__(self, "coloring", dict(self.coloring))
-        object.__setattr__(self, "weight", Fraction(self.weight))
+        if type(self.weight) is not Fraction:
+            object.__setattr__(self, "weight", Fraction(self.weight))
 
     @classmethod
     def empty(cls) -> "Solution":
@@ -182,43 +196,45 @@ def verify_solution(inst: Instance, sol: Solution) -> SolutionViolation | None:
 
     Checks, in order: the coloring's domain is exactly the chosen set, every
     color is on the vertex's list, every induced edge maps to a pattern
-    edge, and the stored weight equals the weight of the chosen set.
-    Raises ValueError if a chosen vertex is outside the graph.
+    edge, and the stored weight equals the weight of the chosen set,
+    computed as one exact integer sum (Instance.weight_of).  Raises
+    ValueError if a chosen vertex is outside the graph.
     """
     n = inst.g.n
-    for v in sol.chosen:
-        if not 1 <= v <= n:
-            raise ValueError(f"chosen vertex {v} out of range 1..{n}")
-    if set(sol.coloring) != sol.chosen:
-        extra = set(sol.coloring) - sol.chosen
-        missing = sol.chosen - set(sol.coloring)
+    order = sorted(sol.chosen)
+    if order and not 1 <= order[0] <= order[-1] <= n:
+        v = next(v for v in sol.chosen if not 1 <= v <= n)
+        raise ValueError(f"chosen vertex {v} out of range 1..{n}")
+    coloring = sol.coloring
+    if coloring.keys() != sol.chosen:
+        extra = set(coloring) - sol.chosen
+        missing = sol.chosen - set(coloring)
         return SolutionViolation(
             "coloring",
             f"coloring domain mismatch (uncolored {sorted(missing)}, stray {sorted(extra)})",
         )
     hk = inst.h.k
-    for v in sorted(sol.chosen):
-        c = sol.coloring[v]
+    lists = inst.lists_masks
+    cmask = 0
+    for v in order:
+        c = coloring[v]
         if isinstance(c, bool) or not isinstance(c, int):
             return SolutionViolation("list", f"vertex {v}: color {c!r} is not an int")
         if not 1 <= c <= hk:
             return SolutionViolation("list", f"vertex {v}: color {c} outside 1..{hk}")
-        if c not in inst.lists[v]:
+        if not lists[v] >> c & 1:
             return SolutionViolation("list", f"vertex {v}: color {c} not in its list")
-    cmask = 0
-    for v in sol.chosen:
         cmask |= 1 << v
+    adj = inst.g.adjacency_masks()
     hadj = inst.h.adjacency_masks()
-    for v in sorted(sol.chosen):
-        inside = inst.g.adjacency_mask(v) & cmask & (-1 << (v + 1))
-        cv = sol.coloring[v]
-        for u in iter_mask(inside):
-            if not hadj[cv] >> sol.coloring[u] & 1:
+    for v in order:
+        cv = coloring[v]
+        for u in iter_mask(adj[v] & cmask & (-1 << (v + 1))):
+            if not hadj[cv] >> coloring[u] & 1:
                 return SolutionViolation(
-                    "edge",
-                    f"edge {v}-{u} maps to ({cv}, {sol.coloring[u]}), not a pattern edge",
+                    "edge", f"edge {v}-{u} maps to ({cv}, {coloring[u]}), not a pattern edge"
                 )
-    true_weight = inst.weight_of(sol.chosen)
+    true_weight = inst.weight_of(order)
     if sol.weight != true_weight:
         return SolutionViolation(
             "weight", f"stored weight {sol.weight} != actual {true_weight}"
@@ -234,10 +250,11 @@ def exists_list_hom(
 
     The keys of lists are vertices of g and its colors ints in 1..k
     (ValueError otherwise); vertices not named are ignored, and the answer
-    colors exactly the named ones, in g's own ids.  Exhaustive backtracking with forward list
-    pruning; picks the most constrained vertex first, the smallest id
-    among equals.  The search is exact: None means no list homomorphism
-    exists.
+    colors exactly the named ones, in g's own ids.  Exhaustive backtracking
+    with forward list pruning, on an explicit stack, so its depth is not
+    bounded by Python's recursion limit; picks the most constrained vertex
+    first, the smallest id among equals, and tries its colors ascending.
+    The search is exact: None means no list homomorphism exists.
     """
     n, k = g.n, h.k
     cand = [0] * (n + 1)
@@ -247,53 +264,56 @@ def exists_list_hom(
             raise ValueError(f"vertex {v} out of range 1..{n}")
         m = 0
         for c in lists[v]:
-            _check_color(c, v, k)
+            if not (type(c) is int and 1 <= c <= k):
+                _check_color(c, v, k)
             m |= 1 << c
         if m == 0:
             return None
         cand[v] = m
         smask |= 1 << v
-    size = smask.bit_count()
     adj = g.adjacency_masks()
     hadj = h.adjacency_masks()
     assigned: dict[int, int] = {}
-
-    def pick() -> int:
-        best, best_sz = 0, 1 << 30
-        for v in iter_mask(smask):
-            if v in assigned:
+    # one frame per colored vertex: (vertex, colors not yet tried, the
+    # (vertex, old candidates) pairs its current color pruned)
+    frames: list[tuple[int, int, list[tuple[int, int]]]] = []
+    named = iter_mask(smask)
+    free = smask
+    while free:
+        v, best = 0, 1 << 30
+        for u in named:
+            if free >> u & 1:
+                size = cand[u].bit_count()
+                if size < best:
+                    v, best = u, size
+        free ^= 1 << v
+        rest, undo = cand[v], []
+        while True:
+            for u, old in undo:
+                cand[u] = old
+            if not rest:
+                # every color of v failed: back to the previous vertex
+                free |= 1 << v
+                del assigned[v]
+                if not frames:
+                    return None
+                v, rest, undo = frames.pop()
                 continue
-            sz = cand[v].bit_count()
-            if sz < best_sz:
-                best, best_sz = v, sz
-        return best
-
-    def rec() -> bool:
-        if len(assigned) == size:
-            return True
-        v = pick()
-        options = cand[v]
-        for c in iter_mask(options):
+            low = rest & -rest
+            rest ^= low
+            c = low.bit_length() - 1
             assigned[v] = c
-            touched: list[tuple[int, int]] = []
-            ok = True
+            undo = []
             for u in iter_mask(adj[v] & smask):
-                if u in assigned:
+                if not free >> u & 1:
                     continue
                 new = cand[u] & hadj[c]
                 if new != cand[u]:
-                    touched.append((u, cand[u]))
+                    undo.append((u, cand[u]))
                     cand[u] = new
                     if new == 0:
-                        ok = False
                         break
-            if ok and rec():
-                return True
-            for u, old in touched:
-                cand[u] = old
-            del assigned[v]
-        return False
-
-    if rec():
-        return dict(assigned)
-    return None
+            else:
+                frames.append((v, rest, undo))
+                break
+    return assigned

@@ -110,6 +110,9 @@ def test_named_constructors():
     c5 = Graph.cycle(5)
     assert c5.edge_count == 5
     assert c5.has_edge(1, 5)
+    # the graph of an adjacency table is the graph it was read from
+    assert Graph.from_adjacency(c5.adjacency_masks()) == c5
+    assert Graph.from_adjacency([0]) == Graph(0)
 
 
 def test_graph_equality_and_hash():
@@ -166,6 +169,31 @@ def test_find_induced_p5_frozen_cases():
     assert find_induced_p5(gem) is None
     # five consecutive C6 vertices induce a chordless path
     assert find_induced_p5(Graph.cycle(6)) is not None
+
+
+def seeded_graph(seed: int) -> Graph:
+    rng = random.Random(seed)
+    return Graph(10, [(u, v) for u, v in itertools.combinations(range(1, 11), 2)
+                      if rng.random() < 0.3])
+
+
+# exact witnesses of find_induced_p5 and find_induced_c5; NotP5FreeError
+# prints the first, so both are output
+@pytest.mark.parametrize("g, p5, c5", [
+    (Graph.cycle(6), (3, 2, 1, 6, 5), None),
+    (Graph.cycle(7), (3, 2, 1, 7, 6), None),
+    (Graph.path(7), (1, 2, 3, 4, 5), None),
+    (seeded_graph(1), (3, 2, 1, 5, 4), (3, 2, 1, 5, 6)),
+    (seeded_graph(2), (9, 4, 1, 5, 2), None),
+    (seeded_graph(3), (3, 2, 1, 10, 6), (9, 2, 1, 10, 6)),
+    (seeded_graph(4), (7, 5, 1, 6, 4), None),
+    (seeded_graph(5), (8, 5, 2, 7, 4), (3, 5, 2, 7, 4)),
+    (seeded_graph(7), (2, 8, 1, 10, 7), (2, 8, 1, 10, 9)),
+    (seeded_graph(8), (8, 2, 1, 4, 5), (8, 2, 1, 4, 3)),
+], ids=["cycle6", "cycle7", "path7"] + [f"seeded{s}" for s in (1, 2, 3, 4, 5, 7, 8)])
+def test_p3_walk_frozen_witnesses(g, p5, c5):
+    assert find_induced_p5(g) == p5
+    assert find_induced_c5(g) == c5
 
 
 def test_find_induced_p5_witness_is_induced_path():

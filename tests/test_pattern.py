@@ -148,6 +148,31 @@ def test_solution_constructors():
     assert Solution.empty().weight == 0
 
 
+def test_weight_of_is_one_exact_sum():
+    # mixed denominators add exactly; no vertex weighs 0, and so do
+    # zero weights; any iterable of vertices is taken, a generator too
+    g, h = Graph.path(3), PatternGraph.complete(2)
+    inst = Instance.build(g, h, wt={1: Fraction(1, 3), 2: Fraction(1, 6), 3: Fraction(1, 2)})
+    got = inst.weight_of([1, 2, 3])
+    assert got == 1 and type(got) is Fraction
+    assert inst.weight_of([]) == 0 and type(inst.weight_of([])) is Fraction
+    assert inst.weight_of(v for v in (1, 3)) == Fraction(5, 6)
+    zeros = Instance.build(g, h, wt={1: 0, 2: 0, 3: 0})
+    assert zeros.weight_of(g.vertices) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 12)), min_size=1, max_size=12),
+       st.integers(0, 10**9))
+def test_weight_of_equals_the_fraction_sum(ratios, seed):
+    n = len(ratios)
+    inst = Instance.build(Graph(n), PatternGraph.complete(2),
+                          wt={v: Fraction(*ratios[v - 1]) for v in range(1, n + 1)})
+    rng = random.Random(seed)
+    chosen = [v for v in range(1, n + 1) if rng.random() < 0.5]
+    assert inst.weight_of(chosen) == sum((inst.wt[v] for v in chosen), Fraction(0))
+
+
 def test_verify_solution_accepts_valid():
     g = Graph.cycle(5)
     inst = Instance.build(g, PatternGraph.complete(2))
@@ -177,6 +202,15 @@ def test_verify_solution_flags_each_kind():
 
     v = verify_solution(inst, Solution(frozenset({1}), {1: 1}, Fraction(7)))
     assert v is not None and v.kind == "weight"
+
+
+def test_verify_solution_flags_a_weight_off_by_a_thousandth():
+    g, h = Graph.path(3), PatternGraph.complete(2)
+    inst = Instance.build(g, h, wt={1: Fraction(1, 3), 2: Fraction(1, 6), 3: Fraction(5, 4)})
+    sol = Solution.from_assignment(inst, {1: 1, 2: 2, 3: 1})
+    assert sol.weight == Fraction(7, 4) and verify_solution(inst, sol) is None
+    off = Solution(sol.chosen, sol.coloring, sol.weight + Fraction(1, 1000))
+    assert str(verify_solution(inst, off)) == "weight: stored weight 1751/1000 != actual 7/4"
 
     with pytest.raises(ValueError):
         verify_solution(inst, Solution(frozenset({9}), {9: 1}, Fraction(1)))
@@ -225,6 +259,26 @@ def test_exists_list_hom_rejects_vertices_outside_the_graph():
         exists_list_hom(Graph.path(3), k2, {1: {1.0}})
     with pytest.raises(ValueError, match="vertex 2"):
         exists_list_hom(Graph.path(3), k2, {2: {True}})
+
+
+def test_exists_list_hom_checks_lists_in_vertex_order():
+    # an empty list answers None before a later bad color is read, and a
+    # bad color raises before a later empty list is read
+    g, k3 = Graph(2, [(1, 2)]), PatternGraph.complete(3)
+    assert exists_list_hom(g, k3, {1: set(), 2: {99}}) is None
+    with pytest.raises(ValueError, match="list color 99 at vertex 1 out of range 1..3"):
+        exists_list_hom(g, k3, {1: {99}, 2: set()})
+
+
+def test_exists_list_hom_runs_at_the_default_recursion_limit():
+    # one colored vertex per level, deeper than Python's default
+    # recursion limit of 1,000
+    n = 1100
+    g = Graph.path(n)
+    got = exists_list_hom(g, PatternGraph.complete(2), {v: {1, 2} for v in g.vertices})
+    assert got is not None and set(got) == set(g.vertices)
+    inst = Instance.build(g, PatternGraph.complete(2))
+    assert verify_solution(inst, Solution.from_assignment(inst, got)) is None
 
 
 def random_case(seed: int):
