@@ -36,9 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-# the family build goes by this name, which perfbench's tracer times as
-# the family layer; it takes the solver of solve_full's certificates
-from .family import Family, _build_family as build_family
+# perfbench's tracer wraps the stages by their names in this module, so
+# solve_full calls them through these names
+from .family import Family, build_family
 from .graph import Graph, NotP5FreeError, find_induced_p5, iter_mask, neighborhood_mask
 from .mwis import WeightedGraph, scale_weights, solve_mwis
 from .pattern import Instance, Solution, exists_list_hom, verify_solution
@@ -106,8 +106,8 @@ def solve_full(inst: Instance, budget: int | None = None) -> SolveResult:
     the bound exactly.  The second bound is built only when neither check
     passes against the first.  A certified coloring is returned after the P5
     check, exhaustive at any budget, with no guess made and no family built.
-    Otherwise the certificate's solver, which spent no guess, builds the
-    family (family._build_family, which makes the P5 check), its blob graph
+    Otherwise the family is built by build_family, which makes the P5
+    check and builds its own ConnectedSolver from the budget; its blob graph
     is solved and each picked member takes the coloring the family carries
     for it (Family.colorings: the colors of the answer of the guess that
     first yielded it), with no search made again.  The returned solution is
@@ -123,7 +123,7 @@ def solve_full(inst: Instance, budget: int | None = None) -> SolveResult:
     checks that the colored members (or the certified or greedy vertices)
     add up to it.
     """
-    # one solver for the certificates, which spend no guess, and the family
+    # made first, so a negative budget raises before any work
     engine = ConnectedSolver(inst, budget=budget)
     lists = inst.lists_masks
     live = universe = 0
@@ -149,7 +149,7 @@ def solve_full(inst: Instance, budget: int | None = None) -> SolveResult:
             raise NotP5FreeError(witness)
         sol, exhaustive = certified, True
     else:
-        fam = build_family(inst, lambda: engine)
+        fam = build_family(inst, budget)
         blob = build_blob_graph(inst, fam)
         picked, blob_weight = solve_mwis(blob)
         coloring = {}

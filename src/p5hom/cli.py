@@ -11,7 +11,6 @@ import argparse
 import hashlib
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from .generators import GenSpec, GenerationError, generate, trial_spec
 from .graph import NotP5FreeError, find_induced_p5
 from .mwis import solve_mwis
 from .oracle import OracleSizeError, oracle_solve
-from .pattern import Instance, Solution, verify_solution
+from .pattern import Instance, verify_solution
 from .textio import (
     ParseError,
     parse_instance,
@@ -31,7 +30,7 @@ from .textio import (
     serialize_solution,
 )
 
-__all__ = ["RunReport", "main"]
+__all__ = ["main"]
 
 
 def _frac_str(w: Fraction) -> str:
@@ -41,31 +40,6 @@ def _frac_str(w: Fraction) -> str:
 def instance_digest(inst: Instance) -> str:
     """Stable hex digest of the canonical serialization (12 chars)."""
     return hashlib.sha256(serialize_instance(inst).encode()).hexdigest()[:12]
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """What one solve run prints: algorithm, exact weight, the chosen
-    vertices with colors, wall time, completeness flag, instance digest."""
-
-    algorithm: str
-    digest: str
-    solution: Solution
-    seconds: float
-    exhaustive: bool
-
-    def lines(self) -> list[str]:
-        pairs = " ".join(
-            f"{v}:{self.solution.coloring[v]}" for v in sorted(self.solution.chosen)
-        )
-        return [
-            f"algorithm: {self.algorithm}",
-            f"instance: {self.digest}",
-            f"weight: {_frac_str(self.solution.weight)}",
-            f"vertices: {pairs}".rstrip(),
-            f"time: {self.seconds:.3f}s",
-            f"exhaustive: {'true' if self.exhaustive else 'false'}",
-        ]
 
 
 def _read_instance(path: str) -> Instance:
@@ -98,9 +72,13 @@ def _cmd_solve(args) -> int:
     if violation is not None:
         print(f"internal verification failed: {violation}", file=sys.stderr)
         return 1
-    report = RunReport(name, instance_digest(inst), sol, elapsed, exhaustive)
-    for line in report.lines():
-        print(line)
+    pairs = " ".join(f"{v}:{sol.coloring[v]}" for v in sorted(sol.chosen))
+    print(f"algorithm: {name}")
+    print(f"instance: {instance_digest(inst)}")
+    print(f"weight: {_frac_str(sol.weight)}")
+    print(f"vertices: {pairs}".rstrip())
+    print(f"time: {elapsed:.3f}s")
+    print(f"exhaustive: {'true' if exhaustive else 'false'}")
     if args.check:
         print("verified: ok")
     return 0

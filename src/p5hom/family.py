@@ -86,7 +86,7 @@ directly; they become frozensets only in the returned Family.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -321,8 +321,9 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
 def build_family(inst: Instance, budget: int | None = None) -> Family:
     """Build the component family for a P5-free instance.
 
-    Raises NotP5FreeError (with a witness path) otherwise.  One
-    ConnectedSolver answers every closed region, so its memo and its
+    Raises NotP5FreeError (with a witness path) otherwise, before a
+    negative budget's ValueError: the solver is made after the P5 check.
+    One ConnectedSolver answers every closed region, so its memo and its
     budget span the whole build: budget bounds the guesses of the run
     (one per second set D' with a new seed, plus the solver's own), and a
     build that runs out keeps the members found so far and reports
@@ -335,19 +336,10 @@ def build_family(inst: Instance, budget: int | None = None) -> Family:
     singletons are seeded first, each with its lowest list color, so no
     one-vertex piece is solved.
     """
-    return _build_family(inst, lambda: ConnectedSolver(inst, budget=budget))
-
-
-def _build_family(inst: Instance, new_solver: Callable[[], ConnectedSolver]) -> Family:
-    """build_family with the solver that new_solver returns, asked for
-    after the P5 check, so that NotP5FreeError comes before a negative
-    budget's ValueError.  blob.solve_full passes the solver of its
-    certificates, which spent no guess: the build draws on its budget and
-    shares its caches."""
     witness = find_induced_p5(inst.g)
     if witness is not None:
         raise NotP5FreeError(witness)
-    solver = new_solver()
+    solver = ConnectedSolver(inst, budget=budget)
     members: dict[int, tuple[FamilyProvenance | str, dict[int, int]]] = {}
     for v in inst.g.vertices:
         if inst.lists[v]:

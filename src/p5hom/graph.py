@@ -123,9 +123,6 @@ class Graph:
         """Mask of all vertices."""
         return (1 << (self.n + 1)) - 2 if self.n else 0
 
-    def adjacency_mask(self, v: int) -> int:
-        return self._adj[v]
-
     def adjacency_masks(self) -> tuple[int, ...]:
         """The whole adjacency table (index 0 unused), for hot loops."""
         return self._adj

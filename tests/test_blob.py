@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 import p5hom.blob as blob_module
 from p5hom.blob import build_blob_graph, solve_full
-from p5hom.connected import ConnectedSolver
+from p5hom.connected import ConnectedSolver, solve_connected_case
 from p5hom.family import Family, build_family
 from p5hom.generators import GenSpec, generate, trial_spec
 from p5hom.graph import Graph, NotP5FreeError, find_induced_p5, mask_from
+from p5hom.mwis import solve_mwis
 from p5hom.oracle import oracle_solve
 from p5hom.pattern import Instance, PatternGraph, exists_list_hom, verify_solution
 
@@ -213,13 +214,14 @@ def test_budgeted_answer_never_below_greedy(budget):
 
 
 def counted_build_family(monkeypatch):
-    """Patch solve_full's family build with one that records each call."""
+    """Patch solve_full's family build with one that records each call's
+    instance and budget."""
     calls = []
     build = blob_module.build_family
 
-    def counted(inst, new_solver):
-        calls.append(inst)
-        return build(inst, new_solver)
+    def counted(inst, budget=None):
+        calls.append((inst, budget))
+        return build(inst, budget)
 
     monkeypatch.setattr(blob_module, "build_family", counted)
     return calls
@@ -280,13 +282,58 @@ def test_list_cover_certifies_where_the_omega_count_fails(monkeypatch):
 
 def test_uncertified_instance_builds_the_family(monkeypatch):
     # C5 under K2: the greedy colors 4 of both bounds' 5, and the five
-    # counted vertices are an odd cycle
+    # counted vertices are an odd cycle; the family gets solve_full's budget
     calls = counted_build_family(monkeypatch)
     inst = Instance.build(Graph.cycle(5), PatternGraph.complete(2))
     assert certificate(inst) == (4, ((5, False), (5, False)))
     res = solve_full(inst)
     assert res.exhaustive and res.solution.weight == 4
-    assert calls == [inst]
+    solve_full(inst, budget=7)
+    assert calls == [(inst, None), (inst, 7)]
+
+
+def test_uncertified_solve_full_is_the_public_stages():
+    # C5 under K2 and a cograph draw that no certificate settles: at every
+    # budget, solve_full answers as build_family, build_blob_graph,
+    # solve_mwis and the picked members' Family.colorings do by hand, unless
+    # a cut family lets the strictly heavier whole-instance greedy through
+    cograph = generate(GenSpec(family="cograph", n=12, k=3, seed=1,
+                               list_density=Fraction(7, 10), weight_range=(0, 6)))
+    paths = set()
+    for inst in (Instance.build(Graph.cycle(5), PatternGraph.complete(2)), cograph):
+        greedy, rungs = certificate(inst)
+        assert certified_bound(greedy, rungs) is None
+        for budget in (None, 0, 5, 40):
+            fam = build_family(inst, budget)
+            blob = build_blob_graph(inst, fam)
+            picked, weight = solve_mwis(blob)
+            coloring = {}
+            for bv in sorted(picked):
+                coloring.update(fam.colorings[blob.members[bv - 1]])
+            res = solve_full(inst, budget=budget)
+            assert res.exhaustive == fam.exhaustive
+            assert res.exhaustive or budget is not None
+            if (res.solution.weight, res.solution.coloring) == (weight, coloring):
+                paths.add("stages")
+            else:
+                assert not res.exhaustive
+                assert res.solution.weight == greedy > weight
+                assert verify_solution(inst, res.solution) is None
+                paths.add("greedy")
+    assert paths == {"stages", "greedy"}
+
+
+def test_negative_budget_error_order():
+    # P5 under K2 at budget -1: the family and the connected case make the
+    # P5 check before their solver, while solve_full makes its certificate
+    # solver first, so a negative budget raises there before any work
+    inst = Instance.build(Graph.path(5), PatternGraph.complete(2))
+    with pytest.raises(NotP5FreeError):
+        build_family(inst, -1)
+    with pytest.raises(NotP5FreeError):
+        solve_connected_case(inst, budget=-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_full(inst, budget=-1)
 
 
 def test_certified_non_p5free_input_still_raises():
