@@ -25,7 +25,8 @@ a pattern clique, matched to them.  The first bound lets each cover
 clique count its omega heaviest vertices, omega the pattern's clique
 number; the second, tried only when the first certifies nothing, its
 heaviest vertices that their lists can match to one maximal pattern
-clique.  Both bounds read one greedy cover in weight order, walked
+clique, and takes the lesser of two covers, the one in weight order and
+one in degree order.  Both bounds read the weight-order cover, walked
 once.  The coloring is the greedy's, when it meets a bound, or a list
 homomorphism of the vertices a bound counts, which weigh it exactly (see
 solve_full).
@@ -40,7 +41,7 @@ from fractions import Fraction
 # solve_full calls them through these names
 from .family import Family, build_family
 from .graph import Graph, NotP5FreeError, find_induced_p5, iter_mask, neighborhood_mask
-from .mwis import WeightedGraph, scale_weights, solve_mwis
+from .mwis import WeightedGraph, solve_mwis
 from .pattern import Instance, Solution, exists_list_hom, verify_solution
 from .connected import ConnectedSolver, SolveResult
 
@@ -60,7 +61,7 @@ def build_blob_graph(inst: Instance, fam: Family) -> BlobGraph:
     members = fam.members
     m = len(members)
     adj = inst.g.adjacency_masks()
-    scale, ints = scale_weights(inst.wt)
+    scale, ints = inst.scaled_weights
     masks = []
     weights = {}
     for i, member in enumerate(members, start=1):

@@ -94,8 +94,8 @@ bounds the guesses of the whole run: dominator tuples, dominator
 colorings and cleanup states draw on one counter, shared with the family
 build's second sets when the family drives the solver; on a host with no
 induced C5 no P3 is walked, so none is charged.  The solver is
-built from an Instance and scales its weights once to integers
-(mwis.scale_weights), so no sum inside the search is a Fraction.
+built from an Instance and reads its weights scaled once to integers
+(Instance.scaled_weights), so no sum inside the search is a Fraction.
 """
 
 from __future__ import annotations
@@ -119,10 +119,9 @@ from .mwis import (
     _greedy_cliques,
     clique_cover_bound,
     list_clique_cover,
-    scale_weights,
     solve_mwis_masked,
 )
-from .pattern import Instance, Solution, verify_solution
+from .pattern import Instance, Solution, _coloring_violation, verify_solution
 
 __all__ = [
     "SolveResult",
@@ -280,8 +279,8 @@ class ConnectedSolver:
     vertices as it is H-colorable: the P3s are not needed, and a budget
     pays for none of them.
 
-    Inside the solver weights are inst.wt scaled to integers by
-    mwis.scale_weights; solve_masked returns weights in these units, and
+    Inside the solver weights are inst.wt scaled to integers, read from
+    Instance.scaled_weights; solve_masked returns weights in these units, and
     weight / scale is the exact one.  An Instance holds no negative
     weight, so no vertex lowers a sum: that makes it sound to skip every
     branch whose bound cannot strictly beat the best so far.  The
@@ -299,7 +298,7 @@ class ConnectedSolver:
         self._g = inst.g
         self._adj = inst.g.adjacency_masks()
         self._hadj = inst.h.adjacency_masks()
-        self.scale, self._wt = scale_weights(inst.wt)
+        self.scale, self._wt = inst.scaled_weights
         # heaviest first, ties by id: the incumbent's and the bound's order
         self._order = sorted(inst.g.vertices, key=lambda v: (-self._wt[v], v))
         self._omega = {0: 0}  # clique_number's table, by color mask
@@ -714,18 +713,14 @@ class ConnectedSolver:
 
     def _verify_candidate(self, coloring, entry_lists) -> None:
         """RuntimeError unless coloring keeps to the entry lists and puts
-        every host edge inside it on a pattern edge."""
-        adj = self._adj
+        every host edge inside it on a pattern edge (verify_solution's
+        check, pattern._coloring_violation)."""
         hadj = self._hadj
-        cmask = 0
-        for v in coloring:
-            cmask |= 1 << v
-        for v, c in coloring.items():
-            if not entry_lists[v] >> c & 1:
-                raise RuntimeError(f"internal error: candidate color {c} off the list of {v}")
-            for u in iter_mask(adj[v] & cmask & (-1 << (v + 1))):
-                if not hadj[c] >> coloring[u] & 1:
-                    raise RuntimeError(f"internal error: candidate edge {v}-{u} off the pattern")
+        violation = _coloring_violation(
+            self._adj, hadj, len(hadj) - 1, entry_lists, coloring, coloring
+        )
+        if violation is not None:
+            raise RuntimeError(f"internal error: candidate {violation}")
 
 
 def solve_connected_case(inst: Instance, budget: int | None = None) -> SolveResult:

@@ -13,10 +13,11 @@ clique of a greedy cover cannot strictly beat the best so far is
 skipped.  Only a strictly heavier set replaces the best, so the skip
 changes no pick and no tie.
 
-The search runs on integers.  scale_weights, the one scaling step of
-both searches, multiplies by the lcm of the denominators; a positive
-scale keeps every comparison and tie, and an answer w is exactly
-w / scale.
+The search runs on integers.  pattern.scale_weights, the one scaling
+step, multiplies by the lcm of the denominators; a positive scale keeps
+every comparison and tie, and an answer w is exactly w / scale.
+solve_mwis scales the weights of the graph it is given; the connected
+search reads its instance's scaling once, as Instance.scaled_weights.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .graph import Graph, iter_mask, set_from_mask
-from .pattern import _check_weight
+from .pattern import _check_weight, scale_weights
 
-__all__ = ["WeightedGraph", "clique_cover_bound", "list_clique_cover", "scale_weights",
-           "solve_mwis", "solve_mwis_masked"]
+__all__ = ["WeightedGraph", "clique_cover_bound", "list_clique_cover", "solve_mwis",
+           "solve_mwis_masked"]
 
 
 @dataclass(frozen=True)
@@ -50,17 +50,6 @@ class WeightedGraph:
             raise ValueError("weights must be defined exactly on the vertices")
         norm = {v: _check_weight(self.weights[v], v) for v in sorted(verts)}
         object.__setattr__(self, "weights", norm)
-
-
-def scale_weights(weights: Mapping[int, Fraction]) -> tuple[int, tuple[int, ...]]:
-    """(scale, ints): the lcm of the denominators, and ints[v] =
-    weights[v] * scale for the keys v = 1..n, with ints[0] = 0."""
-    ratios = [w.as_integer_ratio() for w in weights.values()]
-    scale = lcm(*[den for _, den in ratios])
-    ints = [0] * (len(weights) + 1)
-    for v, (num, den) in zip(weights, ratios):
-        ints[v] = num * (scale // den)
-    return scale, tuple(ints)
 
 
 def clique_cover_bound(

@@ -10,13 +10,13 @@ a weight comparison.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .graph import Graph, iter_mask
+from .graph import Graph, iter_mask, mask_from
 
 __all__ = [
     "Instance",
@@ -24,6 +24,7 @@ __all__ = [
     "Solution",
     "SolutionViolation",
     "exists_list_hom",
+    "scale_weights",
     "verify_solution",
 ]
 
@@ -63,6 +64,17 @@ def _check_weight(w: object, v: int) -> Fraction:
     if w.numerator < 0:
         raise ValueError(f"negative weight {w} at vertex {v}")
     return w
+
+
+def scale_weights(weights: Mapping[int, Fraction]) -> tuple[int, tuple[int, ...]]:
+    """(scale, ints): the lcm of the denominators, and ints[v] =
+    weights[v] * scale for the keys v = 1..n, with ints[0] = 0."""
+    ratios = [w.as_integer_ratio() for w in weights.values()]
+    scale = lcm(*[den for _, den in ratios])
+    ints = [0] * (len(weights) + 1)
+    for v, (num, den) in zip(weights, ratios):
+        ints[v] = num * (scale // den)
+    return scale, tuple(ints)
 
 
 def _check_color(c: object, v: int, k: int) -> None:
@@ -132,33 +144,35 @@ class Instance:
     @cached_property
     def lists_masks(self) -> tuple[int, ...]:
         """Color lists as bitmasks, indexed by vertex (index 0 unused)."""
-        out = [0] * (self.g.n + 1)
-        for v, ls in self.lists.items():
-            m = 0
-            for c in ls:
-                m |= 1 << c
-            out[v] = m
-        return tuple(out)
+        return (0, *[mask_from(self.lists[v]) for v in self.g.vertices])
+
+    @cached_property
+    def scaled_weights(self) -> tuple[int, tuple[int, ...]]:
+        """scale_weights(wt), the one scaling of this instance's weights:
+        (scale, ints), with ints[v] = wt[v] * scale."""
+        return scale_weights(self.wt)
 
     def weight_of(self, vertices: Iterable[int]) -> Fraction:
         """The total weight of the named vertices, as one exact integer
-        sum: each weight scaled to the lcm of their denominators (grown as
-        the walk meets them), and one Fraction made at the end (0 for
-        none)."""
-        total, scale = 0, 1
+        sum of the scaled weights, divided once (0 for none).  A vertex
+        outside 1..n raises ValueError."""
+        scale, ints = self.scaled_weights
+        n = self.g.n
+        total = 0
         for v in vertices:
-            num, den = self.wt[v].as_integer_ratio()
-            if scale % den:
-                grown = lcm(scale, den)
-                total *= grown // scale
-                scale = grown
-            total += num * (scale // den)
+            if not 1 <= v <= n:
+                raise ValueError(f"vertex {v} out of range 1..{n}")
+            total += ints[v]
         return Fraction(total, scale)
 
 
 @dataclass(frozen=True)
 class Solution:
-    """A chosen vertex set, a total coloring of it, and its weight."""
+    """A chosen vertex set, a total coloring of it, and its stated weight.
+
+    The weight is exact: an int, a Fraction or a Fraction string; a float
+    or bool raises ValueError.  It is not checked against the instance
+    (verify_solution does that), so it may be negative."""
 
     chosen: frozenset[int]
     coloring: Mapping[int, int]
@@ -167,8 +181,11 @@ class Solution:
     def __post_init__(self) -> None:
         object.__setattr__(self, "chosen", frozenset(self.chosen))
         object.__setattr__(self, "coloring", dict(self.coloring))
-        if type(self.weight) is not Fraction:
-            object.__setattr__(self, "weight", Fraction(self.weight))
+        w = self.weight
+        if type(w) is not Fraction:
+            if isinstance(w, (bool, float)):
+                raise ValueError(f"weight {w!r} is a {type(w).__name__}, not exact")
+            object.__setattr__(self, "weight", Fraction(w))
 
     @classmethod
     def empty(cls) -> "Solution":
@@ -189,6 +206,36 @@ class SolutionViolation:
 
     def __str__(self) -> str:
         return f"{self.kind}: {self.detail}"
+
+
+def _coloring_violation(
+    adj: Sequence[int], hadj: Sequence[int], k: int, lists: Sequence[int],
+    coloring: Mapping[int, int], order: Collection[int],
+) -> SolutionViolation | None:
+    """The first violation of coloring on the vertices of order, or None.
+
+    Checks, in order: each vertex's color, in the order given, is an int
+    in 1..k on its list (lists holds color bitmasks); then every host edge
+    (adj) between two vertices of order maps to a pattern edge (hadj).
+    """
+    cmask = 0
+    for v in order:
+        c = coloring[v]
+        if isinstance(c, bool) or not isinstance(c, int):
+            return SolutionViolation("list", f"vertex {v}: color {c!r} is not an int")
+        if not 1 <= c <= k:
+            return SolutionViolation("list", f"vertex {v}: color {c} outside 1..{k}")
+        if not lists[v] >> c & 1:
+            return SolutionViolation("list", f"vertex {v}: color {c} not in its list")
+        cmask |= 1 << v
+    for v in order:
+        cv = coloring[v]
+        for u in iter_mask(adj[v] & cmask & (-1 << (v + 1))):
+            if not hadj[cv] >> coloring[u] & 1:
+                return SolutionViolation(
+                    "edge", f"edge {v}-{u} maps to ({cv}, {coloring[u]}), not a pattern edge"
+                )
+    return None
 
 
 def verify_solution(inst: Instance, sol: Solution) -> SolutionViolation | None:
@@ -213,33 +260,15 @@ def verify_solution(inst: Instance, sol: Solution) -> SolutionViolation | None:
             "coloring",
             f"coloring domain mismatch (uncolored {sorted(missing)}, stray {sorted(extra)})",
         )
-    hk = inst.h.k
-    lists = inst.lists_masks
-    cmask = 0
-    for v in order:
-        c = coloring[v]
-        if isinstance(c, bool) or not isinstance(c, int):
-            return SolutionViolation("list", f"vertex {v}: color {c!r} is not an int")
-        if not 1 <= c <= hk:
-            return SolutionViolation("list", f"vertex {v}: color {c} outside 1..{hk}")
-        if not lists[v] >> c & 1:
-            return SolutionViolation("list", f"vertex {v}: color {c} not in its list")
-        cmask |= 1 << v
-    adj = inst.g.adjacency_masks()
-    hadj = inst.h.adjacency_masks()
-    for v in order:
-        cv = coloring[v]
-        for u in iter_mask(adj[v] & cmask & (-1 << (v + 1))):
-            if not hadj[cv] >> coloring[u] & 1:
-                return SolutionViolation(
-                    "edge", f"edge {v}-{u} maps to ({cv}, {coloring[u]}), not a pattern edge"
-                )
-    true_weight = inst.weight_of(order)
-    if sol.weight != true_weight:
-        return SolutionViolation(
-            "weight", f"stored weight {sol.weight} != actual {true_weight}"
-        )
-    return None
+    violation = _coloring_violation(inst.g.adjacency_masks(), inst.h.adjacency_masks(),
+                                    inst.h.k, inst.lists_masks, coloring, order)
+    if violation is None:
+        true_weight = inst.weight_of(order)
+        if sol.weight != true_weight:
+            violation = SolutionViolation(
+                "weight", f"stored weight {sol.weight} != actual {true_weight}"
+            )
+    return violation
 
 
 def exists_list_hom(

@@ -9,6 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import p5hom.blob as blob_module
+import p5hom.mwis as mwis_module
+import p5hom.pattern as pattern_module
 from p5hom.blob import build_blob_graph, solve_full
 from p5hom.connected import ConnectedSolver, solve_connected_case
 from p5hom.family import Family, build_family
@@ -290,6 +292,26 @@ def test_uncertified_instance_builds_the_family(monkeypatch):
     assert res.exhaustive and res.solution.weight == 4
     solve_full(inst, budget=7)
     assert calls == [(inst, None), (inst, 7)]
+
+
+def test_solve_full_scales_an_instances_weights_once(monkeypatch):
+    # C5 under K2 is uncertified, so the certificate, the family and the
+    # blob graph all read inst's weights; they are scaled once, on the
+    # first solve of the instance, and the blob MWIS scales its own
+    scaled = []
+    scale = pattern_module.scale_weights
+
+    def counted(weights):
+        scaled.append(weights)
+        return scale(weights)
+
+    monkeypatch.setattr(pattern_module, "scale_weights", counted)
+    monkeypatch.setattr(mwis_module, "scale_weights", counted)
+    inst = Instance.build(Graph.cycle(5), PatternGraph.complete(2))
+    assert solve_full(inst).solution.weight == 4
+    assert [w is inst.wt for w in scaled] == [True, False]
+    solve_full(inst)
+    assert [w is inst.wt for w in scaled] == [True, False, False]
 
 
 def test_uncertified_solve_full_is_the_public_stages():

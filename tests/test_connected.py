@@ -197,6 +197,20 @@ def test_negative_budget_rejected():
         ConnectedSolver(Instance.build(GEM, PatternGraph.complete(2)), budget=-1)
 
 
+def test_verify_candidate_rejects_off_list_and_off_pattern():
+    # the candidate check reads the lists the branch entered with, not the
+    # instance's, and raises on the first violation
+    inst = Instance.build(Graph.path(3), PatternGraph.complete(2))
+    solver = ConnectedSolver(inst)
+    lists = list(inst.lists_masks)
+    solver._verify_candidate({1: 1, 2: 2, 3: 1}, lists)
+    lists[3] = 1 << 2
+    with pytest.raises(RuntimeError, match="candidate list: vertex 3: color 1 not in its list"):
+        solver._verify_candidate({1: 1, 2: 2, 3: 1}, lists)
+    with pytest.raises(RuntimeError, match="candidate edge: edge 2-3 maps to"):
+        solver._verify_candidate({1: 1, 2: 2, 3: 2}, lists)
+
+
 def test_negative_weight_rejected():
     # the weight bound rests on nonnegative weights
     with pytest.raises(ValueError):

@@ -148,6 +148,19 @@ def test_solution_constructors():
     assert Solution.empty().weight == 0
 
 
+def test_solution_weight_is_exact_but_unchecked():
+    # a float or bool would stand in for its binary value; a negative
+    # weight is kept, for verify_solution to report
+    for bad in (0.1, True, 1.0):
+        with pytest.raises(ValueError, match="not exact"):
+            Solution(frozenset({1}), {1: 1}, bad)
+    assert Solution(frozenset(), {}, "1/3").weight == Fraction(1, 3)
+    neg = Solution(frozenset({1}), {1: 1}, -1)
+    assert neg.weight == -1 and type(neg.weight) is Fraction
+    inst = Instance.build(Graph(1), PatternGraph.complete(2))
+    assert str(verify_solution(inst, neg)) == "weight: stored weight -1 != actual 1"
+
+
 def test_weight_of_is_one_exact_sum():
     # mixed denominators add exactly; no vertex weighs 0, and so do
     # zero weights; any iterable of vertices is taken, a generator too
@@ -159,6 +172,14 @@ def test_weight_of_is_one_exact_sum():
     assert inst.weight_of(v for v in (1, 3)) == Fraction(5, 6)
     zeros = Instance.build(g, h, wt={1: 0, 2: 0, 3: 0})
     assert zeros.weight_of(g.vertices) == 0
+
+
+def test_weight_of_rejects_vertices_outside_the_graph():
+    # unguarded, 0 would read the scaled table's unused 0 and -1 vertex n
+    inst = Instance.build(Graph.path(3), PatternGraph.complete(2), wt={3: 5})
+    for v in (0, 4, -1):
+        with pytest.raises(ValueError, match=f"vertex {v} out of range 1..3"):
+            inst.weight_of([1, v])
 
 
 @settings(max_examples=100, deadline=None)
@@ -202,6 +223,22 @@ def test_verify_solution_flags_each_kind():
 
     v = verify_solution(inst, Solution(frozenset({1}), {1: 1}, Fraction(7)))
     assert v is not None and v.kind == "weight"
+
+
+def test_verify_solution_reports_the_first_violation():
+    # every color in vertex order first, then the edges, then the weight
+    inst = Instance.build(Graph.path(4), PatternGraph.complete(2), lists={1: [1], 2: [2], 4: [1]})
+
+    def first(coloring, weight=4):
+        return str(verify_solution(inst, Solution(frozenset(coloring), coloring, weight)))
+
+    assert first({1: 2, 2: 99, 3: 1, 4: 1}) == "list: vertex 1: color 2 not in its list"
+    assert first({1: 99, 2: 1, 3: 1, 4: 1}) == "list: vertex 1: color 99 outside 1..2"
+    assert first({1: 1, 2: 2, 3: "1", 4: 2}) == "list: vertex 3: color '1' is not an int"
+    assert first({1: 1, 2: 2, 3: 2, 4: 2}) == "list: vertex 4: color 2 not in its list"
+    assert first({1: 1, 2: 2, 3: 2, 4: 1}, 7) == (
+        "edge: edge 2-3 maps to (2, 2), not a pattern edge")
+    assert first({1: 1, 2: 2}, 7) == "weight: stored weight 7 != actual 2"
 
 
 def test_verify_solution_flags_a_weight_off_by_a_thousandth():
