@@ -79,10 +79,10 @@ the best weight so far can come from cannot change the answer.  Such a
 branch is skipped at four points.  The whole piece, a dominator tuple
 (by N[D]), a dominator coloring (by N[D] minus the vertices its
 propagation empties) and a cleaned state (by the vertices it keeps) are
-bounded by a clique cover (mwis.clique_cover_bound, the MWIS's bound
-too): the vertices are split greedily into host cliques, and each
-clique counts only its omega heaviest vertices, since an answer colors
-at most omega vertices of a clique.  A cleaned state that passes solves
+bounded by a clique cover (mwis.clique_cover, the MWIS's bound too):
+the vertices are split greedily into host cliques, and each clique
+counts only its omega heaviest vertices, since an answer colors at most
+omega vertices of a clique.  A cleaned state that passes solves
 every part it keeps, and its candidate is compared with the best once.
 The answer, ties included, is the one the search without these skips
 would return from the same greedy start.
@@ -115,12 +115,7 @@ from .graph import (
     masked_components,
     maximal_cliques,
 )
-from .mwis import (
-    _greedy_cliques,
-    clique_cover_bound,
-    list_clique_cover,
-    solve_mwis_masked,
-)
+from .mwis import clique_cover, list_clique_cover, solve_mwis_masked
 from .pattern import Instance, Solution, _coloring_violation, verify_solution
 
 __all__ = [
@@ -490,20 +485,20 @@ class ConnectedSolver:
 
     def cover_bound(self, mask: int, omega: int) -> int:
         """An upper bound on the weight of any answer inside mask whose
-        colors span a pattern clique of at most omega colors: the greedy
-        clique cover of mwis.clique_cover_bound in the solver's weight
-        order, each host clique counting its omega heaviest vertices.  An
-        answer's vertices in one host clique take pairwise distinct colors
-        that are pairwise pattern-adjacent, so there are at most omega of
-        them.  Bounds are memoized per solver: the cleaned states of one
+        colors span a pattern clique of at most omega colors: the bound of
+        mwis.clique_cover's greedy cover in the solver's weight order, each
+        host clique counting its omega heaviest vertices.  An answer's
+        vertices in one host clique take pairwise distinct colors that are
+        pairwise pattern-adjacent, so there are at most omega of them.
+        Bounds are memoized per solver: the cleaned states of one
         dominator tuple mostly keep the same mask.
         """
         key = (mask, omega)
         total = self._bounds.get(key)
         if total is None:
-            total = self._bounds[key] = clique_cover_bound(
+            total = self._bounds[key] = clique_cover(
                 self._adj, self._order, self._wt, mask, omega
-            )
+            )[0]
         return total
 
     def certificate_covers(
@@ -517,10 +512,10 @@ class ConnectedSolver:
         An answer's vertices in one host clique take pairwise distinct,
         pairwise pattern-adjacent colors of their lists: a pattern clique,
         inside a maximal one, matched to them.  Both bounds split mask into
-        host cliques greedily (mwis._greedy_cliques).  The first lets each
-        clique of the cover in the solver's weight order count its first
-        omega vertices, its heaviest, omega the clique number of the
-        pattern on colors, so it equals cover_bound(mask, omega).  The
+        host cliques greedily (mwis.clique_cover).  The first is that
+        call's bound in the solver's weight order, each clique counting
+        its first omega vertices, its heaviest, omega the clique number of
+        the pattern on colors, so it equals cover_bound(mask, omega).  The
         second, mwis.list_clique_cover over the maximal cliques of the
         pattern on colors, lets each clique count its heaviest vertices
         that their lists can match to one of them, and takes the lesser of
@@ -530,19 +525,14 @@ class ConnectedSolver:
         is walked once, for both.
         """
         adj, wt = self._adj, self._wt
-        cliques = _greedy_cliques(adj, self._order, wt, mask)
         omega = self.clique_number(colors)
-        bound = counted = 0
-        for clique in cliques:
-            for v in clique[:omega]:
-                bound += wt[v]
-                counted |= 1 << v
+        bound, counted, cliques = clique_cover(adj, self._order, wt, mask, omega)
         yield bound, counted
         colorsets = maximal_cliques(self._hadj, colors)
         by_degree = sorted(self._order, key=lambda v: -adj[v].bit_count())
         weight_cover = list_clique_cover(cliques, wt, lists, colorsets)
         degree_cover = list_clique_cover(
-            _greedy_cliques(adj, by_degree, wt, mask), wt, lists, colorsets
+            clique_cover(adj, by_degree, wt, mask, omega)[2], wt, lists, colorsets
         )
         yield degree_cover if degree_cover[0] < weight_cover[0] else weight_cover
 

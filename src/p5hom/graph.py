@@ -128,12 +128,16 @@ class Graph:
         return self._adj
 
     def neighbors(self, v: int) -> frozenset[int]:
-        if not 1 <= v <= self.n:
-            raise ValueError(f"vertex {v} out of range 1..{self.n}")
-        return set_from_mask(self._adj[v])
+        return set_from_mask(self._adj[self._check_vertex(v)])
 
     def degree(self, v: int) -> int:
-        return self._adj[v].bit_count()
+        return self._adj[self._check_vertex(v)].bit_count()
+
+    def _check_vertex(self, v: int) -> int:
+        """v, or ValueError when it is not a vertex."""
+        if not 1 <= v <= self.n:
+            raise ValueError(f"vertex {v} out of range 1..{self.n}")
+        return v
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (1 <= u <= self.n and 1 <= v <= self.n):

@@ -6,12 +6,12 @@ a specialized polynomial routine would not be safe here.  Consequently
 this step is exponential in the worst case; at the scales the pipeline
 produces it is far from the bottleneck.
 
-It prunes by a clique cover (clique_cover_bound, shared with the
-connected search): an independent set takes at most one vertex of each
-host clique, so a branch whose weight plus the heaviest vertex of every
-clique of a greedy cover cannot strictly beat the best so far is
-skipped.  Only a strictly heavier set replaces the best, so the skip
-changes no pick and no tie.
+It prunes by a clique cover (clique_cover, shared with the connected
+search and its certificate): an independent set takes at most one
+vertex of each host clique, so a branch whose weight plus the heaviest
+vertex of every clique of a greedy cover cannot strictly beat the best
+so far is skipped.  Only a strictly heavier set replaces the best, so
+the skip changes no pick and no tie.
 
 The search runs on integers.  pattern.scale_weights, the one scaling
 step, multiplies by the lcm of the denominators; a positive scale keeps
@@ -29,7 +29,7 @@ from fractions import Fraction
 from .graph import Graph, iter_mask, set_from_mask
 from .pattern import _check_weight, scale_weights
 
-__all__ = ["WeightedGraph", "clique_cover_bound", "list_clique_cover", "solve_mwis",
+__all__ = ["WeightedGraph", "clique_cover", "list_clique_cover", "solve_mwis",
            "solve_mwis_masked"]
 
 
@@ -52,58 +52,29 @@ class WeightedGraph:
         object.__setattr__(self, "weights", norm)
 
 
-def clique_cover_bound(
+def clique_cover(
     adj: Sequence[int], order: Sequence[int], weights: Sequence[int], mask: int, omega: int
-) -> int:
-    """An upper bound on the weight of any vertex set inside mask that
-    holds at most omega vertices of each host clique.
+) -> tuple[int, int, list[int]]:
+    """(bound, counted, cliques): a greedy clique cover of mask and an
+    upper bound on the weight of any vertex set inside mask that holds at
+    most omega vertices of each of its cliques.
 
-    The vertices of mask are split greedily into cliques of adj, taken
-    in order (heaviest first; order must hold every vertex of mask), each
+    The vertices of mask with a nonzero weight are split into cliques of
+    adj, taken in order (any order that holds every vertex of mask), each
     joining the first clique it is adjacent to throughout or opening a new
-    one; a clique counts only its first omega vertices, its heaviest.
-    omega = 1 bounds an independent set; the connected search passes the
-    pattern's clique number, as an answer colors at most that many
-    vertices of a host clique.  Weights are nonnegative integers, so the
-    walk stops at the first zero weight.
+    one.  A clique depends only on the vertices before it, so the walk
+    grows one clique at a time: the first vertex left opens it, and the
+    vertices after it in order that are still in its common neighborhood
+    join it one by one.  cliques holds each clique as a mask, in opening
+    order; counted is the first omega vertices of each, the heaviest in
+    a heaviest-first order, and bound is their weight.  omega = 1 bounds
+    an independent set; the connected search passes the pattern's clique
+    number, as an answer colors at most that many vertices of a host
+    clique.
     """
-    commons: list[int] = []  # common neighborhood of each clique
-    room: list[int] = []  # vertices each clique may still count
-    total = 0
-    for v in order:
-        if not mask or not weights[v]:
-            break
-        if not mask >> v & 1:
-            continue
-        mask ^= 1 << v
-        for i, common in enumerate(commons):
-            if common >> v & 1:
-                commons[i] = common & adj[v]
-                if room[i]:
-                    room[i] -= 1
-                    total += weights[v]
-                break
-        else:
-            commons.append(adj[v])
-            room.append(omega - 1)
-            total += weights[v]
-    return total
-
-
-def _greedy_cliques(
-    adj: Sequence[int], order: Sequence[int], weights: Sequence[int], mask: int
-) -> list[list[int]]:
-    """The cliques of clique_cover_bound's greedy cover, each as its
-    vertices in order: the vertices of mask with a nonzero weight, taken
-    in order (any order that holds every vertex of mask), each joining
-    the first clique it is adjacent to throughout or opening a new one.
-    In the bound's heaviest-first order, a clique's first omega vertices
-    are the ones the bound counts.  The bound keeps a walk of its own,
-    which builds no lists, as it runs in the inner loops of both searches.
-    """
-    commons: list[int] = []  # common neighborhood of each clique
-    cliques: list[list[int]] = []
-    for v in order:
+    bound = counted = 0
+    cliques: list[int] = []
+    for i, v in enumerate(order):
         if not mask:
             break
         if not mask >> v & 1:
@@ -111,26 +82,38 @@ def _greedy_cliques(
         mask ^= 1 << v
         if not weights[v]:
             continue
-        for i, common in enumerate(commons):
-            if common >> v & 1:
-                commons[i] = common & adj[v]
-                cliques[i].append(v)
-                break
-        else:
-            commons.append(adj[v])
-            cliques.append([v])
-    return cliques
+        clique = 1 << v
+        bound += weights[v]
+        counted |= clique
+        room = omega - 1
+        common = adj[v] & mask  # the vertices left that may still join
+        for u in order[i + 1:] if common else ():
+            if common >> u & 1:
+                bit = 1 << u
+                mask ^= bit
+                common ^= bit
+                if weights[u]:
+                    common &= adj[u]
+                    clique |= bit
+                    if room:
+                        room -= 1
+                        bound += weights[u]
+                        counted |= bit
+                if not common:
+                    break
+        cliques.append(clique)
+    return bound, counted, cliques
 
 
 def list_clique_cover(
-    cliques: Sequence[Sequence[int]],
+    cliques: Sequence[int],
     weights: Sequence[int],
     lists: Sequence[int],
     colorsets: Sequence[int],
 ) -> tuple[int, int]:
     """(bound, counted): a clique cover that reads the lists.
 
-    The cliques are those of a cover, such as _greedy_cliques gives.  Each
+    The cliques are the masks of a cover, such as clique_cover gives.  Each
     counts its heaviest subset whose vertices take pairwise distinct
     colors of one color set, each a color of its list (lists[v], a color
     mask), the best color set of colorsets for that clique.  counted is
@@ -145,7 +128,7 @@ def list_clique_cover(
     """
     bound = counted = 0
     for clique in cliques:
-        heaviest = sorted(clique, key=lambda v: (-weights[v], v))
+        heaviest = sorted(iter_mask(clique), key=lambda v: (-weights[v], v))
         best = best_kept = -1
         for colors in colorsets:
             owner: dict[int, int] = {}  # color -> the kept vertex matched to it
@@ -199,8 +182,8 @@ def solve_mwis_masked(adj: Sequence[int], vmask: int, weights: Sequence[int]) ->
     degree-0 vertices are always taken, a degree-1 vertex at least as
     heavy as its neighbor is taken, otherwise branch on a maximum-degree
     vertex, taking it before dropping it; prune when the chosen weight
-    plus the clique-cover bound of the vertices left (clique_cover_bound
-    with omega = 1, in the heaviest-first order of the greedy start)
+    plus the clique-cover bound of the vertices left (clique_cover with
+    omega = 1, in the heaviest-first order of the greedy start)
     cannot beat the best.  The branches run depth first on an explicit
     stack, so the depth of the search, up to one level per vertex, is
     not bounded by Python's recursion limit.
@@ -247,7 +230,7 @@ def solve_mwis_masked(adj: Sequence[int], vmask: int, weights: Sequence[int]) ->
                 best_w = cur
                 best_mask = chosen
             continue
-        if cur + clique_cover_bound(adj, order, weights, avail, 1) <= best_w:
+        if cur + clique_cover(adj, order, weights, avail, 1)[0] <= best_w:
             continue
         pick, pick_deg = -1, -1
         for v in iter_mask(avail):

@@ -3,9 +3,11 @@
 Everything here enumerates without pruning so it stays independent of the
 branch-and-bound / guessing machinery under test, except
 ColorsLastConnectedSolver, the reference for the order of the connected
-search's guesses, which keeps its bounds, and
+search's guesses, which keeps its bounds,
 plain_sum_solve_mwis_masked, the reference for the MWIS's clique-cover
-prune, which prunes by the plain weight sum.  Usable only at desk scale.
+prune, which prunes by the plain weight sum, and vertex_greedy_cliques,
+the reference for mwis.clique_cover's cover, which places one vertex at
+a time.  Usable only at desk scale.
 """
 
 from __future__ import annotations
@@ -75,6 +77,30 @@ def brute_mwis_subsets(n: int, edges: list[tuple[int, int]],
             if w > best:
                 best = w
     return best
+
+
+def vertex_greedy_cliques(
+    adj: Sequence[int], order: Sequence[int], weights: Sequence[int], mask: int
+) -> list[list[int]]:
+    """The cliques of mwis.clique_cover's greedy cover, each as its
+    vertices in order, built one vertex at a time: the vertices of mask
+    with a nonzero weight, taken in order (any order that holds every
+    vertex of mask), each joining the first clique it is adjacent to
+    throughout or opening a new one."""
+    commons: list[int] = []  # common neighborhood of each clique
+    cliques: list[list[int]] = []
+    for v in order:
+        if not mask >> v & 1 or not weights[v]:
+            continue
+        for i, common in enumerate(commons):
+            if common >> v & 1:
+                commons[i] = common & adj[v]
+                cliques[i].append(v)
+                break
+        else:
+            commons.append(adj[v])
+            cliques.append([v])
+    return cliques
 
 
 def plain_sum_solve_mwis_masked(

@@ -15,7 +15,7 @@ from p5hom.blob import build_blob_graph, solve_full
 from p5hom.connected import ConnectedSolver, solve_connected_case
 from p5hom.family import Family, build_family
 from p5hom.generators import GenSpec, generate, trial_spec
-from p5hom.graph import Graph, NotP5FreeError, find_induced_p5, mask_from
+from p5hom.graph import Graph, NotP5FreeError, find_induced_p5, mask_from, maximal_cliques
 from p5hom.mwis import solve_mwis
 from p5hom.oracle import oracle_solve
 from p5hom.pattern import Instance, PatternGraph, exists_list_hom, verify_solution
@@ -279,6 +279,40 @@ def test_list_cover_certifies_where_the_omega_count_fails(monkeypatch):
     res = solve_full(inst, budget=0)
     assert res.exhaustive
     assert res.solution.weight == oracle_solve(inst).weight == second[0]
+    assert calls == []
+
+
+def test_degree_order_cover_certifies_where_the_weight_order_fails(monkeypatch):
+    # split n = 10, K3, seed 7: the greedy (87/4) misses the omega-count
+    # bound (88/3), and the weight-order list-aware bound is 88/3 too;
+    # neither counts colorable vertices.  In degree order the zero-weight
+    # listed vertices 6 and 10 fall mid-way, and that cover's list-aware
+    # bound, 24, counts colorable vertices: the instance comes back
+    # exhaustive at budget 0 at the oracle's weight, with no family built
+    calls = counted_build_family(monkeypatch)
+    inst = generate(GenSpec("split", 10, 3, 7, density=Fraction(1, 2),
+                            list_density=Fraction(7, 10), weight_range=(0, 6)))
+    greedy, rungs = certificate(inst)
+    assert (greedy, rungs) == (Fraction(87, 4), ((Fraction(88, 3), False), (24, True)))
+    scale, wt = inst.scaled_weights
+    lists, adj = inst.lists_masks, inst.g.adjacency_masks()
+    by_weight = sorted(inst.g.vertices, key=lambda v: (-wt[v], v))
+    by_degree = sorted(by_weight, key=lambda v: -adj[v].bit_count())
+    assert by_degree == [7, 4, 2, 1, 9, 10, 6, 3, 8, 5]
+    assert wt[6] == wt[10] == 0 and lists[6] and lists[10]
+    universe = 0
+    for v in inst.g.vertices:
+        universe |= lists[v]
+    live = mask_from(v for v in inst.g.vertices if lists[v])
+    cliques = mwis_module.clique_cover(adj, by_weight, wt, live, 3)[2]  # omega of K3
+    bound, counted = mwis_module.list_clique_cover(
+        cliques, wt, lists, maximal_cliques(inst.h.adjacency_masks(), universe))
+    assert Fraction(bound, scale) == Fraction(88, 3)
+    assert exists_list_hom(
+        inst.g, inst.h, {v: inst.lists[v] for v in inst.g.vertices if counted >> v & 1}) is None
+    res = solve_full(inst, budget=0)
+    assert res.exhaustive
+    assert res.solution.weight == oracle_solve(inst).weight == 24
     assert calls == []
 
 

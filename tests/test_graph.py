@@ -104,6 +104,17 @@ def test_graph_rejects_bad_edges():
         Graph(-1, [])
 
 
+@pytest.mark.parametrize("v", [0, -1, 4])
+def test_vertex_queries_reject_non_vertices(v):
+    # 0, -1 (which would read vertex 3's row from the end) and n + 1 are
+    # no vertices of a 3-vertex path
+    g = Graph.path(3)
+    with pytest.raises(ValueError):
+        g.degree(v)
+    with pytest.raises(ValueError):
+        g.neighbors(v)
+
+
 def test_named_constructors():
     assert Graph.complete(4).edge_count == 6
     assert Graph.path(5).edges() == [(1, 2), (2, 3), (3, 4), (4, 5)]

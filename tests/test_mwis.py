@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p5hom.graph import Graph
-from p5hom.mwis import (WeightedGraph, _greedy_cliques, clique_cover_bound, list_clique_cover,
-                        solve_mwis, solve_mwis_masked)
+from p5hom.mwis import WeightedGraph, clique_cover, list_clique_cover, solve_mwis, solve_mwis_masked
 
-from brute import brute_mwis, brute_mwis_subsets, plain_sum_solve_mwis_masked
+from brute import brute_mwis, brute_mwis_subsets, plain_sum_solve_mwis_masked, vertex_greedy_cliques
 
 
 def test_frozen_small_cases():
@@ -154,18 +153,18 @@ def test_clique_cover_bound(seed):
     order = sorted(range(1, n + 1), key=lambda v: (-weights[v], v))
     edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if adj[u] >> v & 1]
     inside = {v: Fraction(weights[v] if vmask >> v & 1 else 0) for v in range(1, n + 1)}
-    assert clique_cover_bound(adj, order, weights, vmask, 1) >= brute_mwis_subsets(n, edges, inside)
+    assert clique_cover(adj, order, weights, vmask, 1)[0] >= brute_mwis_subsets(n, edges, inside)
     independent = clique = 0
     for v in rng.sample(range(1, n + 1), n):
         if not adj[v] & independent:
             independent |= 1 << v
         if adj[v] & clique == clique:
             clique |= 1 << v
-    assert clique_cover_bound(adj, order, weights, independent, 1) == sum(
+    assert clique_cover(adj, order, weights, independent, 1)[0] == sum(
         weights[v] for v in range(1, n + 1) if independent >> v & 1)
     heaviest = [weights[v] for v in order if clique >> v & 1]
     for omega in (1, 2, 3):
-        assert clique_cover_bound(adj, order, weights, clique, omega) == sum(heaviest[:omega])
+        assert clique_cover(adj, order, weights, clique, omega)[0] == sum(heaviest[:omega])
 
 
 @settings(max_examples=100, deadline=None)
@@ -179,18 +178,39 @@ def test_clique_cover_counted(seed, omega):
     order = sorted(range(1, n + 1), key=lambda v: (-weights[v], v))
 
     def counted(mask):
-        return sum(1 << v for clique in _greedy_cliques(adj, order, weights, mask)
-                   for v in clique[:omega])
+        return clique_cover(adj, order, weights, mask, omega)[1]
 
     assert counted(vmask) & ~vmask == 0
     assert sum(weights[v] for v in range(1, n + 1) if counted(vmask) >> v & 1) == (
-        clique_cover_bound(adj, order, weights, vmask, omega))
+        clique_cover(adj, order, weights, vmask, omega)[0])
     clique = 0
     for v in rng.sample(range(1, n + 1), n):
         if adj[v] & clique == clique:
             clique |= 1 << v
     heaviest = [v for v in order if clique >> v & 1 and weights[v]][:omega]
     assert counted(clique) == sum(1 << v for v in heaviest)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+def test_clique_cover_matches_vertex_at_a_time(seed, shuffled):
+    # the cover grown one clique at a time is the one that places one
+    # vertex at a time (vertex_greedy_cliques), in weight order and in a
+    # shuffled order, where zero weights fall mid-order as in the
+    # certificate's degree-order walk; each clique counts its first omega
+    # vertices, and the bound is their weight
+    n, adj, weights, vmask, rng = masked_graph(seed, 12)
+    order = sorted(range(1, n + 1), key=lambda v: (-weights[v], v))
+    if shuffled:
+        rng.shuffle(order)
+    want = vertex_greedy_cliques(adj, order, weights, vmask)
+    for omega in (1, 2, 3, 4):
+        first = [v for clique in want for v in clique[:omega]]
+        assert clique_cover(adj, order, weights, vmask, omega) == (
+            sum(weights[v] for v in first),
+            sum(1 << v for v in first),
+            [sum(1 << v for v in clique) for clique in want],
+        )
 
 
 def test_list_clique_cover_reroutes_a_matched_vertex():
@@ -201,7 +221,7 @@ def test_list_clique_cover_reroutes_a_matched_vertex():
     adj = [0, 0b1100, 0b1010, 0b0110]
     weights = [0, 5, 4, 3]
     lists = [0, 0b110, 0b010, 0b010]
-    cliques = _greedy_cliques(adj, [1, 2, 3], weights, 0b1110)
+    cliques = clique_cover(adj, [1, 2, 3], weights, 0b1110, 1)[2]
     assert list_clique_cover(cliques, weights, lists, [0b110]) == (9, 0b0110)
     # two color sets, {1} and {2, 3}: the second fits only vertex 1, the
     # first the heaviest of any one vertex, so the tie keeps the first
@@ -231,11 +251,11 @@ def test_list_clique_cover(seed):
     colorsets = [rng.randrange(1, 16) << 1 for _ in range(rng.randint(1, 3))]
     order = sorted(range(1, n + 1), key=lambda v: (-weights[v], v))
     bound, counted = list_clique_cover(
-        _greedy_cliques(adj, order, weights, vmask), weights, lists, colorsets)
+        clique_cover(adj, order, weights, vmask, 1)[2], weights, lists, colorsets)
     assert counted & ~vmask == 0
     assert sum(weights[v] for v in range(1, n + 1) if counted >> v & 1) == bound
     omega = max(c.bit_count() for c in colorsets)
-    assert bound <= clique_cover_bound(adj, order, weights, vmask, omega)
+    assert bound <= clique_cover(adj, order, weights, vmask, omega)[0]
     clique = 0
     for v in rng.sample(range(1, n + 1), n):
         if adj[v] & clique == clique:
@@ -243,4 +263,4 @@ def test_list_clique_cover(seed):
     members = [v for v in range(1, n + 1) if clique >> v & 1]
     want = max(brute_matchable(members, weights, lists, c) for c in colorsets)
     assert list_clique_cover(
-        _greedy_cliques(adj, order, weights, clique), weights, lists, colorsets)[0] == want
+        clique_cover(adj, order, weights, clique, 1)[2], weights, lists, colorsets)[0] == want
