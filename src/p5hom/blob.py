@@ -118,8 +118,9 @@ def solve_full(inst: Instance, budget: int | None = None) -> SolveResult:
     whole family build (see build_family); exhaustive is False when it ran
     out.  A cut family may hold only small members, so a run that is not
     exhaustive returns the greedy instead when that is strictly heavier;
-    ties keep the blob answer.  The greedy's Solution is built only where
-    it is returned: on the greedy certificate and on that fallback.  The
+    ties keep the blob answer.  The greedy's Solution, and its Fraction
+    weight, are built only where they are returned: on the greedy
+    certificate and on that fallback, which compares in integers.  The
     solution stores its weight, so verify_solution's weight check also
     checks that the colored members (or the certified or greedy vertices)
     add up to it.
@@ -133,12 +134,11 @@ def solve_full(inst: Instance, budget: int | None = None) -> SolveResult:
             live |= 1 << v
             universe |= lists[v]
     weight, greedy = engine.incumbent(live, lists)
-    greedy_weight = Fraction(weight, engine.scale)
     certified: Solution | None = None
     for bound, counted in engine.certificate_covers(live, lists, universe):
         if bound <= weight:
             coloring = dict(greedy)
-            certified = Solution(frozenset(coloring), coloring, greedy_weight)
+            certified = Solution(frozenset(coloring), coloring, Fraction(weight, engine.scale))
             break
         hom = exists_list_hom(inst.g, inst.h, {v: inst.lists[v] for v in iter_mask(counted)})
         if hom is not None:
@@ -158,9 +158,10 @@ def solve_full(inst: Instance, budget: int | None = None) -> SolveResult:
             coloring.update(fam.colorings[blob.members[bv - 1]])
         sol = Solution(frozenset(coloring), coloring, blob_weight)
         exhaustive = fam.exhaustive
-        if not exhaustive and greedy_weight > blob_weight:
+        if not exhaustive and (weight * blob_weight.denominator
+                               > blob_weight.numerator * engine.scale):
             coloring = dict(greedy)
-            sol = Solution(frozenset(coloring), coloring, greedy_weight)
+            sol = Solution(frozenset(coloring), coloring, Fraction(weight, engine.scale))
     violation = verify_solution(inst, sol)
     if violation is not None:
         raise RuntimeError(f"internal error: pipeline produced invalid solution ({violation})")

@@ -103,7 +103,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 from itertools import combinations, product
 
 from .graph import (
@@ -116,7 +116,7 @@ from .graph import (
     maximal_cliques,
 )
 from .mwis import clique_cover, list_clique_cover, solve_mwis_masked
-from .pattern import Instance, Solution, _coloring_violation, verify_solution
+from .pattern import Instance, Solution, _coloring_violation, _memo, verify_solution
 
 __all__ = [
     "SolveResult",
@@ -245,6 +245,36 @@ def _dominator_tuples(
         yield from level
 
 
+@lru_cache(maxsize=64)
+def _pattern_tables(hadj: tuple[int, ...]) -> tuple[dict[int, int], dict[int, tuple[int, ...]]]:
+    """The pattern facts that every solver on one pattern shares, keyed by
+    its adjacency table: the clique number and the maximal cliques of
+    the pattern per color mask, filled as masks are met (by
+    _clique_number and ConnectedSolver.certificate_covers).  Both are
+    functions of the pattern and the mask alone.  The 64 most recent
+    patterns are kept, each table holding at most one entry per color
+    mask."""
+    return {0: 0}, {}
+
+
+def _clique_number(hadj: Sequence[int], table: dict[int, int], colors: int) -> int:
+    """omega(H[colors]) through table, the pattern's clique numbers by
+    color mask, filling it for every mask the recursion meets.
+
+    omega(S) = max(omega(S - c), 1 + omega(S & N_H(c))) with c the lowest
+    color of S: a largest clique either misses c or holds it and only
+    neighbors of c.
+    """
+    hit = table.get(colors)
+    if hit is None:
+        low = colors & -colors
+        hit = table[colors] = max(
+            _clique_number(hadj, table, colors ^ low),
+            1 + _clique_number(hadj, table, colors & hadj[low.bit_length() - 1]),
+        )
+    return hit
+
+
 class ConnectedSolver:
     """Reusable engine over one Instance's graph, pattern and weights.
 
@@ -280,8 +310,11 @@ class ConnectedSolver:
     weight, so no vertex lowers a sum: that makes it sound to skip every
     branch whose bound cannot strictly beat the best so far.  The
     solver also keeps the vertices in one weight-descending order (ties
-    by id) for the greedy start and the bound, the pattern's clique
-    number per color mask, and the bound per (mask, omega).
+    by id) for the greedy start and the bound, and the bound per (mask,
+    omega).  The pattern's clique number and maximal cliques per color
+    mask live in one table per pattern (_pattern_tables), shared by every
+    solver on that pattern and filled only by module-level functions, so
+    a subclass that overrides clique_number cannot write into it.
 
     One more cache holds a result that depends on its key alone: the
     components of each vertex mask (components, the one split used by
@@ -294,9 +327,11 @@ class ConnectedSolver:
         self._adj = inst.g.adjacency_masks()
         self._hadj = inst.h.adjacency_masks()
         self.scale, self._wt = inst.scaled_weights
-        # heaviest first, ties by id: the incumbent's and the bound's order
-        self._order = sorted(inst.g.vertices, key=lambda v: (-self._wt[v], v))
-        self._omega = {0: 0}  # clique_number's table, by color mask
+        # heaviest first, ties by id (the sort is stable, reverse too): the
+        # incumbent's and the bound's order
+        self._order = sorted(inst.g.vertices, key=self._wt.__getitem__, reverse=True)
+        # the pattern's clique numbers and maximal cliques, by color mask
+        self._omega, self._cliques = _pattern_tables(self._hadj)
         self._bounds: dict[tuple[int, int], int] = {}  # cover_bound's, by (mask, omega)
         if budget is not None and budget < 0:
             raise ValueError(f"budget must be nonnegative, got {budget}")
@@ -307,7 +342,7 @@ class ConnectedSolver:
         self._memo: dict[tuple[int, ...], tuple[int, tuple[tuple[int, int], ...]]] = {}
         self._components: dict[int, tuple[int, ...]] = {}  # vertex mask -> its components
 
-    @cached_property
+    @_memo
     def _p3s(self) -> bool:
         """Whether the host has an induced C5, the only host that needs P3
         dominators; checked when first read (the first tuple walk), and a
@@ -433,21 +468,12 @@ class ConnectedSolver:
     def clique_number(self, colors: int) -> int:
         """omega(H[colors]), the clique number of the pattern on a color mask.
 
-        omega(S) = max(omega(S - c), 1 + omega(S & N_H(c))) with c the
-        lowest color of S: a largest clique either misses c or holds it and
-        only neighbors of c.  Each mask is computed once per solver, when
-        first asked for, so a large pattern costs only the masks it meets.
+        Read from the pattern's table (_pattern_tables), which
+        _clique_number fills by the recurrence on first asking: each mask
+        is computed once per pattern, so a large pattern costs only the
+        masks it meets.
         """
-        memo = self._omega
-        hit = memo.get(colors)
-        if hit is None:
-            low = colors & -colors
-            hit = max(
-                self.clique_number(colors ^ low),
-                1 + self.clique_number(colors & self._hadj[low.bit_length() - 1]),
-            )
-            memo[colors] = hit
-        return hit
+        return _clique_number(self._hadj, self._omega, colors)
 
     def incumbent(
         self, vmask: int, lists: Sequence[int]
@@ -517,18 +543,20 @@ class ConnectedSolver:
         its first omega vertices, its heaviest, omega the clique number of
         the pattern on colors, so it equals cover_bound(mask, omega).  The
         second, mwis.list_clique_cover over the maximal cliques of the
-        pattern on colors, lets each clique count its heaviest vertices
-        that their lists can match to one of them, and takes the lesser of
-        the same weight-order cover and one in degree-descending order
-        (degrees in the host graph, ties in weight order), the weight
-        order's on a tie; it is at most the first.  The weight-order cover
-        is walked once, for both.
+        pattern on colors (kept in the pattern's table), lets each clique
+        count its heaviest vertices that their lists can match to one of
+        them, and takes the lesser of the same weight-order cover and one
+        in degree-descending order (degrees in the host graph, ties in
+        weight order), the weight order's on a tie; it is at most the
+        first.  The weight-order cover is walked once, for both.
         """
         adj, wt = self._adj, self._wt
         omega = self.clique_number(colors)
         bound, counted, cliques = clique_cover(adj, self._order, wt, mask, omega)
         yield bound, counted
-        colorsets = maximal_cliques(self._hadj, colors)
+        colorsets = self._cliques.get(colors)
+        if colorsets is None:
+            colorsets = self._cliques[colors] = tuple(maximal_cliques(self._hadj, colors))
         by_degree = sorted(self._order, key=lambda v: -adj[v].bit_count())
         weight_cover = list_clique_cover(cliques, wt, lists, colorsets)
         degree_cover = list_clique_cover(

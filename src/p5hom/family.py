@@ -45,8 +45,13 @@ itself would split the region into, so the components of the region's
 answer are those of its pieces' answers.  A member's provenance is the
 first guess in this order that yields it.
 
-Stage 2 skips work by three rules and no others:
+Stage 2 skips work by four rules and no others:
 
+- no W whose pattern restriction H[W] has no edge.  Under such a W no
+  two adjacent vertices can both be colored, so every answer is an
+  independent set and yields only singletons, which are seeded already;
+  its solves would charge no guess, each piece going to the conflict
+  MWIS, and guesses are charged per second set, not per W.
 - one second-set walk per (common-neighbor mask, N[D]) per size.  The
   walk and its closed cores depend only on that pair, so a pair met
   again at the size is charged its first walk's second sets in one
@@ -262,7 +267,7 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
     surjection in product order (its restricted-growth labelling, read
     through each W's colors), and each closed core is solved under every
     W of the size, piece by piece, skipping work only by the module
-    docstring's three dedup rules.  A repeated walk is charged its
+    docstring's four skip rules.  A repeated walk is charged its
     second-set count in one call, as that many single charges would be.
 
     A component is yielded at every guess whose answer holds it, with
@@ -275,11 +280,16 @@ def _guessed_members(inst: Instance, solver: ConnectedSolver):
     g = inst.g
     adj = g.adjacency_masks()
     full = g.full_mask
+    hadj = inst.h.adjacency_masks()
     k = inst.h.k
     for kprime in range(2, min(k, g.n) + 1):
-        wsets = []  # (W, lists restricted to W, vertices with a W-list, pieces solved)
+        # (W, lists restricted to W, vertices with a W-list, pieces solved),
+        # for each W of the size whose H[W] has an edge
+        wsets = []
         for colors in combinations(range(1, k + 1), kprime):
             wmask = mask_from(colors)
+            if not any(hadj[c] & wmask for c in colors):
+                continue
             lists_w = tuple(lv & wmask for lv in inst.lists_masks)
             live_w = mask_from(v for v, lv in enumerate(lists_w) if lv)
             wsets.append((colors, lists_w, live_w, set()))
@@ -329,7 +339,7 @@ def build_family(inst: Instance, budget: int | None = None) -> Family:
     build that runs out keeps the members found so far and reports
     exhaustive False.  For each size |W|, each (D, class partition) is
     pruned once, whatever W, and the walk skips work only by the module
-    docstring's three dedup rules, so the unit of the budget is one
+    docstring's four skip rules, so the unit of the budget is one
     guess per (D, partition, D'), a repeated walk charged all at once;
     each member keeps the provenance of the first guess that yields it,
     and the colors that guess's answer gives it (Family.colorings).  The

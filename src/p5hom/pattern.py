@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
 from .graph import Graph, iter_mask, mask_from
@@ -75,6 +74,28 @@ def scale_weights(weights: Mapping[int, Fraction]) -> tuple[int, tuple[int, ...]
     for v, (num, den) in zip(weights, ratios):
         ints[v] = num * (scale // den)
     return scale, tuple(ints)
+
+
+class _memo:
+    """A computed attribute stored on first read: the first read of
+    obj.name calls the function and puts its value in obj.__dict__, where
+    every later read finds it as a plain attribute, and a value set on
+    obj wins.  This is functools.cached_property without the RLock that
+    its first read takes before Python 3.12, which costs as much as the
+    small tables it guards."""
+
+    def __init__(self, func) -> None:
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 def _check_color(c: object, v: int, k: int) -> None:
@@ -141,15 +162,17 @@ class Instance:
         lists_total = {v: frozenset(lists.get(v, full)) for v in verts}
         return cls(g, h, wt_total, lists_total)
 
-    @cached_property
+    @_memo
     def lists_masks(self) -> tuple[int, ...]:
-        """Color lists as bitmasks, indexed by vertex (index 0 unused)."""
+        """Color lists as bitmasks, indexed by vertex (index 0 unused);
+        built on first read and kept on the instance."""
         return (0, *[mask_from(self.lists[v]) for v in self.g.vertices])
 
-    @cached_property
+    @_memo
     def scaled_weights(self) -> tuple[int, tuple[int, ...]]:
         """scale_weights(wt), the one scaling of this instance's weights:
-        (scale, ints), with ints[v] = wt[v] * scale."""
+        (scale, ints), with ints[v] = wt[v] * scale; built on first read
+        and kept on the instance."""
         return scale_weights(self.wt)
 
     def weight_of(self, vertices: Iterable[int]) -> Fraction:
@@ -243,8 +266,11 @@ def verify_solution(inst: Instance, sol: Solution) -> SolutionViolation | None:
 
     Checks, in order: the coloring's domain is exactly the chosen set, every
     color is on the vertex's list, every induced edge maps to a pattern
-    edge, and the stored weight equals the weight of the chosen set,
-    computed as one exact integer sum (Instance.weight_of).  Raises
+    edge, and the stored weight equals the weight of the chosen set.  The
+    weight check is on integers: the chosen vertices' scaled weights
+    (Instance.scaled_weights) add up to total, and the stored p/q must
+    satisfy p * scale == total * q; the Fraction total / scale, the value
+    Instance.weight_of gives, is built only for the message.  Raises
     ValueError if a chosen vertex is outside the graph.
     """
     n = inst.g.n
@@ -263,10 +289,14 @@ def verify_solution(inst: Instance, sol: Solution) -> SolutionViolation | None:
     violation = _coloring_violation(inst.g.adjacency_masks(), inst.h.adjacency_masks(),
                                     inst.h.k, inst.lists_masks, coloring, order)
     if violation is None:
-        true_weight = inst.weight_of(order)
-        if sol.weight != true_weight:
+        scale, ints = inst.scaled_weights
+        total = 0
+        for v in order:
+            total += ints[v]
+        w = sol.weight
+        if w.numerator * scale != total * w.denominator:
             violation = SolutionViolation(
-                "weight", f"stored weight {sol.weight} != actual {true_weight}"
+                "weight", f"stored weight {w} != actual {Fraction(total, scale)}"
             )
     return violation
 

@@ -781,9 +781,20 @@ PATTERNS = {
 @pytest.mark.parametrize("h", PATTERNS.values(), ids=PATTERNS.keys())
 def test_clique_number_table(h):
     # omega(H[S]) by the recurrence equals the largest clique found by
-    # trying every color subset, on every color mask S
+    # trying every color subset, on every color mask S.  The table is
+    # shared by every solver on the pattern, so it still holds after a
+    # solver whose clique_number counts colors has solved on the pattern
+    # and been asked every mask, by its own method and by the base one,
+    # whose recursion must not reach the override
+    masks = range(0, 1 << (h.k + 1), 2)
+    inst = Instance.build(GEM, h)
+    counting = ColorCountSolver(inst)
+    counting.solve_masked(GEM.full_mask, inst.lists_masks)
+    for colors in masks:
+        counting.clique_number(colors)
+        ConnectedSolver.clique_number(counting, colors)
     solver = ConnectedSolver(Instance.build(Graph(1, []), h))
-    for colors in range(0, 1 << (h.k + 1), 2):
+    for colors in masks:
         assert solver.clique_number(colors) == brute_clique_number(h, colors)
 
 

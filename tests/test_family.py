@@ -504,17 +504,18 @@ def walk_members(walk, inst: Instance, budget):
 @given(
     st.sampled_from(FAMILIES),
     st.tuples(st.sampled_from(["complete:2", "complete:3", "path:3"]), st.integers(4, 7))
-    | st.tuples(st.just("complete:4"), st.integers(4, 6)),
+    | st.tuples(st.sampled_from(["complete:4", "path:4"]), st.integers(4, 6)),
     st.integers(0, 10**9),
     st.none() | st.integers(0, 80),
 )
 def test_guess_order_matches_full_walk(family, pattern_n, seed, budget):
     # walking each (D, class partition) once per size, with W innermost,
-    # and skipping a core already solved at its size and every one-vertex
-    # piece give the members, provenance, exhaustive flag and budget left
-    # of the walk over every surjection and every region under every W,
-    # the singletons seeded first in both; under K4 a 3-vertex D is walked
-    # for |W| = 2 and for |W| = 3
+    # and skipping a core already solved at its size, every one-vertex
+    # piece and every W whose H[W] has no edge give the members,
+    # provenance, exhaustive flag and budget left of the walk over every
+    # surjection and every region under every W, the singletons seeded
+    # first in both; under K4 and P4 a 3-vertex D is walked for |W| = 2
+    # and for |W| = 3, and P4 has three edgeless pairs {1,3}, {1,4}, {2,4}
     pattern, n = pattern_n
     pname, _, karg = pattern.partition(":")
     inst = generate(GenSpec(
@@ -531,6 +532,32 @@ def test_guess_order_matches_full_walk(family, pattern_n, seed, budget):
     assert walk_members(_guessed_members, inst, budget) == walk_members(
         brute_guessed_members, inst, budget
     )
+
+
+def test_no_solve_under_an_edgeless_color_set(monkeypatch):
+    # on GEM under P4 with full lists, every list under W is W itself, so
+    # each solve the family makes names its W: the edgeless pairs {1,3},
+    # {1,4} and {2,4} are never solved under, and every other W is
+    hadj = PatternGraph.path(4).adjacency_masks()
+    inst = Instance.build(GEM, PatternGraph.path(4))
+    solved = set()  # W of each solve made by the family itself
+    solve = ConnectedSolver.solve_masked
+
+    def counted_solve(self, vmask, lists):
+        if sys._getframe(1).f_code is _guessed_members.__code__:
+            solved.add(lists[iter_mask(vmask)[0]])
+        return solve(self, vmask, lists)
+
+    monkeypatch.setattr(ConnectedSolver, "solve_masked", counted_solve)
+    list(_guessed_members(inst, ConnectedSolver(inst)))
+    with_edge = {
+        mask_from(w)
+        for size in (2, 3, 4)
+        for w in itertools.combinations(range(1, 5), size)
+        if any(hadj[c] & mask_from(w) for c in w)
+    }
+    assert len(with_edge) == 11 - 3
+    assert solved == with_edge
 
 
 def test_budget_runs_out_inside_a_repeated_walk(monkeypatch):
